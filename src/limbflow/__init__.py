@@ -8,15 +8,17 @@ mAP. A seeded synthetic articulated-motion generator stands in for a
 trained detector so the whole pipeline runs at desk scale.
 """
 
-from .assignment import hungarian
+from .assignment import FORBIDDEN, hungarian
 from .augment import StrideConfig, paired_transform, random_person_crop, sample_frame_pair
 from .encoder import (
     EncoderConfig,
     FlowMapGrid,
     LimbPart,
+    LimbStrokes,
     accumulate_channels,
     encode_joint_flow,
     encode_limb_flow,
+    limb_strokes,
     part_unit_vector,
     rasterize_part,
     subdivide_limb,
@@ -32,7 +34,6 @@ from .fileio import (
 from .metrics import EvalReport, evaluate, mean_ap, mota, motp
 from .pose import FramePoses, JointCandidate, Pose, Sequence, common_joints
 from .scoring import (
-    FORBIDDEN,
     AssociationMatrix,
     ScoreConfig,
     association_score,

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .skeleton import SkeletonTopology
 
 
@@ -72,6 +74,27 @@ def common_joints(a: Pose, b: Pose) -> list[int]:
         if ca is not None and cb is not None and ca.visible and cb.visible:
             out.append(j)
     return out
+
+
+def pose_arrays(
+    poses: "list[Pose] | tuple[Pose, ...]", joint_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, J) array view of poses: joint positions and presence.
+
+    Returns ``xy`` of shape (P, J, 2), float64, and ``present`` of shape
+    (P, J), true where the joint is present and visible. Absent joints
+    read (0, 0) in ``xy``; consult ``present`` before using them.
+    """
+    xy = np.zeros((len(poses), joint_count, 2), dtype=np.float64)
+    present = np.zeros((len(poses), joint_count), dtype=bool)
+    for p, pose in enumerate(poses):
+        if len(pose.joints) != joint_count:
+            raise ValueError("poses have different joint counts")
+        for j, c in enumerate(pose.joints):
+            if c is not None and c.visible:
+                xy[p, j] = (c.x, c.y)
+                present[p, j] = True
+    return xy, present
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ working, where the flow term is identically zero.
 Pose pairs with no common joints cannot be scored and receive the
 ``forbid_sentinel`` (-inf by default), which downstream assignment
 treats as a forbidden link.
+
+``flow_score`` and ``distance_score`` score one pair and are the
+reference; ``build_association_matrix`` scores all pairs of two frames
+together and must equal them bit for bit. The order of its contractions
+and sums is therefore part of the scorer's contract, set out in its
+docstring. Flow maps are read through ``values_at``, which a dense grid
+answers by indexing and ``LimbStrokes`` by computing only those cells.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import FlowMapGrid
-from .pose import FramePoses, Pose, common_joints
+from .assignment import FORBIDDEN
+from .encoder import FlowMap
+from .pose import FramePoses, Pose, common_joints, pose_arrays
 from .skeleton import SkeletonTopology
 
-FORBIDDEN = float("-inf")
+# Integral samples gathered at once by build_association_matrix.
+_CHUNK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,64 +58,96 @@ class ScoreConfig:
             raise ValueError("distance_scale must be > 0")
 
 
-def _sample_nearest(grid: FlowMapGrid, channel: int, pts: np.ndarray) -> np.ndarray:
-    """Nearest-cell lookups for an (n, 2) array of pixel points.
+def _lookup_cells(
+    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray, bilinear: bool
+) -> tuple[np.ndarray, np.ndarray, "tuple[np.ndarray, np.ndarray] | None"]:
+    """The cells an (n, 2) array of pixel points reads, one row per tap.
 
-    Points outside the grid extent read as zero vectors. Default lookup
-    mode; no interpolation, for reproducibility.
+    Returns flat (channel, cell) keys (T, n) of the nearest cell (T = 1)
+    or the four surrounding cell centers (T = 4), clipped to the grid;
+    whether each tap lies inside the grid; and, for bilinear lookup, the
+    points' fractional offsets (fx, fy) in cells.
     """
-    s = float(grid.grid_stride)
-    ix = np.rint(pts[:, 0] / s).astype(np.int64)
-    iy = np.rint(pts[:, 1] / s).astype(np.int64)
-    inside = (
-        (pts[:, 0] >= 0)
-        & (pts[:, 0] < grid.width * s)
-        & (pts[:, 1] >= 0)
-        & (pts[:, 1] < grid.height * s)
-    )
-    ix = np.clip(ix, 0, grid.width - 1)
-    iy = np.clip(iy, 0, grid.height - 1)
-    out = grid.vectors[channel, iy, ix].astype(np.float64)
-    out[~inside] = 0.0
-    return out
-
-
-def _sample_bilinear(grid: FlowMapGrid, channel: int, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation over cell centers, zero-padded outside."""
-    s = float(grid.grid_stride)
-    u = pts[:, 0] / s
-    v = pts[:, 1] / s
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
-    fx = (u - x0)[:, None]
-    fy = (v - y0)[:, None]
-
-    def at(xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
-        valid = (xi >= 0) & (xi < grid.width) & (yi >= 0) & (yi < grid.height)
-        xi_c = np.clip(xi, 0, grid.width - 1)
-        yi_c = np.clip(yi, 0, grid.height - 1)
-        vals = grid.vectors[channel, yi_c, xi_c].astype(np.float64)
-        vals[~valid] = 0.0
-        return vals
-
-    return (
-        at(x0, y0) * (1 - fx) * (1 - fy)
-        + at(x0 + 1, y0) * fx * (1 - fy)
-        + at(x0, y0 + 1) * (1 - fx) * fy
-        + at(x0 + 1, y0 + 1) * fx * fy
-    )
-
-
-def sample_grid(grid: FlowMapGrid, channel: int, pts: np.ndarray, bilinear: bool = False) -> np.ndarray:
+    s = float(flow.grid_stride)
+    w, h = flow.width, flow.height
+    px, py = pts[:, 0], pts[:, 1]
+    frac = None
     if bilinear:
-        return _sample_bilinear(grid, channel, pts)
-    return _sample_nearest(grid, channel, pts)
+        u, v = px / s, py / s
+        x0 = np.floor(u).astype(np.int64)
+        y0 = np.floor(v).astype(np.int64)
+        frac = ((u - x0)[:, None], (v - y0)[:, None])
+        taps = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)]
+        valid = [(xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) for xi, yi in taps]
+    else:
+        taps = [(np.rint(px / s).astype(np.int64), np.rint(py / s).astype(np.int64))]
+        valid = [(px >= 0) & (px < w * s) & (py >= 0) & (py < h * s)]
+    channel = np.broadcast_to(np.asarray(channel, dtype=np.int64), len(pts))
+    keys = np.stack(
+        [(channel * h + np.clip(yi, 0, h - 1)) * w + np.clip(xi, 0, w - 1) for xi, yi in taps]
+    )
+    return keys, np.stack(valid), frac
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, by one sort: ``np.unique`` without an inverse
+    hashes integer keys, about 10x slower on a chunk's keys."""
+    keys = np.sort(keys, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _read_cells(flow: FlowMap, cells: np.ndarray) -> np.ndarray:
+    """(m, 2) vectors at sorted distinct (channel, cell) keys, with one
+    ``values_at`` call per channel."""
+    w, h = flow.width, flow.height
+    vals = np.empty((len(cells), 2), dtype=np.float64)
+    cell_channel = cells // (w * h)
+    starts = np.flatnonzero(np.diff(cell_channel, prepend=-1)).tolist() + [len(cells)]
+    for lo, hi in zip(starts, starts[1:]):
+        cell = cells[lo:hi] % (w * h)
+        vals[lo:hi] = flow.values_at(int(cell_channel[lo]), cell // w, cell % w)
+    return vals
+
+
+def _interpolate(
+    vals: np.ndarray, valid: np.ndarray, frac: "tuple[np.ndarray, np.ndarray] | None"
+) -> np.ndarray:
+    """Combine the (T, n, 2) tap values of ``_lookup_cells`` into (n, 2)."""
+    vals[~valid] = 0.0
+    if frac is None:
+        return vals[0]
+    fx, fy = frac
+    return (
+        vals[0] * (1 - fx) * (1 - fy)
+        + vals[1] * fx * (1 - fy)
+        + vals[2] * (1 - fx) * fy
+        + vals[3] * fx * fy
+    )
+
+
+def sample_grid(
+    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray, bilinear: bool = False
+) -> np.ndarray:
+    """Flow vectors at an (n, 2) array of pixel points.
+
+    ``channel`` is one stored channel, or one per point. The default
+    lookup takes the nearest cell, with no interpolation, for
+    reproducibility; ``bilinear`` interpolates over the four surrounding
+    cell centers. Cells outside the grid read as zero vectors. Each
+    distinct (channel, cell) is read once, with one ``values_at`` call per
+    channel, so a flow map that computes its cells pays only for those.
+    """
+    keys, valid, frac = _lookup_cells(flow, channel, pts, bilinear)
+    cells, inverse = np.unique(keys, return_inverse=True)
+    return _interpolate(_read_cells(flow, cells)[inverse].reshape(keys.shape + (2,)), valid, frac)
 
 
 def flow_score(
     pose_later: Pose,
     pose_earlier: Pose,
-    grid: FlowMapGrid,
+    grid: FlowMap,
     topo: SkeletonTopology,
     cfg: ScoreConfig,
 ) -> float:
@@ -188,21 +229,115 @@ def _poses_of(frame: "FramePoses | list[Pose] | tuple[Pose, ...]") -> list[Pose]
     return list(frame)
 
 
+def _joint_geometry(
+    poses_a: list[Pose], poses_b: list[Pose]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Joint displacements of every (a, b) pose pair.
+
+    Returns ``common`` (P, Q, J), the joints both poses have; ``d``
+    (P, Q, J, 2), a minus b; ``norm`` (P, Q, J), its length on common
+    joints and 0 elsewhere; and the two (P, J, 2) position arrays.
+    """
+    joint_count = len(poses_a[0].joints)
+    xy_a, ok_a = pose_arrays(poses_a, joint_count)
+    xy_b, ok_b = pose_arrays(poses_b, joint_count)
+    common = ok_a[:, None, :] & ok_b[None, :, :]
+    d = xy_a[:, None] - xy_b[None, :]
+    norm = np.zeros(common.shape, dtype=np.float64)
+    # math.hypot, as the per-pair scores use: np.hypot differs in the last bit.
+    norm[common] = list(map(math.hypot, d[..., 0][common].tolist(), d[..., 1][common].tolist()))
+    return common, d, norm, xy_a, xy_b
+
+
+def _mean_over_common(terms: np.ndarray, common: np.ndarray, sentinel: float) -> np.ndarray:
+    """Per pair, the mean of (P, Q, J) joint terms over common joints,
+    summed in ascending joint order; ``sentinel`` where none are common.
+    Terms off the common joints must be 0."""
+    total = np.zeros(common.shape[:2], dtype=np.float64)
+    for j in range(common.shape[2]):
+        total = total + terms[:, :, j]
+    n_common = common.sum(axis=2)
+    return np.where(n_common > 0, total / np.maximum(n_common, 1), sentinel)
+
+
+def distance_matrix(
+    poses_a: list[Pose], poses_b: list[Pose], sentinel: float = FORBIDDEN
+) -> np.ndarray:
+    """``distance_score`` of every (a, b) pair, bit for bit, as a matrix."""
+    if not poses_a or not poses_b:
+        return np.full((len(poses_a), len(poses_b)), sentinel, dtype=np.float64)
+    common, _, norm, _, _ = _joint_geometry(poses_a, poses_b)
+    return _mean_over_common(norm, common, sentinel)
+
+
 def build_association_matrix(
     frame_later: "FramePoses | list[Pose]",
     frame_earlier: "FramePoses | list[Pose]",
-    grid: FlowMapGrid,
+    grid: FlowMap,
     topo: SkeletonTopology,
     cfg: ScoreConfig,
 ) -> AssociationMatrix:
-    """Score every (later pose, earlier pose) pair against one grid."""
+    """Score every (later pose, earlier pose) pair against one flow map.
+
+    Equal bit for bit to ``association_score(flow_score(...),
+    distance_score(...))`` per pair; ``flow_score`` and ``distance_score``
+    are kept as that reference. All pairs are scored together: the
+    integral samples of every moving common joint of every pair are
+    gathered, each distinct cell is read from the flow map once, and
+    the terms are reduced. Equality depends on the order of that
+    arithmetic, which is part of this function's contract: each sample
+    is dotted with its direction by a batched ``@``, the samples of a
+    joint are summed along one contiguous axis as ``np.sum`` does, the
+    joint terms are added in ascending joint order, and lengths and
+    exponentials use the scalar ``math`` functions.
+    """
     cfg.validate()
     later = _poses_of(frame_later)
     earlier = _poses_of(frame_earlier)
-    scores = np.full((len(later), len(earlier)), cfg.forbid_sentinel, dtype=np.float64)
-    for i, pl in enumerate(later):
-        for j, pe in enumerate(earlier):
-            s_flow = flow_score(pl, pe, grid, topo, cfg)
-            s_dist = distance_score(pl, pe, cfg.forbid_sentinel)
-            scores[i, j] = association_score(s_flow, s_dist, cfg)
-    return AssociationMatrix(scores=scores, sentinel=cfg.forbid_sentinel)
+    sentinel = cfg.forbid_sentinel
+    scores = np.full((len(later), len(earlier)), sentinel, dtype=np.float64)
+    if not later or not earlier:
+        return AssociationMatrix(scores=scores, sentinel=sentinel)
+
+    common, d, norm, xy_l, xy_e = _joint_geometry(later, earlier)
+    moving = common & (norm > cfg.epsilon_motion)
+    pi, qi, ji = np.nonzero(moving)
+    a, b = xy_l[pi, ji], xy_e[qi, ji]
+    joint_channel = np.array(
+        [grid.channel_for(topo.joint_channel[j]) for j in range(common.shape[2])], dtype=np.int64
+    )
+    channels = joint_channel[ji]
+    n_samples = cfg.integral_samples
+    u = (np.arange(n_samples, dtype=np.float64) + 0.5) / n_samples
+
+    def lookups(items: slice):
+        px = (1.0 - u) * a[items, 0, None] + u * b[items, 0, None]
+        py = (1.0 - u) * a[items, 1, None] + u * b[items, 1, None]
+        pts = np.stack([px.ravel(), py.ravel()], axis=1)
+        return _lookup_cells(grid, np.repeat(channels[items], n_samples), pts, cfg.bilinear)
+
+    # Samples are taken in chunks, twice: once to collect the distinct
+    # cells, read together, and once to reduce. Memory stays bounded by
+    # the chunk, not by pairs x joints x samples.
+    step = max(1, _CHUNK_SAMPLES // n_samples)
+    chunks = [slice(lo, lo + step) for lo in range(0, len(ji), step)]
+    seen = [_distinct(lookups(c)[0]) for c in chunks]
+    cells = _distinct(np.concatenate(seen)) if seen else np.empty(0, dtype=np.int64)
+    cell_vals = _read_cells(grid, cells)
+    directions = d[moving] / norm[moving][:, None]
+    per_joint = np.empty(len(ji), dtype=np.float64)
+    for c in chunks:
+        keys, valid, frac = lookups(c)
+        chunk_cells, inverse = np.unique(keys, return_inverse=True)
+        vals = cell_vals[np.searchsorted(cells, chunk_cells)][inverse].reshape(keys.shape + (2,))
+        vecs = _interpolate(vals, valid, frac).reshape(-1, n_samples, 2)
+        projections = (vecs @ directions[c, :, None]).reshape(-1, n_samples)
+        per_joint[c] = projections.sum(axis=1) / n_samples
+    flow_terms = np.zeros(common.shape, dtype=np.float64)
+    flow_terms[moving] = per_joint
+
+    s_flow = _mean_over_common(flow_terms, common, sentinel)
+    s_dist = _mean_over_common(norm, common, sentinel)
+    for i, j in zip(*np.nonzero(common.any(axis=2))):
+        scores[i, j] = association_score(float(s_flow[i, j]), float(s_dist[i, j]), cfg)
+    return AssociationMatrix(scores=scores, sentinel=sentinel)

@@ -2,21 +2,23 @@
 
 Frames are processed as sliding sets (F[t-1], F[t], F[t+1]) at one-frame
 interval. Each new frame is matched against the active tracks with a
-stride-1 flow grid; once both pairs of a set are matched, the middle
-frame is refined with a stride-2 grid: a track seen at t-1 but missed at
-t that can be associated straight to a frame t+1 pose gets the average
-of its two neighbor poses inserted at t.
+stride-1 flow map; once both pairs of a set are matched, the middle
+frame is refined with a stride-2 flow map: a track seen at t-1 but
+missed at t that can be associated straight to a frame t+1 pose gets
+the average of its two neighbor poses inserted at t.
 
 Unmatched tracks stay active for one extra frame set, exactly long
 enough for the stride-2 refinement to catch them, then retire for good;
 re-identification beyond that window is out of scope.
 
-Flow grids come from a flow source. By default grids are encoded from
-the input sequence itself, pairing people across frames by track id when
+Flow maps come from a flow source. By default they are drawn from the
+input sequence itself, pairing people across frames by track id when
 the input carries ids and by a minimum-total-distance assignment
 otherwise. Pass an explicit ``SequenceFlowSource`` built from ground
 truth to emulate an upstream motion estimator that has learned the true
-limb flow.
+limb flow. The source hands out ``LimbStrokes``, which the scorer reads
+only at the cells it samples; ``match_frames`` and
+``refine_middle_frame`` accept those or a dense ``FlowMapGrid`` alike.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .assignment import hungarian
-from .encoder import EncoderConfig, FlowMapGrid, encode_limb_flow
+from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
+
+# Tracking never builds a dense grid. encode_limb_flow stays importable
+# from this module because the benchmark's checks (perfbench) encode the
+# dense grid of a pair through it, next to _reference_pairing.
+from .encoder import encode_limb_flow  # noqa: F401
 from .pose import FramePoses, JointCandidate, Pose, Sequence
-from .scoring import (
-    ScoreConfig,
-    build_association_matrix,
-    distance_score,
-)
+from .scoring import ScoreConfig, build_association_matrix, distance_matrix
 from .skeleton import SkeletonTopology
 
 
@@ -145,7 +148,7 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
 
 
 def _reference_pairing(frame_a: FramePoses, frame_b: FramePoses) -> list[tuple[int, int]]:
-    """Person correspondence used when encoding grids from a sequence.
+    """Person correspondence used when drawing flow maps from a sequence.
 
     Pairs by track id when every pose in both frames carries one;
     otherwise falls back to a minimum-total-distance assignment
@@ -156,48 +159,48 @@ def _reference_pairing(frame_a: FramePoses, frame_b: FramePoses) -> list[tuple[i
     if all(i is not None for i in ids_a) and all(i is not None for i in ids_b):
         by_id_b = {tid: j for j, tid in enumerate(ids_b)}
         return [(i, by_id_b[tid]) for i, tid in enumerate(ids_a) if tid in by_id_b]
-    scores = np.full((len(frame_a.poses), len(frame_b.poses)), -np.inf)
-    for i, pa in enumerate(frame_a.poses):
-        for j, pb in enumerate(frame_b.poses):
-            d = distance_score(pa, pb)
-            if np.isfinite(d):
-                scores[i, j] = -d
-    return hungarian(scores)
+    d = distance_matrix(list(frame_a.poses), list(frame_b.poses))
+    return hungarian(np.where(np.isfinite(d), -d, -np.inf))
 
 
 class SequenceFlowSource:
     """Flow-map provider backed by a reference sequence.
 
-    ``grid(later, earlier)`` encodes (and caches) the flow map between
-    two frame positions of the reference sequence.
+    ``grid(later, earlier)`` returns the strokes of the flow map between
+    two frame positions of the reference sequence. The cache keeps only
+    the pairs ending at the latest ``later`` position asked for, which is
+    the window ``track_sequence`` reads at each step ((t, t-1) and
+    (t, t-2)); each entry is sized by people x limbs x parts, so memory
+    stays flat in sequence length.
     """
 
     def __init__(self, seq: Sequence, encoder_cfg: EncoderConfig):
         self.seq = seq
         self.cfg = encoder_cfg
-        self._cache: dict[tuple[int, int], FlowMapGrid] = {}
+        self._cache: dict[tuple[int, int], LimbStrokes] = {}
 
-    def grid(self, later: int, earlier: int) -> FlowMapGrid:
+    def grid(self, later: int, earlier: int) -> LimbStrokes:
         key = (later, earlier)
         if key not in self._cache:
+            self._cache = {k: v for k, v in self._cache.items() if k[0] == later}
             fl = self.seq.frames[later]
             fe = self.seq.frames[earlier]
             pairing = _reference_pairing(fl, fe)
-            self._cache[key] = encode_limb_flow(fl, fe, pairing, self.seq.topology, self.cfg)
+            self._cache[key] = limb_strokes(fl, fe, pairing, self.seq.topology, self.cfg)
         return self._cache[key]
 
 
 def match_frames(
     state: TrackState,
     frame: FramePoses,
-    grid: Optional[FlowMapGrid],
+    grid: Optional[FlowMap],
     topo: SkeletonTopology,
     cfg: TrackerConfig,
     defer_new: bool = False,
 ) -> FramePoses:
     """Match one frame's poses against the active tracks.
 
-    The grid must be encoded over (this frame, previous frame). Links at
+    The flow map must be drawn over (this frame, previous frame). Links at
     or above ``score_threshold`` inherit the track id; unmatched poses
     start fresh tracks (or stay unlabeled when ``defer_new`` is set, so a
     later refinement step may claim them); unmatched tracks accumulate a
@@ -261,7 +264,7 @@ def refine_middle_frame(
     frame_prev: FramePoses,
     frame_mid: FramePoses,
     frame_next: FramePoses,
-    grid_stride2: FlowMapGrid,
+    grid_stride2: FlowMap,
     topo: SkeletonTopology,
     cfg: TrackerConfig,
     state: Optional[TrackState] = None,
@@ -269,12 +272,12 @@ def refine_middle_frame(
     """Restore tracks that skipped the middle frame of a three-frame set.
 
     For every track id present at t-1 and absent at t, its t-1 pose is
-    associated against the t+1 poses via the stride-2 grid (encoded over
-    (t+1, t-1)). A link clearing the score threshold is honored when the
-    t+1 pose already carries the same id, or is still unlabeled, in which
-    case it receives the id. The joint-wise average of the two neighbor
-    poses is then inserted at t. Existing poses are never deleted or
-    relabeled, only inserted; a person absent at t+1 as well simply
+    associated against the t+1 poses via the stride-2 flow map (drawn
+    over (t+1, t-1)). A link clearing the score threshold is honored when
+    the t+1 pose already carries the same id, or is still unlabeled, in
+    which case it receives the id. The joint-wise average of the two
+    neighbor poses is then inserted at t. Existing poses are never deleted
+    or relabeled, only inserted; a person absent at t+1 as well simply
     cannot be refined.
 
     Returns the updated (middle frame, next frame) plus log entries.

@@ -1,0 +1,211 @@
+"""Flow maps evaluated only where they are read.
+
+The tracker scores against ``LimbStrokes``, which compute a cell only
+when asked; the dense ``FlowMapGrid`` is the same kernel at every cell.
+These properties require the two, and the batched association matrix
+and its per-pair oracle, to agree bit for bit (``np.array_equal``).
+"""
+
+from dataclasses import fields, replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from limbflow.encoder import EncoderConfig, LimbStrokes, limb_strokes
+from limbflow.fileio import serialize_annotations
+from limbflow import scoring
+from limbflow.pose import JointCandidate, Pose
+from limbflow.scoring import (
+    ScoreConfig,
+    association_score,
+    build_association_matrix,
+    distance_matrix,
+    distance_score,
+    flow_score,
+    sample_grid,
+)
+from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
+from limbflow.tracker import SequenceFlowSource, TrackerConfig, track_sequence
+
+from helpers import TOPO, frame
+
+SIZE = (40, 30)
+
+
+def _random_pose(rng, size=SIZE) -> Pose:
+    """Joints scattered over and just beyond the image; some missing or
+    invisible; some on the 1/8 px lattice the synthetic scenes use."""
+    w, h = size
+    joints = []
+    for _ in range(TOPO.joint_count):
+        r = rng.random()
+        if r < 0.15:
+            joints.append(None)
+            continue
+        x, y = rng.uniform(-4, w + 4), rng.uniform(-4, h + 4)
+        if r < 0.4:
+            x, y = round(x * 8) / 8, round(y * 8) / 8
+        joints.append(JointCandidate(float(x), float(y), visible=bool(rng.random() > 0.05)))
+    return Pose(joints=tuple(joints))
+
+
+def _moved(rng, pose: Pose, static_share: float) -> Pose:
+    """The pose a frame later; a share of its joints does not move."""
+    joints = []
+    for c in pose.joints:
+        if c is None or rng.random() < static_share:
+            joints.append(c)
+        else:
+            joints.append(replace(c, x=c.x + float(rng.normal(0, 3)), y=c.y + float(rng.normal(0, 3))))
+    return Pose(joints=tuple(joints))
+
+
+def _scene(seed: int, static_share: float, size=SIZE):
+    rng = np.random.default_rng(seed)
+    # Up to 6 people in a small image, so strokes of one channel overlap.
+    earlier = [_random_pose(rng, size) for _ in range(int(rng.integers(0, 7)))]
+    later = [_moved(rng, p, static_share) for p in earlier]
+    if rng.random() < 0.5:
+        later.append(_random_pose(rng, size))  # someone who just arrived
+    return rng, frame(later, 1, size), frame(earlier, 0, size)
+
+
+encoder_configs = st.builds(
+    EncoderConfig,
+    parts_per_limb=st.integers(1, 6),
+    stroke_half_width=st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+    layout=st.sampled_from(["individual", "accumulated"]),
+    grid_stride=st.integers(1, 4),
+)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    enc=encoder_configs,
+    static_share=st.sampled_from([0.0, 0.5, 1.0]),
+    empty_pairing=st.booleans(),
+    bilinear=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_strokes_values_equal_the_dense_grid(seed, enc, static_share, empty_pairing, bilinear):
+    rng, fl, fe = _scene(seed, static_share)
+    pairing = [] if empty_pairing else [(i, i) for i in range(len(fe.poses))]
+    strokes = limb_strokes(fl, fe, pairing, TOPO, enc)
+    grid = strokes.rasterize()
+
+    # Every cell of every stored channel.
+    iy, ix = np.mgrid[0 : grid.height, 0 : grid.width]
+    for c in range(grid.channel_pairs):
+        assert np.array_equal(strokes.values_at(c, iy.ravel(), ix.ravel()), grid.vectors[c].reshape(-1, 2))
+
+    # Lookups at points in, on the edge of and outside the image.
+    w, h = SIZE
+    pts = np.stack([rng.uniform(-6, w + 6, 50), rng.uniform(-6, h + 6, 50)], axis=1)
+    pts[:10] = np.round(pts[:10])
+    channels = np.array([grid.channel_for(c) for c in rng.integers(0, TOPO.limb_count, 50)])
+    assert np.array_equal(
+        sample_grid(strokes, channels, pts, bilinear), sample_grid(grid, channels, pts, bilinear)
+    )
+
+
+def _oracle_matrix(later, earlier, flow, cfg):
+    scores = np.full((len(later), len(earlier)), cfg.forbid_sentinel)
+    for i, pl in enumerate(later):
+        for j, pe in enumerate(earlier):
+            scores[i, j] = association_score(
+                flow_score(pl, pe, flow, TOPO, cfg), distance_score(pl, pe, cfg.forbid_sentinel), cfg
+            )
+    return scores
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    enc=encoder_configs,
+    static_share=st.sampled_from([0.0, 0.3, 1.0]),
+    dense=st.booleans(),
+    chunk_samples=st.sampled_from([1, 7, 1 << 16]),
+    score=st.builds(
+        ScoreConfig,
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        integral_samples=st.integers(1, 25),
+        bilinear=st.booleans(),
+        epsilon_motion=st.sampled_from([1e-6, 0.5]),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_matrix_equals_per_pair_oracle(seed, enc, static_share, dense, chunk_samples, score):
+    _, fl, fe = _scene(seed, static_share)
+    later, earlier = list(fl.poses), list(fe.poses)
+    flow = limb_strokes(fl, fe, [(i, i) for i in range(len(earlier))], TOPO, enc)
+    if dense:
+        flow = flow.rasterize()
+    with mock.patch.object(scoring, "_CHUNK_SAMPLES", chunk_samples):
+        got = build_association_matrix(later, earlier, flow, TOPO, score).scores
+    assert np.array_equal(got, _oracle_matrix(later, earlier, flow, score))
+
+    distances = [[distance_score(a, b) for b in earlier] for a in later]
+    assert np.array_equal(distance_matrix(later, earlier), np.array(distances).reshape(got.shape))
+
+
+def test_batched_matrix_keeps_forbidden_pairs_and_static_joints():
+    rng = np.random.default_rng(7)
+    earlier = [_random_pose(rng) for _ in range(3)]
+    only = lambda pose, keep: Pose(tuple(c if j in keep else None for j, c in enumerate(pose.joints)))  # noqa: E731
+    later = [
+        only(earlier[0], set(range(0, 7))),  # static: every common joint stands still
+        only(_moved(rng, earlier[1], 0.5), set(range(7, 15))),
+        Pose((None,) * TOPO.joint_count),  # shares no joint with anyone
+    ]
+    fl, fe = frame(later, 1), frame(earlier, 0)
+    flow = limb_strokes(fl, fe, [(0, 0), (1, 1)], TOPO, EncoderConfig())
+    cfg = ScoreConfig()
+    got = build_association_matrix(later, earlier, flow, TOPO, cfg).scores
+    assert np.array_equal(got, _oracle_matrix(later, earlier, flow, cfg))
+    assert np.all(got[2] == cfg.forbid_sentinel)
+    assert np.isfinite(got[0, 0])
+
+
+class _DenseFlowSource(SequenceFlowSource):
+    def grid(self, later, earlier):
+        return super().grid(later, earlier).rasterize()
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    people=st.integers(1, 3),
+    motion=st.sampled_from(["crossing", "wander", "occlusion-middle", "static"]),
+    enc=encoder_configs,
+    bilinear=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_tracking_is_identical_on_strokes_and_rasterized_grids(seed, people, motion, enc, bilinear):
+    scene = SceneConfig(
+        people=people, frames=5, image_size=(96, 72), motion=motion, speed=6.0,
+        jitter_sigma=1.0, dropout_prob=0.1, seed=seed,
+    )
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+    cfg = TrackerConfig(encoder=enc, score=ScoreConfig(bilinear=bilinear))
+    sparse = track_sequence(cand, cfg, SequenceFlowSource(gt, enc))
+    dense = track_sequence(cand, cfg, _DenseFlowSource(gt, enc))
+    assert serialize_annotations(sparse) == serialize_annotations(dense)
+    assert sparse.refinement_log == dense.refinement_log
+
+
+def test_flow_source_cache_stays_small_on_a_long_sequence():
+    # 59 + 58 frame pairs: kept as dense 640x480 grids they would take
+    # ~10 GB, and kept as strokes ~6 MB. Only the current window stays.
+    scene = SceneConfig(people=4, frames=60, image_size=(640, 480), motion="wander", seed=3)
+    gt = generate_sequence(scene)
+    source = SequenceFlowSource(gt, EncoderConfig())
+    out = track_sequence(apply_corruption(gt, scene), TrackerConfig(), source)
+    assert len(out.frames) == 60
+    cached = [
+        getattr(strokes, f.name)
+        for strokes in source._cache.values()
+        for f in fields(LimbStrokes)
+    ]
+    assert source._cache
+    assert sum(a.nbytes for a in cached if isinstance(a, np.ndarray)) < 1 << 20
