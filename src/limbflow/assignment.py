@@ -1,75 +1,71 @@
 """Optimal bipartite assignment over score matrices with forbidden entries.
 
-Maximum-total-score one-to-one assignment, maximum cardinality first:
-solved as a min-cost perfect matching on a padded square matrix (negated
-scores), using the classic shortest-augmenting-path potentials method in
-O(n^3). Entries equal to the sentinel (or any non-finite value) are
-forbidden and never assigned. Dummy padding rows/columns absorb
-unmatched rows and columns, so rectangular and infeasible inputs work
-uniformly.
+Maximum-total-score one-to-one assignment, maximum cardinality first.
+Feasible scores get a per-match bonus large enough that cardinality
+dominates any redistribution of real scores; forbidden entries (the
+sentinel, NaN or inf) get value 0, so matching a row to one means
+leaving it unmatched. The bonus-transformed block is then solved as a
+rectangular min-cost assignment of its smaller side: no padding to a
+(rows + cols) square; a matrix with more rows than columns is solved
+transposed.
 
-The solver is fully deterministic: rows are augmented in order and column
-scans break ties toward lower indices.
+The solver is the shortest-augmenting-path method of Jonker & Volgenant
+(1987) in its rectangular form (Crouse, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016). It augments once per row of
+the smaller side r; each Dijkstra step is one numpy pass over the c
+columns, so a solve costs O(r^2 c) arithmetic in at most r^2 steps.
+
+The result is deterministic: rows are augmented in order, and each step
+takes the unscanned column of least tentative distance, the lowest index
+among equals. Among several optima of equal total, which one is returned
+is not part of the contract.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 FORBIDDEN = float("-inf")
 
 
-def _solve_square_min_cost(cost: np.ndarray) -> list[int]:
-    """Return col assigned to each row for a square min-cost matrix."""
-    n = cost.shape[0]
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_col = [0] * (n + 1)  # 1-based: row matched to column j
-    way = [0] * (n + 1)
-
-    for i in range(1, n + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a finite min-cost matrix, rows <= cols."""
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    row_of_col = np.full(n_cols, -1, dtype=np.intp)
+    col_of_row = np.full(n_rows, -1, dtype=np.intp)
+    for start in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        path = np.full(n_cols, -1, dtype=np.intp)
+        scanned = np.zeros(n_cols, dtype=bool)
+        reached = []  # rows entered through a scanned column
+        i, min_val = start, 0.0
         while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
+            reduced = min_val + cost[i] - u[i] - v
+            lower = (reduced < shortest) & ~scanned
+            shortest[lower] = reduced[lower]
+            path[lower] = i
+            j = int(np.argmin(np.where(scanned, np.inf, shortest)))
+            min_val = shortest[j]
+            scanned[j] = True
+            i = row_of_col[j]
+            if i < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
+            reached.append(i)
 
-    row_to_col = [-1] * n
-    for j in range(1, n + 1):
-        if match_col[j] != 0:
-            row_to_col[match_col[j] - 1] = j - 1
-    return row_to_col
+        # Dual update over the scanned tree, then flip the path to free column j.
+        u[start] += min_val
+        reached = np.array(reached, dtype=np.intp)
+        u[reached] += min_val - shortest[col_of_row[reached]]
+        v[scanned] -= min_val - shortest[scanned]
+        while True:
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
+    return col_of_row
 
 
 def hungarian(scores: np.ndarray, forbidden: float = FORBIDDEN) -> list[tuple[int, int]]:
@@ -95,20 +91,13 @@ def hungarian(scores: np.ndarray, forbidden: float = FORBIDDEN) -> list[tuple[in
     # Per-match bonus large enough that cardinality dominates any possible
     # redistribution of real scores.
     bonus = (2.0 * s_max + 1.0) * (min(n_rows, n_cols) + 1)
+    value = np.where(feasible, bonus + scores, 0.0)
 
-    n = n_rows + n_cols
-    value = np.zeros((n, n), dtype=np.float64)
-    block = np.where(feasible, bonus + scores, 0.0)
-    value[:n_rows, :n_cols] = block
-
-    assignment = _solve_square_min_cost(-value)
-    pairs = [
-        (i, j)
-        for i, j in enumerate(assignment[:n_rows])
-        if 0 <= j < n_cols and feasible[i, j]
-    ]
-    pairs.sort()
-    return pairs
+    if n_rows <= n_cols:
+        pairs = enumerate(_solve_min_cost(-value))
+    else:
+        pairs = ((i, j) for j, i in enumerate(_solve_min_cost(np.ascontiguousarray(-value.T))))
+    return sorted((int(i), int(j)) for i, j in pairs if feasible[i, j])
 
 
 def assignment_total(scores: np.ndarray, pairs: list[tuple[int, int]]) -> float:

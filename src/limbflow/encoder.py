@@ -299,13 +299,20 @@ class FlowMapAccumulator:
         self.counts[channel, rows, cols] += counts.reshape(iy.shape).astype(np.int32)
 
     def finalize(self, layout: str, limb_count: int) -> FlowMapGrid:
+        """The grid of per-cell means, built in place from the buffers.
+
+        The sums become the means (equal bit for bit to ``_means``) and the
+        counts are handed over, so the accumulator must not be used after.
+        """
+        nz = self.counts > 0
+        self.sums[nz] /= self.counts[nz][:, None]
         return FlowMapGrid(
             layout=layout,
             limb_count=limb_count,
             width=self.width,
             height=self.height,
-            vectors=_means(self.sums, self.counts),
-            counts=self.counts.copy(),
+            vectors=self.sums,
+            counts=self.counts,
             grid_stride=self.grid_stride,
         )
 

@@ -8,16 +8,18 @@ byte-for-byte.
 Flow-map dumps ("TMLF") are little-endian binary:
 
     magic  "TMLF"          4 bytes
-    version                u16
+    version                u16  (2)
     layout                 u8   (0 = individual, 1 = accumulated)
     limb_count             u16  (source channel count)
     width, height          u32, u32  (cells)
+    grid_stride            u32  (pixels per cell side, >= 1)
     planes                 float32[] channel-major, x-plane then y-plane
                            per channel; individual grids carry
                            2*limb_count planes, accumulated grids 2
 
-Contributor counts are in-memory audit data and are not serialized. The
-dump carries no grid stride; readers assume one cell per pixel.
+Version 1 is the same without the ``grid_stride`` field (a 17-byte
+header); it is still read, as stride 1. Contributor counts are in-memory
+audit data and are not serialized.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .skeleton import SkeletonTopology, resolve_topology
 
 FORMAT_VERSION = 1
 TMLF_MAGIC = b"TMLF"
-TMLF_VERSION = 1
-_HEADER = struct.Struct("<4sHBHII")
+TMLF_VERSION = 2
+_HEADER_V1 = struct.Struct("<4sHBHII")
+_STRIDE = struct.Struct("<I")  # follows the version 1 header from version 2 on
 
 
 class AnnotationError(ValueError):
@@ -217,9 +220,9 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
             f"vectors shape {grid.vectors.shape} does not match "
             f"{(expected, grid.height, grid.width, 2)}"
         )
-    header = _HEADER.pack(
+    header = _HEADER_V1.pack(
         TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
-    )
+    ) + _STRIDE.pack(grid.grid_stride)
     planes = np.ascontiguousarray(
         grid.vectors.astype("<f4", copy=False).transpose(0, 3, 1, 2)
     )
@@ -227,12 +230,21 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
 
 
 def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
-    if len(data) < _HEADER.size:
+    if len(data) < _HEADER_V1.size:
         raise FlowmapFormatError("truncated header")
-    magic, version, layout_byte, limb_count, width, height = _HEADER.unpack_from(data)
+    magic, version, layout_byte, limb_count, width, height = _HEADER_V1.unpack_from(data)
     if magic != TMLF_MAGIC:
         raise FlowmapFormatError("not a TMLF file")
-    if version != TMLF_VERSION:
+    if version == 1:
+        header_size, grid_stride = _HEADER_V1.size, 1
+    elif version == 2:
+        header_size = _HEADER_V1.size + _STRIDE.size
+        if len(data) < header_size:
+            raise FlowmapFormatError("truncated header")
+        (grid_stride,) = _STRIDE.unpack_from(data, _HEADER_V1.size)
+        if grid_stride < 1:
+            raise FlowmapFormatError(f"grid stride {grid_stride} must be >= 1")
+    else:
         raise FlowmapFormatError(f"unsupported format version {version}")
     if layout_byte == 0:
         layout = LAYOUT_INDIVIDUAL
@@ -242,12 +254,12 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
         pairs = 1
     else:
         raise FlowmapFormatError(f"unknown layout byte {layout_byte}")
-    expected = _HEADER.size + pairs * 2 * width * height * 4
+    expected = header_size + pairs * 2 * width * height * 4
     if len(data) != expected:
         raise FlowmapFormatError(
-            f"payload is {len(data) - _HEADER.size} bytes, expected {expected - _HEADER.size}"
+            f"payload is {len(data) - header_size} bytes, expected {expected - header_size}"
         )
-    planes = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    planes = np.frombuffer(data, dtype="<f4", offset=header_size)
     planes = planes.reshape(pairs, 2, height, width)
     vectors = np.ascontiguousarray(planes.transpose(0, 2, 3, 1)).astype(np.float64)
     return FlowMapGrid(
@@ -257,7 +269,7 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
         height=height,
         vectors=vectors,
         counts=None,
-        grid_stride=1,
+        grid_stride=grid_stride,
     )
 
 

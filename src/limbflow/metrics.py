@@ -217,12 +217,19 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
 
     ``gt_seq`` and ``pred_seq`` are sequences (tracked or plain) sharing
     one topology; frames are aligned by ``frame_index``. Ground truth
-    with no frames at all is rejected.
+    with no frames at all, or with a pose lacking a track id (MOTA's
+    ID-switch term needs ground-truth identities), is rejected.
     """
     topo: SkeletonTopology = gt_seq.topology
     gt_frames = list(_frames_of(gt_seq))
     if not gt_frames:
         raise ValueError("ground truth has no frames")
+    for frame in gt_frames:
+        for pi, pose in enumerate(frame.poses):
+            if pose.track_id is None:
+                raise ValueError(
+                    f"ground truth frame {frame.frame_index} pose {pi} has no track id"
+                )
     pred_by_index = {f.frame_index: f for f in _frames_of(pred_seq)}
     head = _head_lengths(gt_frames, topo)
 

@@ -142,6 +142,99 @@ def brute_force_assignment(scores: np.ndarray, forbidden=float("-inf")):
     return sorted(best[0]), best[2]
 
 
+# The library's former solver: the padded-square Hungarian, O((r + c)^3)
+# in pure Python. Kept verbatim as a slow oracle for the rectangular one.
+
+def _solve_square_min_cost(cost: np.ndarray) -> list[int]:
+    """Return col assigned to each row for a square min-cost matrix."""
+    n = cost.shape[0]
+    INF = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match_col = [0] * (n + 1)  # 1-based: row matched to column j
+    way = [0] * (n + 1)
+
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = INF
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+
+    row_to_col = [-1] * n
+    for j in range(1, n + 1):
+        if match_col[j] != 0:
+            row_to_col[match_col[j] - 1] = j - 1
+    return row_to_col
+
+
+def padded_hungarian(scores: np.ndarray, forbidden: float = float("-inf")) -> list[tuple[int, int]]:
+    """Maximum-score assignment of rows to columns (``hungarian``'s contract).
+
+    Entries equal to ``forbidden`` (or NaN/inf) are never assigned. Among
+    all feasible partial assignments the result has maximum cardinality,
+    and maximum total score among those. Returns (row, col) pairs sorted
+    by row; an empty matrix or an all-forbidden matrix yields [].
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError("scores must be a 2-D matrix")
+    n_rows, n_cols = scores.shape
+    if n_rows == 0 or n_cols == 0:
+        return []
+
+    feasible = np.isfinite(scores) & (scores != forbidden)
+    if not feasible.any():
+        return []
+
+    s_max = float(np.abs(scores[feasible]).max())
+    # Per-match bonus large enough that cardinality dominates any possible
+    # redistribution of real scores.
+    bonus = (2.0 * s_max + 1.0) * (min(n_rows, n_cols) + 1)
+
+    n = n_rows + n_cols
+    value = np.zeros((n, n), dtype=np.float64)
+    block = np.where(feasible, bonus + scores, 0.0)
+    value[:n_rows, :n_cols] = block
+
+    assignment = _solve_square_min_cost(-value)
+    pairs = [
+        (i, j)
+        for i, j in enumerate(assignment[:n_rows])
+        if 0 <= j < n_cols and feasible[i, j]
+    ]
+    pairs.sort()
+    return pairs
+
+
 def brute_best_permutation(scores: np.ndarray):
     """Best total over full permutations of a square matrix."""
     n = scores.shape[0]

@@ -1,9 +1,16 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from limbflow.assignment import FORBIDDEN, assignment_total, hungarian
 
-from helpers import brute_force_assignment
+from helpers import brute_force_assignment, padded_hungarian
 
 
 def test_identity_dominant():
@@ -88,3 +95,74 @@ def test_single_cell():
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         hungarian(np.zeros(3))
+
+
+@st.composite
+def score_matrices(draw, max_side=40):
+    """(scores, sentinel): rectangular scores with sentinel, NaN and +-inf
+    cells mixed in; the sentinel is FORBIDDEN or a finite value."""
+    sentinel = draw(st.sampled_from([FORBIDDEN, -99.0]))
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    values = draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
+    kinds = draw(arrays(np.int64, shape, elements=st.integers(0, 11)))
+    specials = np.array([sentinel, np.nan, np.inf, -np.inf])
+    return np.where(kinds < 4, specials[kinds % 4], values), sentinel
+
+
+def _scipy_pairs(scores, sentinel):
+    """linear_sum_assignment on hungarian's bonus-transformed block."""
+    feasible = np.isfinite(scores) & (scores != sentinel)
+    if not feasible.any():
+        return []
+    bonus = (2.0 * np.abs(scores[feasible]).max() + 1.0) * (min(scores.shape) + 1)
+    rows, cols = linear_sum_assignment(np.where(feasible, bonus + scores, 0.0), maximize=True)
+    return [(i, j) for i, j in zip(rows, cols) if feasible[i, j]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(score_matrices())
+def test_cardinality_and_total_match_padded_solver_and_scipy(case):
+    scores, sentinel = case
+    pairs = hungarian(scores, sentinel)
+    assert all(np.isfinite(scores[i, j]) and scores[i, j] != sentinel for i, j in pairs)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    total = assignment_total(scores, pairs)
+    for oracle in (padded_hungarian(scores, sentinel), _scipy_pairs(scores, sentinel)):
+        assert len(pairs) == len(oracle)
+        assert total == pytest.approx(assignment_total(scores, oracle), abs=1e-9)
+
+
+def test_pairs_match_padded_solver_on_continuous_scores():
+    rng = np.random.default_rng(2016)
+    for _ in range(40):
+        rows, cols = (int(n) for n in rng.integers(1, 30, size=2))
+        scores = rng.uniform(-3, 3, size=(rows, cols))
+        scores[rng.random(scores.shape) < 0.25] = FORBIDDEN
+        assert hungarian(scores) == padded_hungarian(scores)  # unique optimum almost surely
+
+
+def test_repeated_calls_agree_on_tie_heavy_inputs():
+    rng = np.random.default_rng(1987)
+    for _ in range(30):
+        rows, cols = (int(n) for n in rng.integers(1, 20, size=2))
+        scores = np.round(rng.uniform(-1, 1, size=(rows, cols)), 1)
+        scores[rng.random(scores.shape) < 0.2] = FORBIDDEN
+        first = hungarian(scores)
+        assert all(hungarian(scores.copy()) == first for _ in range(3))
+    for shape in [(7, 7), (4, 9), (9, 4)]:
+        first = hungarian(np.ones(shape))
+        assert len(first) == min(shape)
+        assert all(hungarian(np.ones(shape)) == first for _ in range(3))
+
+
+def test_random_100x100_solve_is_fast():
+    # The rectangular solver takes ~10 ms here; the padded pure-Python one
+    # took over a second, so the bound catches a regression to it.
+    scores = np.random.default_rng(100).uniform(-1, 1, size=(100, 100))
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        pairs = hungarian(scores)
+        best = min(best, time.perf_counter() - t0)
+    assert len(pairs) == 100
+    assert best < 0.25

@@ -70,9 +70,9 @@ def test_encode_layout_byte(tmp_path):
         "--layout", "accumulated", "--out", out,
     ]) == 0
     blob = out.read_bytes()
-    magic, version, layout_byte, limb_count, w, h = struct.unpack_from("<4sHBHII", blob)
-    assert (magic, layout_byte, limb_count) == (b"TMLF", 1, 14)
-    assert len(blob) == 17 + 2 * w * h * 4
+    magic, version, layout_byte, limb_count, w, h, stride = struct.unpack_from("<4sHBHIII", blob)
+    assert (magic, version, layout_byte, limb_count, stride) == (b"TMLF", 2, 1, 14, 1)
+    assert len(blob) == 21 + 2 * w * h * 4
 
     out2 = tmp_path / "map_ind.tmlf"
     assert run([
@@ -81,7 +81,7 @@ def test_encode_layout_byte(tmp_path):
     ]) == 0
     blob2 = out2.read_bytes()
     assert blob2[6] == 0
-    assert len(blob2) == 17 + 14 * 2 * w * h * 4
+    assert len(blob2) == 21 + 14 * 2 * w * h * 4
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -154,3 +154,17 @@ def test_topology_flag(tmp_path):
     renamed.write_text(text)
     tracked = tmp_path / "t.json"
     assert run(["track", "--in", renamed, "--topology", topo_cfg, "--out", tracked]) == 0
+
+
+def test_eval_rejects_gt_without_track_ids(tmp_path, capsys):
+    ann = tmp_path / "cand.json"
+    assert run([
+        "synth", "--out", ann, "--preset", "wander", "--seed", "3",
+        "--people", "2", "--frames", "4",
+    ]) == 0
+    tracked = tmp_path / "tracked.json"
+    assert run(["track", "--in", ann, "--out", tracked]) == 0
+    capsys.readouterr()
+    # the candidate file carries no track ids, so it cannot serve as ground truth
+    assert run(["eval", "--gt", ann, "--pred", tracked]) == 3
+    assert "has no track id" in capsys.readouterr().err

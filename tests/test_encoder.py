@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from limbflow.encoder import (
     EncoderConfig,
     FlowMapAccumulator,
     LimbPart,
+    _means,
     accumulate_channels,
     encode_joint_flow,
     encode_limb_flow,
@@ -254,6 +256,36 @@ def test_accumulate_opposing_channels_cancel():
     out = accumulate_channels(grid)
     assert out.counts[0, 4, 3] == 2
     assert np.all(out.vectors[0, 4, 1:7] == 0)
+
+
+def test_finalize_means_equal_bitwise_to_means_of_the_buffers():
+    rng = np.random.default_rng(9)
+    acc = FlowMapAccumulator(3, 20, 15, grid_stride=2)
+    for _ in range(12):
+        a, b = rng.uniform(-5, 40, size=(2, 2))
+        acc.add_stroke(int(rng.integers(3)), tuple(a), tuple(b), rng.uniform(-1, 1, 2), 3.0)
+    sums, counts = acc.sums.copy(), acc.counts.copy()
+    grid = acc.finalize("individual", 3)
+    assert np.array_equal(grid.counts, counts)
+    assert grid.vectors.tobytes() == _means(sums, counts).tobytes()
+
+
+def test_dense_encode_peak_stays_near_the_result_size():
+    # The sums buffer becomes the means and the counts are handed over, so
+    # encoding allocates about the grid itself, not a second copy of it.
+    people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
+    fe = frame(people, 0, (640, 480))
+    fl = frame([translate_pose(p, 9.0, -6.0) for p in people], 1, (640, 480))
+    pairing = [(k, k) for k in range(5)]
+    tracemalloc.start()
+    try:
+        grid = encode_limb_flow(fl, fe, pairing, TOPO, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result_bytes = grid.vectors.nbytes + grid.counts.nbytes
+    assert grid.counts.sum() > 0
+    assert peak < 1.5 * result_bytes
 
 
 def test_accumulate_empty_grid():

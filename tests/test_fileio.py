@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_empty_grid_header_only():
         counts=None,
     )
     blob = flowmap_to_bytes(grid)
-    assert len(blob) == 17
+    assert len(blob) == 21
     assert blob[:4] == b"TMLF"
     back = flowmap_from_bytes(blob)
     assert back.limb_count == 14
@@ -203,10 +204,11 @@ def test_header_layout_byte():
     rng = np.random.default_rng(1)
     acc = _random_grid(rng, "accumulated")
     blob = flowmap_to_bytes(acc)
-    magic, version, layout_byte, limb_count, w, h = struct.unpack_from("<4sHBHII", blob)
+    magic, version, layout_byte, limb_count, w, h, stride = struct.unpack_from("<4sHBHIII", blob)
     assert magic == b"TMLF"
-    assert version == 1
+    assert version == 2
     assert layout_byte == 1
+    assert stride == 1
 
 
 def test_bad_magic():
@@ -252,3 +254,33 @@ def test_write_rejects_shape_mismatch():
     grid = FlowMapGrid("individual", 3, 4, 4, np.zeros((2, 4, 4, 2)), None)
     with pytest.raises(FlowmapFormatError, match="shape"):
         flowmap_to_bytes(grid)
+
+
+def test_stride_round_trips():
+    rng = np.random.default_rng(4)
+    grid = replace(_random_grid(rng), grid_stride=2)
+    back = flowmap_from_bytes(flowmap_to_bytes(grid))
+    assert back.grid_stride == 2
+    assert np.array_equal(back.vectors, grid.vectors)
+
+
+def test_version_1_bytes_read_as_stride_1():
+    rng = np.random.default_rng(5)
+    vectors = rng.uniform(-1, 1, size=(3, 4, 5, 2)).astype(np.float32)
+    blob = struct.pack("<4sHBHII", b"TMLF", 1, 0, 3, 5, 4) + np.ascontiguousarray(
+        vectors.transpose(0, 3, 1, 2)
+    ).tobytes()
+    back = flowmap_from_bytes(blob)
+    assert (back.layout, back.limb_count, back.width, back.height) == ("individual", 3, 5, 4)
+    assert back.grid_stride == 1
+    assert np.array_equal(back.vectors, vectors.astype(np.float64))
+
+
+def test_zero_stride_and_cut_stride_field_rejected():
+    rng = np.random.default_rng(6)
+    blob = bytearray(flowmap_to_bytes(_random_grid(rng)))
+    with pytest.raises(FlowmapFormatError, match="truncated"):
+        flowmap_from_bytes(bytes(blob[:19]))
+    blob[17:21] = bytes(4)
+    with pytest.raises(FlowmapFormatError, match="stride"):
+        flowmap_from_bytes(bytes(blob))

@@ -271,3 +271,16 @@ def test_report_table_and_dict():
 def test_empty_gt_rejected():
     with pytest.raises(ValueError):
         evaluate(seq_of([]), seq_of([]))
+
+
+def test_gt_without_track_ids_rejected():
+    # A perfect prediction must not be scored against identity-less ground
+    # truth: every gt pose would key to None and charge false ID switches.
+    gt_frames = [
+        frame([gt_person(80, 60, 0), stick_pose(150, 90)], t) for t in range(3)
+    ]
+    pred_frames = [
+        frame([gt_person(80, 60, 0), gt_person(150, 90, 1)], t) for t in range(3)
+    ]
+    with pytest.raises(ValueError, match="frame 0 pose 1 has no track id"):
+        evaluate(seq_of(gt_frames), seq_of(pred_frames))
