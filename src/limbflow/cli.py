@@ -206,6 +206,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _load_config(args)  # validated like every subcommand's; eval reads no key of it
     gt = _read_sequence(args.gt, args.topology)
     pred = _read_sequence(args.pred, args.topology)
     report = metrics.evaluate(gt, pred, thresh_factor=args.pckh_factor)

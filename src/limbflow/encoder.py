@@ -9,11 +9,12 @@ averaged with a single contributor count per cell, which keeps every
 stored vector inside the unit disc.
 
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
-One kernel decides which cell centers a group of strokes covers; the
-flow map is that kernel evaluated at some cells. ``values_at`` runs it
-on the cells a caller asks for, and the dense ``FlowMapGrid`` of
-``rasterize`` is the same kernel run on every cell of each stroke's
-bounding box, so the two agree bit for bit wherever both exist.
+One kernel decides which cell centers a stroke covers; the flow map is
+that kernel evaluated at some cells. ``values_at`` runs it on the cells
+a caller asks for, and the dense ``FlowMapGrid`` of ``rasterize`` is the
+same kernel run on the cells of each stroke's own clipped box, so its
+cost follows the cells the strokes cover, not the grid size. The two
+agree bit for bit wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -26,14 +27,17 @@ Conventions, fixed here and relied on by the scorer:
 * Displacements of at most ``epsilon_motion`` have no defined direction
   and contribute nothing.
 * A cell's sum accumulates stroke groups (one per paired person and
-  limb) in enumeration order, and strokes within a group in part order.
-  Both paths keep this order, since it fixes the last bit of each mean.
+  limb) in enumeration order, and strokes within a group in part order:
+  each group's strokes are summed first, then the group sums are added
+  in turn. Both paths keep this order, since it fixes the last bit of
+  each mean. A mean is computed only at a cell some stroke covers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -170,20 +174,61 @@ def part_unit_vector(
 
 # ------------------------------------------------------------ the kernel
 
-def _stroke_box(
+def _stroke_boxes(
     a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
-) -> Optional[tuple[int, int, int, int]]:
-    """Inclusive cell range (ix0, ix1, iy0, iy1) a stroke group can cover,
-    clipped to the grid; None when it misses the grid."""
-    lo = np.minimum(a, b).min(axis=0) - half_width
-    hi = np.maximum(a, b).max(axis=0) + half_width
-    ix0 = max(0, int(math.floor(lo[0] / stride)))
-    ix1 = min(width - 1, int(math.ceil(hi[0] / stride)))
-    iy0 = max(0, int(math.floor(lo[1] / stride)))
-    iy1 = min(height - 1, int(math.ceil(hi[1] / stride)))
-    if ix0 > ix1 or iy0 > iy1:
-        return None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inclusive cell ranges ix0, ix1, iy0, iy1 (one entry per stroke) that
+    strokes (a[k], b[k]) can cover, clipped to the grid; a stroke that
+    misses the grid has ix0 > ix1 or iy0 > iy1."""
+    lo = np.floor((np.minimum(a, b) - half_width) / stride)
+    hi = np.ceil((np.maximum(a, b) + half_width) / stride)
+    ix0, iy0 = np.clip(lo, 0, [width, height]).astype(np.int64).T
+    ix1, iy1 = np.clip(hi, -1, [width - 1, height - 1]).astype(np.int64).T
     return ix0, ix1, iy0, iy1
+
+
+def _covers(
+    a: np.ndarray, b: np.ndarray, half_width: float, cx: np.ndarray, cy: np.ndarray
+) -> np.ndarray:
+    """Whether segment (a, b) passes strictly closer than ``half_width`` to
+    cell center (cx, cy); elementwise, with a and b (..., 2) broadcasting
+    against cx and cy. A zero-length segment projects to t = 0 by itself."""
+    d = b - a
+    seg_len2 = (d * d).sum(axis=-1)
+    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
+    rel_x = cx - a[..., 0]
+    rel_y = cy - a[..., 1]
+    t = (rel_x * d[..., 0] + rel_y * d[..., 1]) / safe_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    qx = rel_x - t * d[..., 0]
+    qy = rel_y - t * d[..., 1]
+    return qx * qx + qy * qy < half_width * half_width
+
+
+def _covered_cells(
+    a: np.ndarray, b: np.ndarray, half_width: float, stride: int, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (stroke, cell) pair where stroke (a[k], b[k]) covers the cell,
+    with cell = iy * width + ix, stroke-major. The kernel runs only on the
+    cells of each stroke's own box."""
+    s = float(stride)
+    ix0, ix1, iy0, iy1 = _stroke_boxes(a, b, half_width, s, width, height)
+    nx = np.maximum(ix1 - ix0 + 1, 0)
+    sizes = nx * np.maximum(iy1 - iy0 + 1, 0)
+    stroke = np.repeat(np.arange(len(sizes)), sizes)
+    j = np.arange(len(stroke)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    iy = iy0[stroke] + j // nx[stroke]
+    ix = ix0[stroke] + j % nx[stroke]
+    hit = _covers(a[stroke], b[stroke], half_width, ix * s, iy * s)
+    return stroke[hit], (iy * width + ix)[hit]
+
+
+def _ordered_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, 2) sums of the rows of ``values`` per ``index``, each added in
+    array order (``np.add.at`` is unbuffered and takes the rows in turn)."""
+    sums = np.zeros((size, 2), dtype=np.float64)
+    np.add.at(sums, index, values)
+    return sums
 
 
 def _stroke_contributions(
@@ -196,20 +241,9 @@ def _stroke_contributions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums (m, 2) and counts (m,) that n strokes add at m cell centers.
 
-    Stroke k covers a center strictly closer than ``half_width`` to
-    segment (a[k], b[k]). The sum over strokes runs in stroke order.
+    The sum over strokes runs in stroke order.
     """
-    d = b - a  # (n, 2)
-    seg_len2 = (d * d).sum(axis=1)  # (n,)
-    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
-    rel_x = cx[None, :] - a[:, 0, None]
-    rel_y = cy[None, :] - a[:, 1, None]
-    t = (rel_x * d[:, 0, None] + rel_y * d[:, 1, None]) / safe_len2[:, None]
-    np.clip(t, 0.0, 1.0, out=t)
-    t[seg_len2 == 0.0] = 0.0
-    qx = rel_x - t * d[:, 0, None]
-    qy = rel_y - t * d[:, 1, None]
-    mask = qx * qx + qy * qy < half_width * half_width  # (n, m)
+    mask = _covers(a[:, None, :], b[:, None, :], half_width, cx[None, :], cy[None, :])
     return np.einsum("nm,nc->mc", mask, vectors), mask.sum(axis=0)
 
 
@@ -234,7 +268,9 @@ def _mean_over_channels(
 
 
 class FlowMapAccumulator:
-    """Mutable sum/count buffers a grid is rasterized into.
+    """Mutable full-grid sum/count buffers that strokes are drawn into one
+    call at a time (``rasterize_part``), through the same per-stroke boxes
+    and kernel as ``LimbStrokes.rasterize``, which needs no buffers.
 
     Not safe for concurrent writers; encode each frame pair into its own
     accumulator.
@@ -279,24 +315,15 @@ class FlowMapAccumulator:
     ) -> None:
         """Vectorized ``add_stroke`` for n segments sharing one channel.
 
-        Each segment contributes independently; cells covered by several
-        segments receive several contributions, exactly as repeated
-        ``add_stroke`` calls would produce.
+        Each segment contributes independently, in order; cells covered
+        by several segments receive several contributions, exactly as
+        repeated ``add_stroke`` calls would produce.
         """
-        if len(a) == 0:
-            return
-        s = float(self.grid_stride)
-        box = _stroke_box(a, b, half_width, s, self.width, self.height)
-        if box is None:
-            return
-        ix0, ix1, iy0, iy1 = box
-        iy, ix = np.mgrid[iy0 : iy1 + 1, ix0 : ix1 + 1]
-        sums, counts = _stroke_contributions(
-            a, b, vectors, half_width, ix.ravel() * s, iy.ravel() * s
+        stroke, cell = _covered_cells(
+            a, b, half_width, self.grid_stride, self.width, self.height
         )
-        rows, cols = slice(iy0, iy1 + 1), slice(ix0, ix1 + 1)
-        self.sums[channel, rows, cols] += sums.reshape(iy.shape + (2,))
-        self.counts[channel, rows, cols] += counts.reshape(iy.shape).astype(np.int32)
+        np.add.at(self.sums[channel].reshape(-1, 2), cell, vectors[stroke])
+        np.add.at(self.counts[channel].reshape(-1), cell, 1)
 
     def finalize(self, layout: str, limb_count: int) -> FlowMapGrid:
         """The grid of per-cell means, built in place from the buffers.
@@ -354,19 +381,67 @@ class LimbStrokes:
         """Map a topology limb channel to a stored channel index."""
         return _stored_channel(self.layout, limb_channel)
 
+    @cached_property
+    def _group_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cell ranges ix0, ix1, iy0, iy1 per stroke group: the box of the
+        hull of its strokes, which holds every stroke's own box."""
+        starts = self.bounds[:-1]
+        lo = np.minimum.reduceat(np.minimum(self.later, self.earlier), starts)
+        hi = np.maximum.reduceat(np.maximum(self.later, self.earlier), starts)
+        return _stroke_boxes(
+            lo, hi, self.half_width, float(self.grid_stride), self.width, self.height
+        )
+
     def _group(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows = slice(self.bounds[k], self.bounds[k + 1])
         return self.later[rows], self.earlier[rows], self.vectors[rows]
 
     def rasterize(self) -> FlowMapGrid:
-        """The dense grid: every cell of every group's bounding box."""
-        acc = FlowMapAccumulator(self.limb_count, self.width, self.height, self.grid_stride)
-        for k, channel in enumerate(self.channels):
-            acc.add_strokes(int(channel), *self._group(k), self.half_width)
-        grid = acc.finalize(LAYOUT_INDIVIDUAL, self.limb_count)
+        """The dense grid, at the cost of the cells the strokes cover.
+
+        The kernel runs on each stroke's own box. A channel cell's sum adds
+        each group's covering strokes in part order, then those groups in
+        enumeration order; it is divided only at covered cells, and every
+        other cell keeps a zero vector and a zero count.
+        """
+        cells = self.width * self.height
+        stroke, cell = _covered_cells(
+            self.later, self.earlier, self.half_width, self.grid_stride, self.width, self.height
+        )
+        group = np.repeat(np.arange(len(self.channels)), np.diff(self.bounds))[stroke]
+        # Group cells sort group-major, so each channel cell adds its groups in order.
+        group_cell, per_stroke = np.unique(group * cells + cell, return_inverse=True)
+        group_sums = _ordered_sums(per_stroke, self.vectors[stroke], len(group_cell))
+        key, per_group = np.unique(
+            self.channels[group_cell // cells] * cells + group_cell % cells, return_inverse=True
+        )
+        counts = np.bincount(per_group[per_stroke], minlength=len(key))
+        means = _ordered_sums(per_group, group_sums, len(key)) / counts[:, None]
+        channels = self.limb_count
         if self.layout == LAYOUT_ACCUMULATED:
-            return accumulate_channels(grid)
-        return grid
+            # The mean over channels, as ``accumulate_channels`` takes it,
+            # on the covered cells only.
+            channel = key // cells
+            key, column = np.unique(key % cells, return_inverse=True)
+            per_channel = np.zeros((channels, len(key), 2), dtype=np.float64)
+            per_channel[channel, column] = means
+            contributing = np.zeros((channels, len(key)), dtype=bool)
+            contributing[channel, column] = True
+            means, counts = _mean_over_channels(per_channel, contributing)
+            channels = 1
+        vectors = np.zeros((channels, self.height, self.width, 2), dtype=np.float64)
+        grid_counts = np.zeros((channels, self.height, self.width), dtype=np.int32)
+        vectors.reshape(-1, 2)[key] = means
+        grid_counts.reshape(-1)[key] = counts
+        return FlowMapGrid(
+            layout=self.layout,
+            limb_count=self.limb_count,
+            width=self.width,
+            height=self.height,
+            vectors=vectors,
+            counts=grid_counts,
+            grid_stride=self.grid_stride,
+        )
 
     def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """(m, 2) vectors of one stored channel at in-grid cells.
@@ -389,15 +464,14 @@ class LimbStrokes:
         s = float(self.grid_stride)
         sums = np.zeros((len(ix), 2), dtype=np.float64)
         counts = np.zeros(len(ix), dtype=np.int64)
+        ix0, ix1, iy0, iy1 = self._group_boxes
         for k in np.flatnonzero(self.channels == channel):
-            a, b, vectors = self._group(k)
-            box = _stroke_box(a, b, self.half_width, s, self.width, self.height)
-            if box is None:
-                continue
-            ix0, ix1, iy0, iy1 = box
-            inside = np.flatnonzero((ix >= ix0) & (ix <= ix1) & (iy >= iy0) & (iy <= iy1))
+            inside = np.flatnonzero(
+                (ix >= ix0[k]) & (ix <= ix1[k]) & (iy >= iy0[k]) & (iy <= iy1[k])
+            )
             if inside.size == 0:
                 continue
+            a, b, vectors = self._group(k)
             group_sums, group_counts = _stroke_contributions(
                 a, b, vectors, self.half_width, ix[inside] * s, iy[inside] * s
             )

@@ -223,10 +223,10 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     header = _HEADER_V1.pack(
         TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
-    planes = np.ascontiguousarray(
-        grid.vectors.astype("<f4", copy=False).transpose(0, 3, 1, 2)
-    )
-    return header + planes.tobytes()
+    # One cast-and-transpose into the planes, one copy into the result.
+    planes = np.empty((expected, 2, grid.height, grid.width), dtype="<f4")
+    planes[...] = grid.vectors.transpose(0, 3, 1, 2)
+    return b"".join((header, planes))
 
 
 def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
@@ -259,9 +259,13 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
         raise FlowmapFormatError(
             f"payload is {len(data) - header_size} bytes, expected {expected - header_size}"
         )
+    # Cast straight from the buffer into the grid, one component at a time
+    # (faster than one transposed assignment).
     planes = np.frombuffer(data, dtype="<f4", offset=header_size)
     planes = planes.reshape(pairs, 2, height, width)
-    vectors = np.ascontiguousarray(planes.transpose(0, 2, 3, 1)).astype(np.float64)
+    vectors = np.empty((pairs, height, width, 2), dtype=np.float64)
+    vectors[..., 0] = planes[:, 0]
+    vectors[..., 1] = planes[:, 1]
     return FlowMapGrid(
         layout=layout,
         limb_count=limb_count,

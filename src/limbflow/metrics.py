@@ -88,15 +88,16 @@ def _frames_of(seq) -> TySequence[FramePoses]:
 def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> dict[tuple[int, int], float]:
     """Head segment length per (frame_index, gt pose position).
 
-    Poses missing either head joint get the sequence median; a warning is
-    logged once per evaluation when that fallback triggers.
+    Poses missing either head joint, or with one not visible, get the
+    sequence median (as for matching, an invisible joint is not there); a
+    warning is logged once per evaluation when that fallback triggers.
     """
     ha, hb = topo.head_segment
     lengths: dict[tuple[int, int], Optional[float]] = {}
     known: list[float] = []
     for frame in gt_frames:
         for pi, pose in enumerate(frame.poses):
-            ca, cb = pose.joint(ha), pose.joint(hb)
+            ca, cb = _joint_items(pose, ha), _joint_items(pose, hb)
             if ca is not None and cb is not None:
                 val = math.hypot(ca.x - cb.x, ca.y - cb.y)
                 lengths[(frame.frame_index, pi)] = val

@@ -10,10 +10,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
-from limbflow.encoder import EncoderConfig, grid_shape_for
+from limbflow.encoder import (
+    LAYOUT_ACCUMULATED,
+    LAYOUT_INDIVIDUAL,
+    EncoderConfig,
+    FlowMapGrid,
+    LimbStrokes,
+    accumulate_channels,
+    grid_shape_for,
+)
+from limbflow.fileio import _HEADER_V1, _STRIDE, TMLF_MAGIC, TMLF_VERSION, FlowmapFormatError
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.skeleton import SkeletonTopology, default_topology
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
@@ -107,6 +117,198 @@ def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
     nz = counts > 0
     vectors[nz] = sums[nz] / counts[nz][:, None]
     return vectors, counts
+
+
+# ------------------------------------------ former dense flow-map path
+
+# The library's former ``LimbStrokes.rasterize``: each stroke group's kernel
+# runs on every cell of the group's bounding box into full-grid sum and
+# count buffers, which a full-grid ``finalize`` divides. And the former
+# TMLF writer and reader, which copy the payload several times. Kept
+# verbatim as slow oracles for the per-stroke rasterizer and the one-pass
+# TMLF I/O.
+
+def _stroke_box(
+    a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
+) -> Optional[tuple[int, int, int, int]]:
+    """Inclusive cell range (ix0, ix1, iy0, iy1) a stroke group can cover,
+    clipped to the grid; None when it misses the grid."""
+    lo = np.minimum(a, b).min(axis=0) - half_width
+    hi = np.maximum(a, b).max(axis=0) + half_width
+    ix0 = max(0, int(math.floor(lo[0] / stride)))
+    ix1 = min(width - 1, int(math.ceil(hi[0] / stride)))
+    iy0 = max(0, int(math.floor(lo[1] / stride)))
+    iy1 = min(height - 1, int(math.ceil(hi[1] / stride)))
+    if ix0 > ix1 or iy0 > iy1:
+        return None
+    return ix0, ix1, iy0, iy1
+
+
+def _stroke_contributions(
+    a: np.ndarray,
+    b: np.ndarray,
+    vectors: np.ndarray,
+    half_width: float,
+    cx: np.ndarray,
+    cy: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums (m, 2) and counts (m,) that n strokes add at m cell centers.
+
+    Stroke k covers a center strictly closer than ``half_width`` to
+    segment (a[k], b[k]). The sum over strokes runs in stroke order.
+    """
+    d = b - a  # (n, 2)
+    seg_len2 = (d * d).sum(axis=1)  # (n,)
+    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
+    rel_x = cx[None, :] - a[:, 0, None]
+    rel_y = cy[None, :] - a[:, 1, None]
+    t = (rel_x * d[:, 0, None] + rel_y * d[:, 1, None]) / safe_len2[:, None]
+    np.clip(t, 0.0, 1.0, out=t)
+    t[seg_len2 == 0.0] = 0.0
+    qx = rel_x - t * d[:, 0, None]
+    qy = rel_y - t * d[:, 1, None]
+    mask = qx * qx + qy * qy < half_width * half_width  # (n, m)
+    return np.einsum("nm,nc->mc", mask, vectors), mask.sum(axis=0)
+
+
+class GroupBoxAccumulator:
+    """Mutable sum/count buffers a grid is rasterized into.
+
+    Not safe for concurrent writers; encode each frame pair into its own
+    accumulator.
+    """
+
+    def __init__(self, channels: int, width: int, height: int, grid_stride: int = 1):
+        self.width = width
+        self.height = height
+        self.grid_stride = grid_stride
+        self.sums = np.zeros((channels, height, width, 2), dtype=np.float64)
+        self.counts = np.zeros((channels, height, width), dtype=np.int32)
+
+    def add_strokes(
+        self,
+        channel: int,
+        a: np.ndarray,
+        b: np.ndarray,
+        vectors: np.ndarray,
+        half_width: float,
+    ) -> None:
+        """Vectorized ``add_stroke`` for n segments sharing one channel.
+
+        Each segment contributes independently; cells covered by several
+        segments receive several contributions, exactly as repeated
+        ``add_stroke`` calls would produce.
+        """
+        if len(a) == 0:
+            return
+        s = float(self.grid_stride)
+        box = _stroke_box(a, b, half_width, s, self.width, self.height)
+        if box is None:
+            return
+        ix0, ix1, iy0, iy1 = box
+        iy, ix = np.mgrid[iy0 : iy1 + 1, ix0 : ix1 + 1]
+        sums, counts = _stroke_contributions(
+            a, b, vectors, half_width, ix.ravel() * s, iy.ravel() * s
+        )
+        rows, cols = slice(iy0, iy1 + 1), slice(ix0, ix1 + 1)
+        self.sums[channel, rows, cols] += sums.reshape(iy.shape + (2,))
+        self.counts[channel, rows, cols] += counts.reshape(iy.shape).astype(np.int32)
+
+    def finalize(self, layout: str, limb_count: int) -> FlowMapGrid:
+        """The grid of per-cell means, built in place from the buffers.
+
+        The sums become the means (equal bit for bit to ``_means``) and the
+        counts are handed over, so the accumulator must not be used after.
+        """
+        nz = self.counts > 0
+        self.sums[nz] /= self.counts[nz][:, None]
+        return FlowMapGrid(
+            layout=layout,
+            limb_count=limb_count,
+            width=self.width,
+            height=self.height,
+            vectors=self.sums,
+            counts=self.counts,
+            grid_stride=self.grid_stride,
+        )
+
+
+def group_box_rasterize(strokes: LimbStrokes) -> FlowMapGrid:
+    """The dense grid: every cell of every group's bounding box."""
+    acc = GroupBoxAccumulator(strokes.limb_count, strokes.width, strokes.height, strokes.grid_stride)
+    for k, channel in enumerate(strokes.channels):
+        acc.add_strokes(int(channel), *strokes._group(k), strokes.half_width)
+    grid = acc.finalize(LAYOUT_INDIVIDUAL, strokes.limb_count)
+    if strokes.layout == LAYOUT_ACCUMULATED:
+        return accumulate_channels(grid)
+    return grid
+
+
+def oracle_flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
+    if grid.layout == LAYOUT_INDIVIDUAL:
+        layout_byte = 0
+        expected = grid.limb_count
+    elif grid.layout == LAYOUT_ACCUMULATED:
+        layout_byte = 1
+        expected = 1
+    else:
+        raise FlowmapFormatError(f"unknown layout {grid.layout!r}")
+    if grid.vectors.shape != (expected, grid.height, grid.width, 2):
+        raise FlowmapFormatError(
+            f"vectors shape {grid.vectors.shape} does not match "
+            f"{(expected, grid.height, grid.width, 2)}"
+        )
+    header = _HEADER_V1.pack(
+        TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
+    ) + _STRIDE.pack(grid.grid_stride)
+    planes = np.ascontiguousarray(
+        grid.vectors.astype("<f4", copy=False).transpose(0, 3, 1, 2)
+    )
+    return header + planes.tobytes()
+
+
+def oracle_flowmap_from_bytes(data: bytes) -> FlowMapGrid:
+    if len(data) < _HEADER_V1.size:
+        raise FlowmapFormatError("truncated header")
+    magic, version, layout_byte, limb_count, width, height = _HEADER_V1.unpack_from(data)
+    if magic != TMLF_MAGIC:
+        raise FlowmapFormatError("not a TMLF file")
+    if version == 1:
+        header_size, grid_stride = _HEADER_V1.size, 1
+    elif version == 2:
+        header_size = _HEADER_V1.size + _STRIDE.size
+        if len(data) < header_size:
+            raise FlowmapFormatError("truncated header")
+        (grid_stride,) = _STRIDE.unpack_from(data, _HEADER_V1.size)
+        if grid_stride < 1:
+            raise FlowmapFormatError(f"grid stride {grid_stride} must be >= 1")
+    else:
+        raise FlowmapFormatError(f"unsupported format version {version}")
+    if layout_byte == 0:
+        layout = LAYOUT_INDIVIDUAL
+        pairs = limb_count
+    elif layout_byte == 1:
+        layout = LAYOUT_ACCUMULATED
+        pairs = 1
+    else:
+        raise FlowmapFormatError(f"unknown layout byte {layout_byte}")
+    expected = header_size + pairs * 2 * width * height * 4
+    if len(data) != expected:
+        raise FlowmapFormatError(
+            f"payload is {len(data) - header_size} bytes, expected {expected - header_size}"
+        )
+    planes = np.frombuffer(data, dtype="<f4", offset=header_size)
+    planes = planes.reshape(pairs, 2, height, width)
+    vectors = np.ascontiguousarray(planes.transpose(0, 2, 3, 1)).astype(np.float64)
+    return FlowMapGrid(
+        layout=layout,
+        limb_count=limb_count,
+        width=width,
+        height=height,
+        vectors=vectors,
+        counts=None,
+        grid_stride=grid_stride,
+    )
 
 
 # ------------------------------------------ brute-force assignment

@@ -112,6 +112,18 @@ def test_config_rejects_unknown_key(tmp_path):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "x.json"]) == 3
 
 
+def test_eval_rejects_unknown_config_key(tmp_path, capsys):
+    ann = tmp_path / "cand.json"
+    assert run(["synth", "--out", ann, "--people", "1", "--frames", "2"]) == 0
+    gt = tmp_path / "cand.json.gt.json"
+    assert run(["eval", "--gt", gt, "--pred", gt]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fame = 4\n")
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg, "--gt", gt, "--pred", gt]) == 3
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_augment_outputs_and_jobs_stability(tmp_path):
     ann = tmp_path / "cand.json"
     assert run([

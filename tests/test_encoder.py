@@ -1,19 +1,25 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbflow.encoder import (
     EncoderConfig,
     FlowMapAccumulator,
+    FlowMapGrid,
     LimbPart,
+    LimbStrokes,
     _means,
     accumulate_channels,
     encode_joint_flow,
     encode_limb_flow,
     grid_shape_for,
     limb_parts,
+    limb_strokes,
     part_unit_vector,
     rasterize_part,
     subdivide_limb,
@@ -21,7 +27,7 @@ from limbflow.encoder import (
 from limbflow.pose import FramePoses, JointCandidate, Pose
 from limbflow.skeleton import SkeletonTopology
 
-from helpers import TOPO, brute_encode, frame, stick_pose, translate_pose
+from helpers import TOPO, brute_encode, frame, group_box_rasterize, stick_pose, translate_pose
 
 CFG = EncoderConfig()
 
@@ -222,6 +228,135 @@ def test_grid_stride_downsamples():
     grid = encode_limb_flow(fl, fe, [(0, 0)], TOPO, cfg)
     assert (grid.width, grid.height) == (50, 40)
     assert grid_shape_for((201, 160), 4) == (51, 40)
+
+
+# ----------------------------------------- dense path vs group-box oracle
+
+
+def _same_grid(grid: FlowMapGrid, oracle: FlowMapGrid) -> None:
+    """Equal layout, shape, dtype and bytes of vectors and counts."""
+    assert (grid.layout, grid.limb_count, grid.width, grid.height, grid.grid_stride) == (
+        oracle.layout, oracle.limb_count, oracle.width, oracle.height, oracle.grid_stride
+    )
+    for got, want in ((grid.vectors, oracle.vectors), (grid.counts, oracle.counts)):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
+def _scattered_pose(rng, size) -> Pose:
+    """Joints over, across and well beyond the image, so limbs lie inside,
+    partly off or wholly off the grid; some missing or invisible."""
+    w, h = size
+    joints = []
+    for _ in range(TOPO.joint_count):
+        r = rng.random()
+        if r < 0.1:
+            joints.append(None)
+            continue
+        spread = 3.0 if r < 0.25 else 0.6
+        x = rng.uniform(-spread * w, (1 + spread) * w) if r < 0.25 else rng.uniform(-4, w + 4)
+        y = rng.uniform(-spread * h, (1 + spread) * h) if r < 0.25 else rng.uniform(-4, h + 4)
+        if r < 0.5:
+            x, y = round(x * 4) / 4, round(y * 4) / 4
+        joints.append(JointCandidate(float(x), float(y), visible=bool(rng.random() > 0.05)))
+    return Pose(joints=tuple(joints))
+
+
+def _moved_pose(rng, pose: Pose, static_share: float) -> Pose:
+    joints = []
+    for c in pose.joints:
+        if c is None or rng.random() < static_share:
+            joints.append(c)
+        else:
+            joints.append(replace(c, x=c.x + float(rng.normal(0, 4)), y=c.y + float(rng.normal(0, 4))))
+    return Pose(joints=tuple(joints))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    enc=st.builds(
+        EncoderConfig,
+        parts_per_limb=st.integers(1, 6),
+        stroke_half_width=st.floats(0.5, 3.0),
+        epsilon_motion=st.sampled_from([0.0, 1e-6, 0.5]),
+        layout=st.sampled_from(["individual", "accumulated"]),
+        grid_stride=st.integers(1, 4),
+    ),
+    static_share=st.sampled_from([0.0, 0.5, 1.0]),
+    size=st.sampled_from([(1, 1), (7, 5), (40, 30), (64, 48)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_encode_equals_group_box_oracle_and_brute_force(seed, enc, static_share, size):
+    rng = np.random.default_rng(seed)
+    earlier = [_scattered_pose(rng, size) for _ in range(int(rng.integers(0, 6)))]
+    later = [_moved_pose(rng, p, static_share) for p in earlier]
+    fl, fe = frame(later, 1, size), frame(earlier, 0, size)
+    # Any subset of the people, the empty pairing included, in any order.
+    pairing = [(i, i) for i in rng.permutation(len(earlier)) if rng.random() < 0.8]
+
+    grid = encode_limb_flow(fl, fe, pairing, TOPO, enc)
+    _same_grid(grid, group_box_rasterize(limb_strokes(fl, fe, pairing, TOPO, enc)))
+
+    vectors, counts = brute_encode(fl, fe, pairing, TOPO, enc)
+    brute = FlowMapGrid("individual", TOPO.limb_count, grid.width, grid.height, vectors, counts)
+    if enc.layout == "accumulated":
+        brute = accumulate_channels(brute)
+    assert np.array_equal(grid.counts, brute.counts)
+    assert np.abs(grid.vectors - brute.vectors).max(initial=0.0) < 1e-6
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.sampled_from([(1, 1), (9, 6), (30, 20)]),
+    stride=st.integers(1, 4),
+    half_width=st.floats(0.5, 3.0),
+    layout=st.sampled_from(["individual", "accumulated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_rasterize_equals_group_box_oracle_on_raw_strokes(seed, size, stride, half_width, layout):
+    # Stroke groups in any channel order, repeated channels, zero-length
+    # segments and segments partly or wholly off the grid.
+    rng = np.random.default_rng(seed)
+    width, height = grid_shape_for(size, stride)
+    limb_count = int(rng.integers(1, 5))
+    n_groups = int(rng.integers(0, 7))
+    sizes = rng.integers(1, 7, n_groups)
+    n = int(sizes.sum())
+    span = np.array([size[0], size[1]], dtype=np.float64)
+    later = rng.uniform(-0.5, 1.5, (n, 2)) * span
+    earlier = later + rng.normal(0, 3, (n, 2))
+    zero_length = rng.random(n) < 0.2
+    earlier[zero_length] = later[zero_length]
+    off_grid = rng.random(n) < 0.1
+    later[off_grid] += 4 * span
+    earlier[off_grid] += 4 * span
+    angle = rng.uniform(0, 2 * math.pi, n)
+    strokes = LimbStrokes(
+        layout=layout,
+        limb_count=limb_count,
+        width=width,
+        height=height,
+        grid_stride=stride,
+        half_width=half_width,
+        channels=rng.integers(0, limb_count, n_groups).astype(np.int64),
+        bounds=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        later=later,
+        earlier=earlier,
+        vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),
+    )
+    _same_grid(strokes.rasterize(), group_box_rasterize(strokes))
+
+
+def test_encode_equals_group_box_oracle_on_a_benchmark_sized_pair():
+    # Five tall people in 640x480 at default settings: thousands of strokes
+    # whose cells overlap within and across groups.
+    people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
+    fe = frame(people, 0, (640, 480))
+    fl = frame([translate_pose(p, 9.0, -6.0 + k) for k, p in enumerate(people)], 1, (640, 480))
+    pairing = [(k, k) for k in range(5)] + [(0, 1)]
+    for layout in ("individual", "accumulated"):
+        strokes = limb_strokes(fl, fe, pairing, TOPO, EncoderConfig(layout=layout))
+        _same_grid(strokes.rasterize(), group_box_rasterize(strokes))
 
 
 # ------------------------------------------------------------ accumulate

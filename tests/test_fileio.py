@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from limbflow.fileio import (
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 
-from helpers import TOPO, frame, stick_pose
+from helpers import TOPO, frame, oracle_flowmap_from_bytes, oracle_flowmap_to_bytes, stick_pose
 
 # ------------------------------------------------------------ annotations
 
@@ -284,3 +285,94 @@ def test_zero_stride_and_cut_stride_field_rejected():
     blob[17:21] = bytes(4)
     with pytest.raises(FlowmapFormatError, match="stride"):
         flowmap_from_bytes(bytes(blob))
+
+
+# ------------------------------------------- one-pass TMLF vs the oracle
+
+# float64 values that stress the float32 cast: signed zeros, NaNs with
+# payloads, infinities, float32 and float64 subnormals, overflow to inf.
+NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FFC000020000000))[0]
+SPECIAL_VALUES = [
+    0.0, -0.0, float("nan"), -float("nan"), NAN_WITH_PAYLOAD, float("inf"), -float("inf"),
+    1e-40, -1e-45, 1.4e-45, 5e-324, -5e-324, 3.5e38, -1e39, 1.0, -1.0, 1 / 3, 0.1,
+]
+
+
+def _assert_same_read_back(data: bytes) -> None:
+    got, want = flowmap_from_bytes(data), oracle_flowmap_from_bytes(data)
+    assert (got.layout, got.limb_count, got.width, got.height, got.grid_stride, got.counts) == (
+        want.layout, want.limb_count, want.width, want.height, want.grid_stride, want.counts
+    )
+    assert (got.vectors.shape, got.vectors.dtype) == (want.vectors.shape, want.vectors.dtype)
+    assert got.vectors.flags.c_contiguous
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+@given(
+    layout=st.sampled_from(["individual", "accumulated"]),
+    limb_count=st.integers(0, 4),
+    width=st.integers(0, 5),
+    height=st.integers(0, 5),
+    stride=st.integers(1, 4),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_tmlf_bytes_and_read_back_equal_the_oracle(layout, limb_count, width, height, stride, dtype, data):
+    pairs = limb_count if layout == "individual" else 1
+    n = pairs * height * width * 2
+    values = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64)), min_size=n, max_size=n
+        )
+    )
+    with np.errstate(over="ignore"):  # values beyond float32 range cast to inf
+        vectors = np.array(values, dtype=np.float64).astype(dtype).reshape(pairs, height, width, 2)
+        grid = FlowMapGrid(layout, limb_count, width, height, vectors, None, stride)
+        blob = flowmap_to_bytes(grid)
+        assert blob == oracle_flowmap_to_bytes(grid)
+    _assert_same_read_back(blob)
+
+
+def test_tmlf_special_values_one_cell_and_accumulated_layout():
+    special = np.array(SPECIAL_VALUES[: len(SPECIAL_VALUES) // 2 * 2]).reshape(-1, 1, 1, 2)
+    grids = [
+        FlowMapGrid("individual", len(special), 1, 1, special, None),
+        FlowMapGrid("individual", 1, 1, 1, np.array([[[[-0.0, float("nan")]]]]), None, 3),
+        FlowMapGrid("accumulated", 14, 3, 2, np.resize(special, (1, 2, 3, 2)), None, 2),
+    ]
+    for grid in grids:
+        with np.errstate(over="ignore"):
+            blob = flowmap_to_bytes(grid)
+            assert blob == oracle_flowmap_to_bytes(grid)
+        _assert_same_read_back(blob)
+    back = flowmap_from_bytes(flowmap_to_bytes(grids[1]))
+    assert np.signbit(back.vectors[0, 0, 0, 0]) and np.isnan(back.vectors[0, 0, 0, 1])
+
+
+def _payload_grid() -> FlowMapGrid:
+    rng = np.random.default_rng(12)
+    return FlowMapGrid("individual", 14, 128, 96, rng.uniform(-1, 1, (14, 96, 128, 2)), None)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tmlf_write_peak_stays_near_the_payload():
+    # One float32 plane array plus the result; no further copies.
+    grid = _payload_grid()
+    payload = grid.vectors.size * 4
+    assert _traced_peak(flowmap_to_bytes, grid) < 2.2 * payload
+
+
+def test_tmlf_read_peak_stays_near_the_payload():
+    # The float64 grid (twice the payload) filled straight from the bytes.
+    data = flowmap_to_bytes(_payload_grid())
+    payload = len(data) - 21
+    assert _traced_peak(flowmap_from_bytes, data) < 2.2 * payload

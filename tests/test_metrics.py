@@ -250,6 +250,26 @@ def test_head_segment_fallback_uses_median(caplog):
     assert any("head segment" in r.message for r in caplog.records)
 
 
+def test_head_segment_needs_visible_head_joints(caplog):
+    # An invisible head joint is not there, as in matching: the pose takes
+    # the median head length (12 px), not the length of a segment to
+    # wherever the invisible joint was put (112 px).
+    import logging
+
+    ha = TOPO.head_segment[0]
+    hidden = gt_person(200, 150, 1)
+    joints = list(hidden.joints)
+    joints[ha] = replace(joints[ha], y=joints[ha].y - 100.0, visible=False)
+    hidden = replace(hidden, joints=tuple(joints))
+    gt = seq_of([frame([gt_person(80, 150, 0), hidden], 0, size=(300, 260))])
+    # Person 1 predicted 20 px off: beyond 0.5 x 12 px, within 0.5 x 112 px.
+    pred = seq_of([frame([gt_person(80, 150, 0), translate_pose(hidden, 20.0, 0.0)], 0, size=(300, 260))])
+    with caplog.at_level(logging.WARNING):
+        report = evaluate(gt, pred)
+    assert report.total_counts.fn == TOPO.joint_count - 1
+    assert any("head segment" in r.message for r in caplog.records)
+
+
 def test_missing_pred_frame_counts_as_fn():
     gt_frames = [frame([gt_person(80, 60, 0)], t) for t in range(2)]
     pred_frames = [frame([gt_person(80, 60, 0)], 0)]
