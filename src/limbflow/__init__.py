@@ -20,7 +20,6 @@ from .encoder import (
     encode_limb_flow,
     limb_strokes,
     part_unit_vector,
-    rasterize_part,
     subdivide_limb,
 )
 from .fileio import (
@@ -55,7 +54,6 @@ from .tracker import (
     TrackerConfig,
     TrackState,
     match_frames,
-    nms_joints,
     refine_middle_frame,
     track_sequence,
 )

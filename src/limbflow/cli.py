@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import augment as augment_mod
 from . import fileio, metrics, synth
 from .encoder import EncoderConfig, encode_limb_flow
+from .pose import Sequence
 from .scoring import ScoreConfig
 from .skeleton import load_topology, parse_keyvalue
 from .tracker import SequenceFlowSource, TrackerConfig, _reference_pairing, track_sequence
@@ -40,37 +41,37 @@ class RunConfig:
     """Flat bag of every pipeline option, file-loadable."""
 
     # scoring
-    alpha: float = 0.5
-    integral_samples: int = 20
-    distance_scale: float = 32.0
-    bilinear: bool = False
+    alpha: float = ScoreConfig.alpha
+    integral_samples: int = ScoreConfig.integral_samples
+    distance_scale: float = ScoreConfig.distance_scale
+    bilinear: bool = ScoreConfig.bilinear
     # encoder
-    parts_per_limb: int = 20
-    stroke_half_width: float = 1.0
-    epsilon_motion: float = 1e-6
-    layout: str = "individual"
-    grid_stride: int = 1
+    parts_per_limb: int = EncoderConfig.parts_per_limb
+    stroke_half_width: float = EncoderConfig.stroke_half_width
+    epsilon_motion: float = EncoderConfig.epsilon_motion
+    layout: str = EncoderConfig.layout
+    grid_stride: int = EncoderConfig.grid_stride
     # tracker
-    score_threshold: float = 0.1
-    nms_radius: float = 5.0
-    refine: bool = True
+    score_threshold: float = TrackerConfig.score_threshold
+    nms_radius: float = TrackerConfig.nms_radius
+    refine: bool = TrackerConfig.refine
     # stride sampling / augmentation
-    max_stride: int = 4
-    scale_min: float = 0.85
-    scale_max: float = 1.15
-    rotation_range: float = 30.0
-    crop_width: int = 96
-    crop_height: int = 96
+    max_stride: int = augment_mod.StrideConfig.max_stride
+    scale_min: float = augment_mod.StrideConfig.scale_range[0]
+    scale_max: float = augment_mod.StrideConfig.scale_range[1]
+    rotation_range: float = augment_mod.StrideConfig.rotation_range
+    crop_width: int = augment_mod.StrideConfig.crop_size[0]
+    crop_height: int = augment_mod.StrideConfig.crop_size[1]
     # synthetic scenes
-    people: int = 2
-    frames: int = 10
-    image_width: int = 160
-    image_height: int = 120
-    preset: str = "crossing"
-    speed: float = 10.0
-    jitter_sigma: float = 0.0
-    dropout_prob: float = 0.0
-    seed: int = 0
+    people: int = synth.SceneConfig.people
+    frames: int = synth.SceneConfig.frames
+    image_width: int = synth.SceneConfig.image_size[0]
+    image_height: int = synth.SceneConfig.image_size[1]
+    preset: str = synth.SceneConfig.motion
+    speed: float = synth.SceneConfig.speed
+    jitter_sigma: float = synth.SceneConfig.jitter_sigma
+    dropout_prob: float = synth.SceneConfig.dropout_prob
+    seed: int = synth.SceneConfig.seed
 
     def load_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,6 +103,7 @@ class RunConfig:
             integral_samples=int(self.integral_samples),
             distance_scale=float(self.distance_scale),
             bilinear=bool(self.bilinear),
+            epsilon_motion=float(self.epsilon_motion),
         )
 
     def tracker(self) -> TrackerConfig:
@@ -222,8 +224,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    import os
-
     cfg = _load_config(args)
     seq = _read_sequence(args.in_path, args.topology)
     if len(seq.frames) < 2:
@@ -231,21 +231,10 @@ def cmd_augment(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     frames = list(seq.frames)
     stride_cfg = cfg.stride()
-
-    def build(i: int):
-        return augment_mod.draw_augmented_pair(frames, stride_cfg, i)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            samples = list(pool.map(build, range(args.samples)))
-    else:
-        samples = [build(i) for i in range(args.samples)]
-
     manifest = []
-    for i, sample in enumerate(samples):
+    for i in range(args.samples):
+        sample = augment_mod.draw_augmented_pair(frames, stride_cfg, i)
         out_path = os.path.join(args.out_dir, f"sample_{i:04d}.json")
-        from .pose import Sequence
-
         pair_frames = sample.frames
         if pair_frames[0].frame_index == pair_frames[1].frame_index:  # pragma: no cover
             raise ValueError("sample frames must differ")
@@ -269,7 +258,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(samples)} samples and {manifest_path}")
+    print(f"wrote {args.samples} samples and {manifest_path}")
     return EXIT_OK
 
 
@@ -357,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_path", required=True, help="annotations input path")
     p.add_argument("--out-dir", required=True, help="output directory for samples + manifest")
     p.add_argument("--samples", type=int, default=16, help="number of samples to draw")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers; output is order-stable")
     _add_config_flags(p, ["max_stride", "scale_min", "scale_max", "rotation_range", "crop_width", "crop_height", "seed"])
     p.set_defaults(func=cmd_augment)
 

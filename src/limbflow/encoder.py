@@ -267,90 +267,6 @@ def _mean_over_channels(
     return means, n_chan
 
 
-class FlowMapAccumulator:
-    """Mutable full-grid sum/count buffers that strokes are drawn into one
-    call at a time (``rasterize_part``), through the same per-stroke boxes
-    and kernel as ``LimbStrokes.rasterize``, which needs no buffers.
-
-    Not safe for concurrent writers; encode each frame pair into its own
-    accumulator.
-    """
-
-    def __init__(self, channels: int, width: int, height: int, grid_stride: int = 1):
-        self.width = width
-        self.height = height
-        self.grid_stride = grid_stride
-        self.sums = np.zeros((channels, height, width, 2), dtype=np.float64)
-        self.counts = np.zeros((channels, height, width), dtype=np.int32)
-
-    def add_stroke(
-        self,
-        channel: int,
-        a: tuple[float, float],
-        b: tuple[float, float],
-        vector: np.ndarray,
-        half_width: float,
-    ) -> None:
-        """Add one contribution of ``vector`` to every cell whose center is
-        strictly within ``half_width`` of segment (a, b).
-
-        Strokes reaching outside the grid are clipped, never an error.
-        """
-        v = np.asarray(vector, dtype=np.float64)
-        self.add_strokes(
-            channel,
-            np.array([a], dtype=np.float64),
-            np.array([b], dtype=np.float64),
-            v[None, :],
-            half_width,
-        )
-
-    def add_strokes(
-        self,
-        channel: int,
-        a: np.ndarray,
-        b: np.ndarray,
-        vectors: np.ndarray,
-        half_width: float,
-    ) -> None:
-        """Vectorized ``add_stroke`` for n segments sharing one channel.
-
-        Each segment contributes independently, in order; cells covered
-        by several segments receive several contributions, exactly as
-        repeated ``add_stroke`` calls would produce.
-        """
-        stroke, cell = _covered_cells(
-            a, b, half_width, self.grid_stride, self.width, self.height
-        )
-        np.add.at(self.sums[channel].reshape(-1, 2), cell, vectors[stroke])
-        np.add.at(self.counts[channel].reshape(-1), cell, 1)
-
-    def finalize(self, layout: str, limb_count: int) -> FlowMapGrid:
-        """The grid of per-cell means, built in place from the buffers.
-
-        The sums become the means (equal bit for bit to ``_means``) and the
-        counts are handed over, so the accumulator must not be used after.
-        """
-        nz = self.counts > 0
-        self.sums[nz] /= self.counts[nz][:, None]
-        return FlowMapGrid(
-            layout=layout,
-            limb_count=limb_count,
-            width=self.width,
-            height=self.height,
-            vectors=self.sums,
-            counts=self.counts,
-            grid_stride=self.grid_stride,
-        )
-
-
-def rasterize_part(
-    acc: FlowMapAccumulator, part: LimbPart, vector: np.ndarray, half_width: float
-) -> None:
-    """Rasterize one limb part's stroke into its limb channel."""
-    acc.add_stroke(part.limb_index, part.anchor_later, part.anchor_earlier, vector, half_width)
-
-
 # ------------------------------------------------------------ strokes
 
 @dataclass(frozen=True)

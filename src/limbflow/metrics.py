@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence as TySequence
 
 from .pose import FramePoses, Pose
@@ -128,15 +129,6 @@ class _GtJoint:
     threshold: float
 
 
-@dataclass(frozen=True)
-class _PredJoint:
-    pose_pos: int
-    track_id: Optional[int]
-    x: float
-    y: float
-    confidence: float
-
-
 def _joint_items(pose: Pose, j: int):
     c = pose.joint(j)
     if c is None or not c.visible:
@@ -201,13 +193,15 @@ def _average_precision(flags: list[bool], n_gt: int) -> float:
         points.append((tp / n_gt, tp / k))
     if not points:
         return 0.0
-    # precision envelope, then area under the recall steps
+    # precision envelope, then area under the recall steps. Recall never
+    # falls with rank, so the envelope at a rank is the maximum precision
+    # from that rank on.
+    envelope = list(accumulate(reversed([p for _, p in points]), max))[::-1]
     ap = 0.0
     prev_recall = 0.0
-    for i, (recall, _) in enumerate(points):
+    for (recall, _), peak in zip(points, envelope):
         if recall <= prev_recall:
             continue
-        peak = max(p for r, p in points if r >= recall)
         ap += (recall - prev_recall) * peak
         prev_recall = recall
     return 100.0 * ap

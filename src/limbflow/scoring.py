@@ -12,9 +12,9 @@ similarity in (0, 1] before mixing; without that the two terms would not
 share a scale. The distance term is what keeps zero-motion association
 working, where the flow term is identically zero.
 
-Pose pairs with no common joints cannot be scored and receive the
-``forbid_sentinel`` (-inf by default), which downstream assignment
-treats as a forbidden link.
+Pose pairs with no common joints cannot be scored and receive
+``assignment.FORBIDDEN`` (-inf), which downstream assignment treats as
+a forbidden link.
 
 ``flow_score`` and ``distance_score`` score one pair and are the
 reference; ``build_association_matrix`` scores all pairs of two frames
@@ -45,7 +45,6 @@ class ScoreConfig:
     alpha: float = 0.5
     integral_samples: int = 20
     distance_scale: float = 32.0
-    forbid_sentinel: float = FORBIDDEN
     bilinear: bool = False
     epsilon_motion: float = 1e-6
 
@@ -165,7 +164,7 @@ def flow_score(
     """
     common = common_joints(pose_later, pose_earlier)
     if not common:
-        return cfg.forbid_sentinel
+        return FORBIDDEN
     u = (np.arange(cfg.integral_samples, dtype=np.float64) + 0.5) / cfg.integral_samples
     total = 0.0
     for j in common:
@@ -199,10 +198,10 @@ def distance_score(pose_a: Pose, pose_b: Pose, sentinel: float = FORBIDDEN) -> f
 
 def association_score(s_flow: float, s_dist: float, cfg: ScoreConfig) -> float:
     """Linear combination of the flow similarity and distance similarity."""
-    if s_flow == cfg.forbid_sentinel or s_dist == cfg.forbid_sentinel:
-        return cfg.forbid_sentinel
+    if s_flow == FORBIDDEN or s_dist == FORBIDDEN:
+        return FORBIDDEN
     if not (math.isfinite(s_flow) and math.isfinite(s_dist)):
-        return cfg.forbid_sentinel
+        return FORBIDDEN
     return cfg.alpha * s_flow + (1.0 - cfg.alpha) * math.exp(-s_dist / cfg.distance_scale)
 
 
@@ -294,10 +293,9 @@ def build_association_matrix(
     cfg.validate()
     later = _poses_of(frame_later)
     earlier = _poses_of(frame_earlier)
-    sentinel = cfg.forbid_sentinel
-    scores = np.full((len(later), len(earlier)), sentinel, dtype=np.float64)
+    scores = np.full((len(later), len(earlier)), FORBIDDEN, dtype=np.float64)
     if not later or not earlier:
-        return AssociationMatrix(scores=scores, sentinel=sentinel)
+        return AssociationMatrix(scores=scores)
 
     common, d, norm, xy_l, xy_e = _joint_geometry(later, earlier)
     moving = common & (norm > cfg.epsilon_motion)
@@ -336,8 +334,8 @@ def build_association_matrix(
     flow_terms = np.zeros(common.shape, dtype=np.float64)
     flow_terms[moving] = per_joint
 
-    s_flow = _mean_over_common(flow_terms, common, sentinel)
-    s_dist = _mean_over_common(norm, common, sentinel)
+    s_flow = _mean_over_common(flow_terms, common, FORBIDDEN)
+    s_dist = _mean_over_common(norm, common, FORBIDDEN)
     for i, j in zip(*np.nonzero(common.any(axis=2))):
         scores[i, j] = association_score(float(s_flow[i, j]), float(s_dist[i, j]), cfg)
-    return AssociationMatrix(scores=scores, sentinel=sentinel)
+    return AssociationMatrix(scores=scores)

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import FORBIDDEN, hungarian
 from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
 
 # Tracking never builds a dense grid. encode_limb_flow stays importable
@@ -98,29 +98,17 @@ class TrackedSequence:
         return len(self.frames)
 
 
-def nms_joints(candidates: list[JointCandidate], radius: float) -> list[JointCandidate]:
-    """Greedy per-joint-type suppression.
-
-    Keep the highest-confidence candidate, drop all others within
-    ``radius`` of it, repeat. Ties break by (confidence desc, x asc,
-    y asc) so the result is deterministic.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    order = sorted(candidates, key=lambda c: (-c.confidence, c.x, c.y))
-    kept: list[JointCandidate] = []
-    for cand in order:
-        if all((cand.x - k.x) ** 2 + (cand.y - k.y) ** 2 > radius * radius for k in kept):
-            kept.append(cand)
-    return kept
-
-
 def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int) -> FramePoses:
-    """Apply per-joint-type NMS across all poses of a frame.
+    """Greedy per-joint-type NMS across all poses of a frame.
 
+    For each joint type, keep the highest-confidence candidate, drop all
+    others within ``radius`` of it, repeat. Ties break by (confidence
+    desc, x asc, y asc, pose position) so the result is deterministic.
     Suppressed joints are removed from their poses; poses left with no
     joints are dropped.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     keep: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
     for j in range(joint_count):
         entries = [
@@ -214,7 +202,7 @@ def match_frames(
         matrix = build_association_matrix(
             list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
         )
-        for i, j in hungarian(matrix.scores, cfg.score.forbid_sentinel):
+        for i, j in hungarian(matrix.scores):
             if matrix.scores[i, j] >= cfg.score_threshold:
                 accepted[i] = tracks[j]
 
@@ -288,7 +276,6 @@ def refine_middle_frame(
     if not missing or not frame_next.poses:
         return frame_mid, frame_next, []
 
-    sentinel = cfg.score.forbid_sentinel
     matrix = build_association_matrix(
         list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
     )
@@ -296,12 +283,12 @@ def refine_middle_frame(
     for i, pose in enumerate(frame_next.poses):
         for c, tid in enumerate(missing):
             if pose.track_id is not None and pose.track_id != tid:
-                scores[i, c] = sentinel
+                scores[i, c] = FORBIDDEN
 
     inserts: list[Pose] = []
     entries: list[RefinementEntry] = []
     next_poses = list(frame_next.poses)
-    for i, c in hungarian(scores, sentinel):
+    for i, c in hungarian(scores):
         if scores[i, c] < cfg.score_threshold:
             continue
         tid = missing[c]

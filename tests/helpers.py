@@ -66,6 +66,32 @@ def frame(poses, index=0, size=(200, 160)) -> FramePoses:
     return FramePoses(frame_index=index, poses=tuple(poses), image_size=size)
 
 
+def raw_strokes_grid(
+    width: int, height: int, channels: int, strokes=(), half_width: float = 1.0
+) -> FlowMapGrid:
+    """The rasterized individual-layout grid of raw strokes at stride 1.
+
+    ``strokes`` lists (channel, later, earlier, vector) tuples; each
+    stroke is its own group, drawn in list order.
+    """
+    def rows(k: int) -> np.ndarray:
+        return np.array([s[k] for s in strokes], dtype=np.float64).reshape(-1, 2)
+
+    return LimbStrokes(
+        layout=LAYOUT_INDIVIDUAL,
+        limb_count=channels,
+        width=width,
+        height=height,
+        grid_stride=1,
+        half_width=half_width,
+        channels=np.array([s[0] for s in strokes], dtype=np.int64),
+        bounds=np.arange(len(strokes) + 1, dtype=np.int64),
+        later=rows(1),
+        earlier=rows(2),
+        vectors=rows(3),
+    ).rasterize()
+
+
 # ------------------------------------------------- brute-force encoder
 
 def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
@@ -193,11 +219,11 @@ class GroupBoxAccumulator:
         vectors: np.ndarray,
         half_width: float,
     ) -> None:
-        """Vectorized ``add_stroke`` for n segments sharing one channel.
+        """Add n segments sharing one channel, over their common box.
 
-        Each segment contributes independently; cells covered by several
-        segments receive several contributions, exactly as repeated
-        ``add_stroke`` calls would produce.
+        Each segment adds one contribution of its vector to every cell
+        whose center is strictly within ``half_width`` of it; cells
+        covered by several segments receive several contributions.
         """
         if len(a) == 0:
             return
@@ -559,3 +585,27 @@ def connected_components(n_nodes: int, edges) -> int:
                     seen.add(nxt)
                     queue.append(nxt)
     return comps
+
+
+def scan_average_precision(flags: list[bool], n_gt: int) -> float:
+    """All-point interpolated AP (percent) from rank-ordered TP flags, the
+    precision envelope taken by a full scan at every recall step."""
+    if n_gt == 0:
+        return 0.0
+    tp = 0
+    points = []
+    for k, is_tp in enumerate(flags, start=1):
+        if is_tp:
+            tp += 1
+        points.append((tp / n_gt, tp / k))
+    if not points:
+        return 0.0
+    ap = 0.0
+    prev_recall = 0.0
+    for recall, _ in points:
+        if recall <= prev_recall:
+            continue
+        peak = max(p for r, p in points if r >= recall)
+        ap += (recall - prev_recall) * peak
+        prev_recall = recall
+    return 100.0 * ap

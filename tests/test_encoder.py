@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from limbflow.encoder import (
     EncoderConfig,
-    FlowMapAccumulator,
     FlowMapGrid,
-    LimbPart,
     LimbStrokes,
-    _means,
     accumulate_channels,
     encode_joint_flow,
     encode_limb_flow,
@@ -21,13 +18,20 @@ from limbflow.encoder import (
     limb_parts,
     limb_strokes,
     part_unit_vector,
-    rasterize_part,
     subdivide_limb,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose
 from limbflow.skeleton import SkeletonTopology
 
-from helpers import TOPO, brute_encode, frame, group_box_rasterize, stick_pose, translate_pose
+from helpers import (
+    TOPO,
+    brute_encode,
+    frame,
+    group_box_rasterize,
+    raw_strokes_grid,
+    stick_pose,
+    translate_pose,
+)
 
 CFG = EncoderConfig()
 
@@ -75,42 +79,37 @@ def test_unit_vector_345():
 
 # ------------------------------------------------------------ rasterize
 
-def _acc(channels=1, w=20, h=12):
-    return FlowMapAccumulator(channels, w, h)
+def _one_stroke(later, earlier, vector, half_width):
+    return raw_strokes_grid(20, 12, 1, [(0, later, earlier, vector)], half_width)
 
 
 def test_rasterize_horizontal_segment():
     # cells strictly closer than 1 px to the segment (1,5)-(8,5): exactly
     # (x, 5) for 1 <= x <= 8; verified against the full-grid oracle below.
-    acc = _acc()
-    part = LimbPart((8, 5), (1, 5), 0, 0, 0)
-    rasterize_part(acc, part, np.array([1.0, 0.0]), 1.0)
-    hit = set(zip(*np.nonzero(acc.counts[0])))
+    grid = _one_stroke((8, 5), (1, 5), (1.0, 0.0), 1.0)
+    hit = set(zip(*np.nonzero(grid.counts[0])))
     assert hit == {(5, x) for x in range(1, 9)}
-    assert np.all(acc.sums[0, 5, 1:9] == [1.0, 0.0])
+    assert np.all(grid.vectors[0, 5, 1:9] == [1.0, 0.0])
 
 
 def test_rasterize_zero_length_segment():
-    acc = _acc()
-    rasterize_part(acc, LimbPart((6, 6), (6, 6), 0, 0, 0), np.array([0.0, 1.0]), 1.5)
-    hit = set(zip(*np.nonzero(acc.counts[0])))
+    grid = _one_stroke((6, 6), (6, 6), (0.0, 1.0), 1.5)
+    hit = set(zip(*np.nonzero(grid.counts[0])))
     for (y, x) in hit:
         assert math.hypot(x - 6, y - 6) < 1.5
     assert (6, 6) in hit
 
 
 def test_rasterize_outside_grid_is_noop():
-    acc = _acc()
-    rasterize_part(acc, LimbPart((100, 100), (120, 100), 0, 0, 0), np.array([1.0, 0.0]), 2.0)
-    assert acc.counts.sum() == 0
-    assert np.all(acc.sums == 0)
+    grid = _one_stroke((100, 100), (120, 100), (1.0, 0.0), 2.0)
+    assert grid.counts.sum() == 0
+    assert np.all(grid.vectors == 0)
 
 
 def test_rasterize_clips_partially_outside():
-    acc = _acc()
-    rasterize_part(acc, LimbPart((30, 5), (-5, 5), 0, 0, 0), np.array([1.0, 0.0]), 1.0)
-    assert acc.counts[0, 5, 0] == 1
-    assert acc.counts[0, 5, 19] == 1
+    grid = _one_stroke((30, 5), (-5, 5), (1.0, 0.0), 1.0)
+    assert grid.counts[0, 5, 0] == 1
+    assert grid.counts[0, 5, 19] == 1
 
 
 # ------------------------------------------------------------ encode
@@ -384,29 +383,16 @@ def _keep(pose, keep):
 
 
 def test_accumulate_opposing_channels_cancel():
-    acc = FlowMapAccumulator(2, 8, 8)
-    acc.add_stroke(0, (1, 4), (6, 4), np.array([1.0, 0.0]), 1.0)
-    acc.add_stroke(1, (1, 4), (6, 4), np.array([-1.0, 0.0]), 1.0)
-    grid = acc.finalize("individual", 2)
+    grid = raw_strokes_grid(
+        8, 8, 2, [(0, (1, 4), (6, 4), (1.0, 0.0)), (1, (1, 4), (6, 4), (-1.0, 0.0))]
+    )
     out = accumulate_channels(grid)
     assert out.counts[0, 4, 3] == 2
     assert np.all(out.vectors[0, 4, 1:7] == 0)
 
 
-def test_finalize_means_equal_bitwise_to_means_of_the_buffers():
-    rng = np.random.default_rng(9)
-    acc = FlowMapAccumulator(3, 20, 15, grid_stride=2)
-    for _ in range(12):
-        a, b = rng.uniform(-5, 40, size=(2, 2))
-        acc.add_stroke(int(rng.integers(3)), tuple(a), tuple(b), rng.uniform(-1, 1, 2), 3.0)
-    sums, counts = acc.sums.copy(), acc.counts.copy()
-    grid = acc.finalize("individual", 3)
-    assert np.array_equal(grid.counts, counts)
-    assert grid.vectors.tobytes() == _means(sums, counts).tobytes()
-
-
 def test_dense_encode_peak_stays_near_the_result_size():
-    # The sums buffer becomes the means and the counts are handed over, so
+    # The means and counts are scattered straight into the grid's arrays, so
     # encoding allocates about the grid itself, not a second copy of it.
     people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
     fe = frame(people, 0, (640, 480))
@@ -424,7 +410,7 @@ def test_dense_encode_peak_stays_near_the_result_size():
 
 
 def test_accumulate_empty_grid():
-    grid = FlowMapAccumulator(3, 5, 5).finalize("individual", 3)
+    grid = raw_strokes_grid(5, 5, 3)
     out = accumulate_channels(grid)
     assert out.vectors.shape == (1, 5, 5, 2)
     assert np.all(out.vectors == 0)
@@ -432,7 +418,7 @@ def test_accumulate_empty_grid():
 
 
 def test_accumulate_requires_individual():
-    grid = FlowMapAccumulator(2, 5, 5).finalize("individual", 2)
+    grid = raw_strokes_grid(5, 5, 2)
     with pytest.raises(ValueError):
         accumulate_channels(accumulate_channels(grid))
 

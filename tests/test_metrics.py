@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbflow.metrics import (
+    _average_precision,
     evaluate,
     format_report_table,
     joint_group,
@@ -16,7 +19,7 @@ from limbflow.metrics import (
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 
-from helpers import TOPO, frame, partial_pose, stick_pose, translate_pose
+from helpers import TOPO, frame, partial_pose, scan_average_precision, stick_pose, translate_pose
 
 HEAD_LEN = 0.24 * 50  # stick_pose head_top to neck at h=50
 THRESH = 0.5 * HEAD_LEN
@@ -221,6 +224,13 @@ def test_ap_invariant_under_monotone_confidence_rescale():
 
     _, mean_b = mean_ap(seq_of(gt_frames), seq_of([rescale(f) for f in pred_frames]))
     assert mean_b == pytest.approx(mean_a, abs=1e-9)
+
+
+@given(flags=st.lists(st.booleans(), max_size=80), missed=st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_ap_envelope_equals_the_full_scan(flags, missed):
+    n_gt = sum(flags) + missed
+    assert _average_precision(flags, n_gt) == scan_average_precision(flags, n_gt)
 
 
 # ------------------------------------------------------------ misc

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from limbflow.encoder import EncoderConfig, FlowMapAccumulator, encode_limb_flow
+from limbflow.encoder import EncoderConfig, encode_limb_flow
 from limbflow.pose import JointCandidate, Pose
 from limbflow.scoring import (
     FORBIDDEN,
@@ -15,7 +15,7 @@ from limbflow.scoring import (
     sample_grid,
 )
 
-from helpers import TOPO, frame, partial_pose, stick_pose, translate_pose
+from helpers import TOPO, frame, partial_pose, raw_strokes_grid, stick_pose, translate_pose
 
 SC = ScoreConfig()
 ENC = EncoderConfig(stroke_half_width=2.0)
@@ -55,7 +55,7 @@ def test_flow_score_true_pair_near_one():
 
 def test_flow_score_zero_grid():
     later, earlier, _ = _encoded_pair()
-    empty = FlowMapAccumulator(TOPO.limb_count, 200, 160).finalize("individual", TOPO.limb_count)
+    empty = raw_strokes_grid(200, 160, TOPO.limb_count)
     assert flow_score(later, earlier, empty, TOPO, SC) == 0.0
 
 
@@ -70,7 +70,7 @@ def test_flow_score_no_common_joints_sentinel():
     later, earlier, grid = _encoded_pair()
     a = partial_pose(later, {0, 1})
     b = partial_pose(earlier, {5, 6})
-    assert flow_score(a, b, grid, TOPO, SC) == SC.forbid_sentinel
+    assert flow_score(a, b, grid, TOPO, SC) == FORBIDDEN
 
 
 def test_flow_score_static_joint_contributes_zero():
@@ -170,8 +170,8 @@ def test_association_mixed_hand_value():
 
 
 def test_association_sentinel_propagates():
-    assert association_score(FORBIDDEN, 3.0, SC) == SC.forbid_sentinel
-    assert association_score(0.5, FORBIDDEN, SC) == SC.forbid_sentinel
+    assert association_score(FORBIDDEN, 3.0, SC) == FORBIDDEN
+    assert association_score(0.5, FORBIDDEN, SC) == FORBIDDEN
 
 
 def test_association_monotone_in_flow():

@@ -18,6 +18,7 @@ from limbflow.fileio import serialize_annotations
 from limbflow import scoring
 from limbflow.pose import JointCandidate, Pose
 from limbflow.scoring import (
+    FORBIDDEN,
     ScoreConfig,
     association_score,
     build_association_matrix,
@@ -111,11 +112,11 @@ def test_strokes_values_equal_the_dense_grid(seed, enc, static_share, empty_pair
 
 
 def _oracle_matrix(later, earlier, flow, cfg):
-    scores = np.full((len(later), len(earlier)), cfg.forbid_sentinel)
+    scores = np.full((len(later), len(earlier)), FORBIDDEN)
     for i, pl in enumerate(later):
         for j, pe in enumerate(earlier):
             scores[i, j] = association_score(
-                flow_score(pl, pe, flow, TOPO, cfg), distance_score(pl, pe, cfg.forbid_sentinel), cfg
+                flow_score(pl, pe, flow, TOPO, cfg), distance_score(pl, pe), cfg
             )
     return scores
 
@@ -163,7 +164,7 @@ def test_batched_matrix_keeps_forbidden_pairs_and_static_joints():
     cfg = ScoreConfig()
     got = build_association_matrix(later, earlier, flow, TOPO, cfg).scores
     assert np.array_equal(got, _oracle_matrix(later, earlier, flow, cfg))
-    assert np.all(got[2] == cfg.forbid_sentinel)
+    assert np.all(got[2] == FORBIDDEN)
     assert np.isfinite(got[0, 0])
 
 

@@ -12,7 +12,6 @@ from limbflow.tracker import (
     TrackerConfig,
     TrackState,
     match_frames,
-    nms_joints,
     refine_middle_frame,
     suppress_duplicate_joints,
     track_sequence,
@@ -25,15 +24,21 @@ CFG = TrackerConfig()
 
 # ------------------------------------------------------------ NMS
 
+def _nms(cands, radius):
+    """The joints that frame NMS keeps of one-joint poses, in pose order."""
+    out = suppress_duplicate_joints(frame([Pose(joints=(c,)) for c in cands]), radius, 1)
+    return [p.joints[0] for p in out.poses]
+
+
 def test_nms_close_pair_keeps_stronger():
     cands = [JointCandidate(10, 10, 0.9), JointCandidate(12, 10, 0.8)]
-    kept = nms_joints(cands, 5.0)
+    kept = _nms(cands, 5.0)
     assert kept == [cands[0]]
 
 
 def test_nms_far_pair_keeps_both():
     cands = [JointCandidate(10, 10, 0.9), JointCandidate(20, 10, 0.8)]
-    assert len(nms_joints(cands, 5.0)) == 2
+    assert len(_nms(cands, 5.0)) == 2
 
 
 def test_nms_chain_greedy():
@@ -42,20 +47,25 @@ def test_nms_chain_greedy():
         JointCandidate(4, 0, 0.8),
         JointCandidate(8, 0, 0.7),
     ]
-    kept = nms_joints(cands, 5.0)
+    kept = _nms(cands, 5.0)
     assert [(c.x, c.confidence) for c in kept] == [(0, 0.9), (8, 0.7)]
 
 
 def test_nms_radius_zero_drops_exact_duplicates_only():
     cands = [JointCandidate(3, 3, 0.9), JointCandidate(3, 3, 0.5), JointCandidate(3.1, 3, 0.4)]
-    kept = nms_joints(cands, 0.0)
+    kept = _nms(cands, 0.0)
     assert len(kept) == 2
 
 
 def test_nms_deterministic_tiebreak():
     cands = [JointCandidate(5, 0, 0.8), JointCandidate(0, 0, 0.8)]
-    kept = nms_joints(cands, 10.0)
+    kept = _nms(cands, 10.0)
     assert (kept[0].x, kept[0].y) == (0, 0)  # same conf: lower x wins
+
+
+def test_nms_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        suppress_duplicate_joints(frame([stick_pose(60, 60)], 0), -1.0, 15)
 
 
 def test_frame_nms_drops_emptied_poses():
