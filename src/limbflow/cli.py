@@ -190,8 +190,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     flow_source = None
     if args.flow_from:
         ref = _read_sequence(args.flow_from, args.topology)
-        if len(ref.frames) != len(seq.frames):
-            raise ValueError("--flow-from sequence must have the same frame count as the input")
+        if [f.frame_index for f in ref.frames] != [f.frame_index for f in seq.frames]:
+            raise ValueError("--flow-from sequence must have the input's frame indices")
+        if any(r.image_size != f.image_size for r, f in zip(ref.frames, seq.frames)):
+            raise ValueError("--flow-from sequence must have the input's image_size")
         flow_source = SequenceFlowSource(ref, cfg.encoder())
     result = track_sequence(seq, cfg.tracker(), flow_source)
     fileio.write_annotations(result, args.out)

@@ -9,12 +9,15 @@ averaged with a single contributor count per cell, which keeps every
 stored vector inside the unit disc.
 
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
-One kernel decides which cell centers a stroke covers; the flow map is
-that kernel evaluated at some cells. ``values_at`` runs it on the cells
-a caller asks for, and the dense ``FlowMapGrid`` of ``rasterize`` is the
-same kernel run on the cells of each stroke's own clipped box, so its
-cost follows the cells the strokes cover, not the grid size. The two
-agree bit for bit wherever both exist.
+One kernel decides which cell centers a stroke covers, and one reduction
+turns the covered (stroke, cell) pairs into means; the two paths differ
+only in the cells they hand the kernel. The dense ``FlowMapGrid`` of
+``rasterize`` takes every cell of each stroke's own clipped box, so its
+cost follows the cells the strokes cover, not the grid size.
+``values_at`` takes only the requested cells that fall inside each
+stroke's own box, so its cost follows those (stroke, requested cell)
+candidates, neither the cells the strokes cover nor the stroke groups.
+The two agree bit for bit wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -174,17 +176,20 @@ def part_unit_vector(
 
 # ------------------------------------------------------------ the kernel
 
-def _stroke_boxes(
+def _box_rows(
     a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inclusive cell ranges ix0, ix1, iy0, iy1 (one entry per stroke) that
-    strokes (a[k], b[k]) can cover, clipped to the grid; a stroke that
-    misses the grid has ix0 > ix1 or iy0 > iy1."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the cell boxes that strokes (a[k], b[k]) can cover,
+    clipped to the grid: per row its stroke k and the flat keys
+    (iy * width + ix) of its first and last cell, stroke-major in
+    ascending rows. A box that misses the grid sideways has last < first."""
     lo = np.floor((np.minimum(a, b) - half_width) / stride)
     hi = np.ceil((np.maximum(a, b) + half_width) / stride)
-    ix0, iy0 = np.clip(lo, 0, [width, height]).astype(np.int64).T
-    ix1, iy1 = np.clip(hi, -1, [width - 1, height - 1]).astype(np.int64).T
-    return ix0, ix1, iy0, iy1
+    last = np.array([width - 1, height - 1], dtype=np.float64)
+    ix0, iy0 = np.minimum(np.maximum(lo, 0), last + 1).astype(np.int64).T
+    ix1, iy1 = np.minimum(np.maximum(hi, -1), last).astype(np.int64).T
+    stroke, row = _expand(iy0, iy1 - iy0 + 1)
+    return stroke, row * width + ix0[stroke], row * width + ix1[stroke]
 
 
 def _covers(
@@ -194,7 +199,7 @@ def _covers(
     cell center (cx, cy); elementwise, with a and b (..., 2) broadcasting
     against cx and cy. A zero-length segment projects to t = 0 by itself."""
     d = b - a
-    seg_len2 = (d * d).sum(axis=-1)
+    seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
     rel_x = cx - a[..., 0]
     rel_y = cy - a[..., 1]
@@ -205,54 +210,21 @@ def _covers(
     return qx * qx + qy * qy < half_width * half_width
 
 
-def _covered_cells(
-    a: np.ndarray, b: np.ndarray, half_width: float, stride: int, width: int, height: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (stroke, cell) pair where stroke (a[k], b[k]) covers the cell,
-    with cell = iy * width + ix, stroke-major. The kernel runs only on the
-    cells of each stroke's own box."""
-    s = float(stride)
-    ix0, ix1, iy0, iy1 = _stroke_boxes(a, b, half_width, s, width, height)
-    nx = np.maximum(ix1 - ix0 + 1, 0)
-    sizes = nx * np.maximum(iy1 - iy0 + 1, 0)
-    stroke = np.repeat(np.arange(len(sizes)), sizes)
-    j = np.arange(len(stroke)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    iy = iy0[stroke] + j // nx[stroke]
-    ix = ix0[stroke] + j % nx[stroke]
-    hit = _covers(a[stroke], b[stroke], half_width, ix * s, iy * s)
-    return stroke[hit], (iy * width + ix)[hit]
+def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (owner, value) pairs: owner k takes values starts[k] up to
+    starts[k] + sizes[k] - 1 in turn (none when sizes[k] <= 0)."""
+    sizes = np.maximum(sizes, 0)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def _ordered_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """(size, 2) sums of the rows of ``values`` per ``index``, each added in
-    array order (``np.add.at`` is unbuffered and takes the rows in turn)."""
-    sums = np.zeros((size, 2), dtype=np.float64)
-    np.add.at(sums, index, values)
+    array order (``np.bincount`` adds its weights in turn)."""
+    sums = np.empty((size, 2), dtype=np.float64)
+    for c in range(2):
+        sums[:, c] = np.bincount(index, values[:, c], size)
     return sums
-
-
-def _stroke_contributions(
-    a: np.ndarray,
-    b: np.ndarray,
-    vectors: np.ndarray,
-    half_width: float,
-    cx: np.ndarray,
-    cy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums (m, 2) and counts (m,) that n strokes add at m cell centers.
-
-    The sum over strokes runs in stroke order.
-    """
-    mask = _covers(a[:, None, :], b[:, None, :], half_width, cx[None, :], cy[None, :])
-    return np.einsum("nm,nc->mc", mask, vectors), mask.sum(axis=0)
-
-
-def _means(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    means = np.zeros(sums.shape, dtype=np.float64)
-    nz = counts > 0
-    if nz.any():
-        means[nz] = sums[nz] / counts[nz][:, None]
-    return means
 
 
 def _mean_over_channels(
@@ -279,6 +251,9 @@ class LimbStrokes:
     motion, (N, 2)). Groups whose parts all stand still are left out.
     The arrays hold people x limbs x parts rows, a few kilobytes per
     frame pair, where the dense grid holds channels x height x width.
+
+    Reading cells with ``values_at`` costs only the requested cells that
+    fall inside each of the channel's strokes' own boxes.
     """
 
     layout: str
@@ -297,54 +272,81 @@ class LimbStrokes:
         """Map a topology limb channel to a stored channel index."""
         return _stored_channel(self.layout, limb_channel)
 
-    @cached_property
-    def _group_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cell ranges ix0, ix1, iy0, iy1 per stroke group: the box of the
-        hull of its strokes, which holds every stroke's own box."""
-        starts = self.bounds[:-1]
-        lo = np.minimum.reduceat(np.minimum(self.later, self.earlier), starts)
-        hi = np.maximum.reduceat(np.maximum(self.later, self.earlier), starts)
-        return _stroke_boxes(
-            lo, hi, self.half_width, float(self.grid_stride), self.width, self.height
-        )
+    def _covered(
+        self, strokes: np.ndarray, cells: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stroke-major (stroke, cell) pairs where one of ``strokes`` covers
+        a cell of its own box. The kernel runs on every cell of each box,
+        or, given sorted distinct flat keys ``cells``, on those that fall
+        inside each box, found per box row by binary search; the pairs
+        then hold positions into ``cells``."""
+        s = float(self.grid_stride)
+        later = np.take(self.later, strokes, axis=0)
+        earlier = np.take(self.earlier, strokes, axis=0)
+        box, first, last = _box_rows(later, earlier, self.half_width, s, self.width, self.height)
+        if cells is None:
+            row, at = _expand(first, last - first + 1)
+            cell = at
+        else:
+            lo = np.searchsorted(cells, first)
+            row, at = _expand(lo, np.searchsorted(cells, last, side="right") - lo)
+            cell = cells[at]
+        box = box[row]
+        a, b = np.take(later, box, axis=0), np.take(earlier, box, axis=0)
+        hit = _covers(a, b, self.half_width, (cell % self.width) * s, (cell // self.width) * s)
+        return strokes[box[hit]], at[hit]
 
-    def _group(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = slice(self.bounds[k], self.bounds[k + 1])
-        return self.later[rows], self.earlier[rows], self.vectors[rows]
+    def _cell_means(
+        self, stroke: np.ndarray, cell: np.ndarray, cells: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stored (channel, cell) keys ``channel * cells + cell``, ascending,
+        with their means and contributor counts, from the stroke-major
+        (stroke, cell) pairs where a stroke covers a cell, cell < cells.
+
+        A channel cell's sum adds each group's covering strokes in part
+        order, then those groups in enumeration order, and is divided by
+        its count. The accumulated layout then takes, per cell, the mean
+        over the contributing channels, as ``accumulate_channels`` does.
+        """
+        group = np.searchsorted(self.bounds, stroke, side="right") - 1
+        key = self.channels[group] * cells + cell
+        # The pairs come group-major, so a stable sort by key lines up each
+        # channel cell's pairs by group, then by part.
+        order = np.argsort(key, kind="stable")
+        key, group = key[order], group[order]
+        key_starts = np.ones(len(key), dtype=bool)
+        key_starts[1:] = key[1:] != key[:-1]
+        group_starts = key_starts.copy()
+        group_starts[1:] |= group[1:] != group[:-1]
+        group_sums = _ordered_sums(
+            np.cumsum(group_starts) - 1,
+            np.take(self.vectors, stroke[order], axis=0),
+            int(group_starts.sum()),
+        )
+        per_key = np.cumsum(key_starts) - 1
+        key = key[key_starts]
+        counts = np.bincount(per_key, minlength=len(key))
+        means = _ordered_sums(per_key[group_starts], group_sums, len(key)) / counts[:, None]
+        if self.layout == LAYOUT_ACCUMULATED:
+            channel = key // cells
+            key, column = np.unique(key % cells, return_inverse=True)
+            per_channel = np.zeros((self.limb_count, len(key), 2), dtype=np.float64)
+            per_channel[channel, column] = means
+            contributing = np.zeros((self.limb_count, len(key)), dtype=bool)
+            contributing[channel, column] = True
+            means, counts = _mean_over_channels(per_channel, contributing)
+        return key, means, counts
 
     def rasterize(self) -> FlowMapGrid:
         """The dense grid, at the cost of the cells the strokes cover.
 
-        The kernel runs on each stroke's own box. A channel cell's sum adds
-        each group's covering strokes in part order, then those groups in
-        enumeration order; it is divided only at covered cells, and every
-        other cell keeps a zero vector and a zero count.
+        The kernel runs on every cell of each stroke's own box. Covered
+        cells get the means of ``_cell_means``; every other cell keeps a
+        zero vector and a zero count.
         """
-        cells = self.width * self.height
-        stroke, cell = _covered_cells(
-            self.later, self.earlier, self.half_width, self.grid_stride, self.width, self.height
-        )
-        group = np.repeat(np.arange(len(self.channels)), np.diff(self.bounds))[stroke]
-        # Group cells sort group-major, so each channel cell adds its groups in order.
-        group_cell, per_stroke = np.unique(group * cells + cell, return_inverse=True)
-        group_sums = _ordered_sums(per_stroke, self.vectors[stroke], len(group_cell))
-        key, per_group = np.unique(
-            self.channels[group_cell // cells] * cells + group_cell % cells, return_inverse=True
-        )
-        counts = np.bincount(per_group[per_stroke], minlength=len(key))
-        means = _ordered_sums(per_group, group_sums, len(key)) / counts[:, None]
-        channels = self.limb_count
-        if self.layout == LAYOUT_ACCUMULATED:
-            # The mean over channels, as ``accumulate_channels`` takes it,
-            # on the covered cells only.
-            channel = key // cells
-            key, column = np.unique(key % cells, return_inverse=True)
-            per_channel = np.zeros((channels, len(key), 2), dtype=np.float64)
-            per_channel[channel, column] = means
-            contributing = np.zeros((channels, len(key)), dtype=bool)
-            contributing[channel, column] = True
-            means, counts = _mean_over_channels(per_channel, contributing)
-            channels = 1
+        stroke, cell = self._covered(np.arange(len(self.later)))
+        key, means, counts = self._cell_means(stroke, cell, self.width * self.height)
+        channels = 1 if self.layout == LAYOUT_ACCUMULATED else self.limb_count
         vectors = np.zeros((channels, self.height, self.width, 2), dtype=np.float64)
         grid_counts = np.zeros((channels, self.height, self.width), dtype=np.int32)
         vectors.reshape(-1, 2)[key] = means
@@ -362,38 +364,27 @@ class LimbStrokes:
     def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """(m, 2) vectors of one stored channel at in-grid cells.
 
-        Equal bit for bit to ``rasterize().values_at(channel, iy, ix)``,
-        at the cost of only the requested cells.
+        Equal bit for bit to ``rasterize().values_at(channel, iy, ix)``.
+        Cells may come in any order and repeat. The distinct requested
+        cells are sorted once (sorted distinct input, as the scorer passes,
+        is taken as is), and each row of each box of the channel's strokes
+        finds its requested cells by binary search. The kernel runs once on
+        those flat (stroke, cell) candidates, so the cost follows the
+        requested cells inside each stroke's own box, not the cells of a
+        group's hull box, nor the number of stroke groups.
         """
-        iy = np.asarray(iy, dtype=np.int64)
-        ix = np.asarray(ix, dtype=np.int64)
+        wanted = np.asarray(iy, dtype=np.int64) * self.width + np.asarray(ix, dtype=np.int64)
+        inverse = None
+        if not np.all(wanted[1:] > wanted[:-1]):  # the scorer asks for sorted distinct cells
+            wanted, inverse = np.unique(wanted, return_inverse=True)
+        values = np.zeros((len(wanted), 2), dtype=np.float64)
         if self.layout == LAYOUT_ACCUMULATED:
-            per_channel = [self._channel_sums(c, iy, ix) for c in range(self.limb_count)]
-            means = np.stack([_means(sums, counts) for sums, counts in per_channel])
-            contributing = np.stack([counts > 0 for _, counts in per_channel])
-            return _mean_over_channels(means, contributing)[0]
-        return _means(*self._channel_sums(channel, iy, ix))
-
-    def _channel_sums(
-        self, channel: int, iy: np.ndarray, ix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        s = float(self.grid_stride)
-        sums = np.zeros((len(ix), 2), dtype=np.float64)
-        counts = np.zeros(len(ix), dtype=np.int64)
-        ix0, ix1, iy0, iy1 = self._group_boxes
-        for k in np.flatnonzero(self.channels == channel):
-            inside = np.flatnonzero(
-                (ix >= ix0[k]) & (ix <= ix1[k]) & (iy >= iy0[k]) & (iy <= iy1[k])
-            )
-            if inside.size == 0:
-                continue
-            a, b, vectors = self._group(k)
-            group_sums, group_counts = _stroke_contributions(
-                a, b, vectors, self.half_width, ix[inside] * s, iy[inside] * s
-            )
-            sums[inside] += group_sums
-            counts[inside] += group_counts
-        return sums, counts
+            strokes = np.arange(len(self.later))
+        else:
+            strokes = np.flatnonzero(np.repeat(self.channels == channel, np.diff(self.bounds)))
+        key, means, _ = self._cell_means(*self._covered(strokes, wanted), len(wanted))
+        values[key % len(wanted)] = means
+        return values if inverse is None else values[inverse]
 
 
 FlowMap = Union[FlowMapGrid, LimbStrokes]

@@ -99,7 +99,8 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def _read_cells(flow: FlowMap, cells: np.ndarray) -> np.ndarray:
     """(m, 2) vectors at sorted distinct (channel, cell) keys, with one
-    ``values_at`` call per channel."""
+    ``values_at`` call per channel; each call gets its channel's cells
+    sorted and distinct, which ``LimbStrokes.values_at`` takes as is."""
     w, h = flow.width, flow.height
     vals = np.empty((len(cells), 2), dtype=np.float64)
     cell_channel = cells // (w * h)
@@ -136,7 +137,8 @@ def sample_grid(
     reproducibility; ``bilinear`` interpolates over the four surrounding
     cell centers. Cells outside the grid read as zero vectors. Each
     distinct (channel, cell) is read once, with one ``values_at`` call per
-    channel, so a flow map that computes its cells pays only for those.
+    channel, so ``LimbStrokes`` pays only for the read cells that fall
+    inside its strokes' own boxes.
     """
     keys, valid, frac = _lookup_cells(flow, channel, pts, bilinear)
     cells, inverse = np.unique(keys, return_inverse=True)
@@ -184,11 +186,11 @@ def flow_score(
     return total / len(common)
 
 
-def distance_score(pose_a: Pose, pose_b: Pose, sentinel: float = FORBIDDEN) -> float:
-    """Mean Euclidean joint distance (pixels) over common joints."""
+def distance_score(pose_a: Pose, pose_b: Pose) -> float:
+    """Mean Euclidean joint distance (pixels) over common joints, if any."""
     common = common_joints(pose_a, pose_b)
     if not common:
-        return sentinel
+        return FORBIDDEN
     total = 0.0
     for j in common:
         ca, cb = pose_a.joint(j), pose_b.joint(j)
@@ -248,25 +250,23 @@ def _joint_geometry(
     return common, d, norm, xy_a, xy_b
 
 
-def _mean_over_common(terms: np.ndarray, common: np.ndarray, sentinel: float) -> np.ndarray:
+def _mean_over_common(terms: np.ndarray, common: np.ndarray) -> np.ndarray:
     """Per pair, the mean of (P, Q, J) joint terms over common joints,
-    summed in ascending joint order; ``sentinel`` where none are common.
+    summed in ascending joint order; ``FORBIDDEN`` where none are common.
     Terms off the common joints must be 0."""
     total = np.zeros(common.shape[:2], dtype=np.float64)
     for j in range(common.shape[2]):
         total = total + terms[:, :, j]
     n_common = common.sum(axis=2)
-    return np.where(n_common > 0, total / np.maximum(n_common, 1), sentinel)
+    return np.where(n_common > 0, total / np.maximum(n_common, 1), FORBIDDEN)
 
 
-def distance_matrix(
-    poses_a: list[Pose], poses_b: list[Pose], sentinel: float = FORBIDDEN
-) -> np.ndarray:
+def distance_matrix(poses_a: list[Pose], poses_b: list[Pose]) -> np.ndarray:
     """``distance_score`` of every (a, b) pair, bit for bit, as a matrix."""
     if not poses_a or not poses_b:
-        return np.full((len(poses_a), len(poses_b)), sentinel, dtype=np.float64)
+        return np.full((len(poses_a), len(poses_b)), FORBIDDEN, dtype=np.float64)
     common, _, norm, _, _ = _joint_geometry(poses_a, poses_b)
-    return _mean_over_common(norm, common, sentinel)
+    return _mean_over_common(norm, common)
 
 
 def build_association_matrix(
@@ -334,8 +334,8 @@ def build_association_matrix(
     flow_terms = np.zeros(common.shape, dtype=np.float64)
     flow_terms[moving] = per_joint
 
-    s_flow = _mean_over_common(flow_terms, common, FORBIDDEN)
-    s_dist = _mean_over_common(norm, common, FORBIDDEN)
+    s_flow = _mean_over_common(flow_terms, common)
+    s_dist = _mean_over_common(norm, common)
     for i, j in zip(*np.nonzero(common.any(axis=2))):
         scores[i, j] = association_score(float(s_flow[i, j]), float(s_dist[i, j]), cfg)
     return AssociationMatrix(scores=scores)

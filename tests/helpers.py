@@ -263,7 +263,9 @@ def group_box_rasterize(strokes: LimbStrokes) -> FlowMapGrid:
     """The dense grid: every cell of every group's bounding box."""
     acc = GroupBoxAccumulator(strokes.limb_count, strokes.width, strokes.height, strokes.grid_stride)
     for k, channel in enumerate(strokes.channels):
-        acc.add_strokes(int(channel), *strokes._group(k), strokes.half_width)
+        rows = slice(strokes.bounds[k], strokes.bounds[k + 1])
+        a, b, vectors = strokes.later[rows], strokes.earlier[rows], strokes.vectors[rows]
+        acc.add_strokes(int(channel), a, b, vectors, strokes.half_width)
     grid = acc.finalize(LAYOUT_INDIVIDUAL, strokes.limb_count)
     if strokes.layout == LAYOUT_ACCUMULATED:
         return accumulate_channels(grid)

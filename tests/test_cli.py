@@ -64,6 +64,42 @@ def test_track_with_flow_from_sidecar(tmp_path):
     assert entries[0]["source"] == "stride2-average"
 
 
+def _flow_from_variant(tmp_path, edit):
+    """Track the synth candidates against their ground truth after
+    ``edit`` rewrote each frame of the ground truth; the exit code."""
+    ann = tmp_path / "cand.json"
+    assert run([
+        "synth", "--out", ann, "--preset", "crossing", "--seed", "2",
+        "--people", "2", "--frames", "4",
+    ]) == 0
+    doc = json.loads((tmp_path / "cand.json.gt.json").read_text())
+    for f in doc["frames"]:
+        edit(f)
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(doc))
+    return run(["track", "--in", ann, "--flow-from", ref, "--out", tmp_path / "tracked.json"])
+
+
+def test_flow_from_with_another_image_size_exits_3(tmp_path, capsys):
+    def halve(f):
+        f["image_size"] = [f["image_size"][0] // 2, f["image_size"][1] // 2]
+
+    assert _flow_from_variant(tmp_path, halve) == 3
+    assert "image_size" in capsys.readouterr().err
+
+
+def test_flow_from_with_other_frame_indices_exits_3(tmp_path, capsys):
+    def shift(f):
+        f["frame_index"] += 1
+
+    assert _flow_from_variant(tmp_path, shift) == 3
+    assert "frame indices" in capsys.readouterr().err
+
+
+def test_flow_from_with_the_input_geometry_tracks(tmp_path):
+    assert _flow_from_variant(tmp_path, lambda f: None) == 0
+
+
 def test_encode_layout_byte(tmp_path):
     ann = tmp_path / "cand.json"
     assert run(["synth", "--out", ann, "--preset", "wander", "--seed", "1", "--frames", "4"]) == 0

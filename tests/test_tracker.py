@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limbflow.encoder import EncoderConfig, encode_limb_flow
 from limbflow.fileio import serialize_annotations
 from limbflow.metrics import evaluate
 from limbflow.pose import JointCandidate, Pose, Sequence
 from limbflow.scoring import ScoreConfig
-from limbflow.synth import SceneConfig, apply_corruption, generate_sequence, occlusion_target
+from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import (
     SequenceFlowSource,
     TrackerConfig,
@@ -280,3 +284,72 @@ def test_input_ids_are_ignored_for_labeling():
     )
     out = track_sequence(seq, CFG)
     assert [f.poses[0].track_id for f in out.frames] == [0, 0]
+
+
+# ------------------------------------------------------------ properties
+
+synth_scenes = st.builds(
+    SceneConfig,
+    people=st.integers(1, 4),
+    frames=st.integers(1, 7),
+    image_size=st.just((192, 144)),
+    motion=st.sampled_from(PRESETS),
+    speed=st.sampled_from([0.0, 4.0, 12.0]),
+    jitter_sigma=st.sampled_from([0.0, 1.5]),
+    dropout_prob=st.sampled_from([0.0, 0.2, 0.5]),
+    seed=st.integers(0, 10_000),
+)
+
+
+def _track(scene: SceneConfig, oracle: bool, poses_order=None):
+    """Track the scene's corrupted candidates, with the ground-truth flow
+    source or the default one; ``poses_order`` reorders each frame."""
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+    if poses_order is not None:
+        cand = Sequence(
+            frames=tuple(
+                replace(f, poses=tuple(f.poses[i] for i in poses_order(len(f.poses))))
+                for f in cand.frames
+            ),
+            topology=cand.topology,
+        )
+    return gt, track_sequence(cand, CFG, SequenceFlowSource(gt, CFG.encoder) if oracle else None)
+
+
+@given(scene=synth_scenes, oracle=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_ids_unique_per_frame_fresh_and_never_revived(scene, oracle):
+    _, out = _track(scene, oracle)
+    last_seen: dict[int, int] = {}
+    newest = -1
+    for t, f in enumerate(out.frames):
+        ids = [p.track_id for p in f.poses]
+        assert None not in ids
+        assert len(ids) == len(set(ids))
+        fresh = [tid for tid in ids if tid not in last_seen]
+        if fresh:
+            assert min(fresh) > newest  # new ids only ever grow
+            newest = max(fresh)
+        for tid in ids:
+            # A track missed in two frames running retires; its id never returns.
+            assert tid in fresh or t - last_seen[tid] <= 2
+            last_seen[tid] = t
+
+
+@given(scene=synth_scenes, oracle=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_track_sequence_is_deterministic(scene, oracle):
+    _, a = _track(scene, oracle)
+    _, b = _track(scene, oracle)
+    assert serialize_annotations(a) == serialize_annotations(b)
+    assert a.refinement_log == b.refinement_log
+
+
+@given(scene=synth_scenes, oracle=st.booleans(), order_seed=st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_ignores_the_order_of_input_poses(scene, oracle, order_seed):
+    rng = np.random.default_rng(order_seed)
+    gt, out = _track(scene, oracle)
+    _, permuted = _track(scene, oracle, poses_order=rng.permutation)
+    assert repr(evaluate(gt, permuted)) == repr(evaluate(gt, out))
