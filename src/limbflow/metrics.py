@@ -11,19 +11,21 @@ identity switch is charged at the frame where a ground-truth track's
 associated prediction id changes, once per joint occurrence. MOTP is
 ``100 * mean(1 - distance / threshold)`` over matched joints. AP per
 joint type ranks all predictions of a sequence by confidence and sweeps
-an interpolated precision-recall curve; mAP averages over joint types
-that have ground truth.
+an interpolated precision-recall curve, in which a prediction is a true
+positive exactly when its own frame's PCKh match took it; mAP averages
+over joint types that have ground truth.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence as TySequence
 
-from .pose import FramePoses, Pose
+from .pose import FramePoses, JointCandidate, Pose
 from .skeleton import SkeletonTopology
 
 logger = logging.getLogger(__name__)
@@ -82,10 +84,6 @@ class EvalReport:
         return self.total_counts.mota()
 
 
-def _frames_of(seq) -> TySequence[FramePoses]:
-    return seq.frames
-
-
 def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> dict[tuple[int, int], float]:
     """Head segment length per (frame_index, gt pose position).
 
@@ -120,20 +118,44 @@ def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> di
     return {k: float(v) for k, v in lengths.items()}
 
 
-@dataclass(frozen=True)
-class _GtJoint:
-    pose_pos: int
-    track_id: Optional[int]
-    x: float
-    y: float
-    threshold: float
-
-
 def _joint_items(pose: Pose, j: int):
     c = pose.joint(j)
     if c is None or not c.visible:
         return None
     return c
+
+
+def _visible(poses: TySequence[Pose], j: int) -> list[tuple[int, JointCandidate]]:
+    """(pose position, joint) for every pose whose joint ``j`` is visible."""
+    joints = ((pi, _joint_items(p, j)) for pi, p in enumerate(poses))
+    return [(pi, c) for pi, c in joints if c is not None]
+
+
+def _match(
+    gts: list[tuple[int, JointCandidate]],
+    preds: list[tuple[int, JointCandidate]],
+    thresholds: dict[int, float],
+) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one matching of one frame's joints of one type.
+
+    Predictions are taken in (confidence desc, x, y, pose position) order;
+    each takes the first nearest still-unmatched gt joint within that gt's
+    radius. Returns (gt pose position, pred pose position, distance) triples.
+    """
+    taken: set[int] = set()
+    matches = []
+    for ppos, pc in sorted(preds, key=lambda e: (-e[1].confidence, e[1].x, e[1].y, e[0])):
+        best = None
+        for gpos, gc in gts:
+            if gpos in taken:
+                continue
+            d = math.hypot(pc.x - gc.x, pc.y - gc.y)
+            if d <= thresholds[gpos] and (best is None or d < best[1]):
+                best = (gpos, d)
+        if best is not None:
+            taken.add(best[0])
+            matches.append((best[0], ppos, best[1]))
+    return matches
 
 
 def match_joints_pckh(
@@ -143,42 +165,17 @@ def match_joints_pckh(
 ) -> dict[int, list[tuple[int, int, float]]]:
     """Greedy one-to-one matching per joint type within one frame.
 
-    ``thresholds`` maps gt pose position to its match radius. Predictions
-    are taken in (confidence desc, x, y) order; each takes the nearest
-    still-unmatched gt joint within that gt's radius. Returns, per joint
-    type, (gt pose position, pred pose position, distance) triples.
+    ``thresholds`` maps gt pose position to its match radius; each joint
+    type is matched as ``_match`` describes. Returns, per joint type,
+    (gt pose position, pred pose position, distance) triples.
     """
     joint_count = len(gt.poses[0].joints) if gt.poses else (
         len(pred.poses[0].joints) if pred.poses else 0
     )
-    out: dict[int, list[tuple[int, int, float]]] = {}
-    for j in range(joint_count):
-        gts = []
-        for pi, pose in enumerate(gt.poses):
-            c = _joint_items(pose, j)
-            if c is not None:
-                gts.append((pi, c))
-        preds = []
-        for pi, pose in enumerate(pred.poses):
-            c = _joint_items(pose, j)
-            if c is not None:
-                preds.append((pi, c))
-        preds.sort(key=lambda e: (-e[1].confidence, e[1].x, e[1].y, e[0]))
-        taken: set[int] = set()
-        matches = []
-        for ppos, pc in preds:
-            best = None
-            for gpos, gc in gts:
-                if gpos in taken:
-                    continue
-                d = math.hypot(pc.x - gc.x, pc.y - gc.y)
-                if d <= thresholds[gpos] and (best is None or d < best[1]):
-                    best = (gpos, d)
-            if best is not None:
-                taken.add(best[0])
-                matches.append((best[0], ppos, best[1]))
-        out[j] = matches
-    return out
+    return {
+        j: _match(_visible(gt.poses, j), _visible(pred.poses, j), thresholds)
+        for j in range(joint_count)
+    }
 
 
 def _average_precision(flags: list[bool], n_gt: int) -> float:
@@ -213,10 +210,11 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     ``gt_seq`` and ``pred_seq`` are sequences (tracked or plain) sharing
     one topology; frames are aligned by ``frame_index``. Ground truth
     with no frames at all, or with a pose lacking a track id (MOTA's
-    ID-switch term needs ground-truth identities), is rejected.
+    ID-switch term needs ground-truth identities), is rejected, and so is
+    a frame index that repeats in either sequence.
     """
     topo: SkeletonTopology = gt_seq.topology
-    gt_frames = list(_frames_of(gt_seq))
+    gt_frames = list(gt_seq.frames)
     if not gt_frames:
         raise ValueError("ground truth has no frames")
     for frame in gt_frames:
@@ -225,59 +223,49 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
                 raise ValueError(
                     f"ground truth frame {frame.frame_index} pose {pi} has no track id"
                 )
-    pred_by_index = {f.frame_index: f for f in _frames_of(pred_seq)}
+    for name, frames in (("ground truth", gt_frames), ("prediction", pred_seq.frames)):
+        repeated = sorted(i for i, n in Counter(f.frame_index for f in frames).items() if n > 1)
+        if repeated:
+            raise ValueError(f"{name} repeats frame index {repeated[0]}")
+    pred_poses_at = {f.frame_index: f.poses for f in pred_seq.frames}
     head = _head_lengths(gt_frames, topo)
 
     names = topo.joint_names
     per_type = {j: GroupCounts() for j in range(topo.joint_count)}
     motp_terms: list[float] = []
     last_assoc: dict[tuple[Optional[int], int], Optional[int]] = {}
-    # For AP: per joint type, every prediction of the sequence plus the
-    # per-frame gt pool it may consume.
-    ap_preds: dict[int, list[tuple[float, int, float, float, int]]] = {
-        j: [] for j in range(topo.joint_count)
-    }
+    # For AP: per joint type, every prediction of the sequence as its rank
+    # key (unique) followed by whether its own frame's match took it.
+    ranked: dict[int, list[tuple]] = {j: [] for j in range(topo.joint_count)}
 
-    empty = FramePoses(frame_index=-1, poses=(), image_size=(1, 1))
     for frame in gt_frames:
-        pred = pred_by_index.get(frame.frame_index, empty)
+        pred_poses = pred_poses_at.get(frame.frame_index, ())
         thresholds = {
             pi: max(thresh_factor * head[(frame.frame_index, pi)], 1e-9)
             for pi in range(len(frame.poses))
         }
-        matches = match_joints_pckh(frame, pred, thresholds)
         for j in range(topo.joint_count):
-            gt_join = [
-                (pi, c) for pi, c in (
-                    (pi, _joint_items(p, j)) for pi, p in enumerate(frame.poses)
-                ) if c is not None
-            ]
-            pred_join = [
-                (pi, c) for pi, c in (
-                    (pi, _joint_items(p, j)) for pi, p in enumerate(pred.poses)
-                ) if c is not None
-            ]
+            gts, preds = _visible(frame.poses, j), _visible(pred_poses, j)
+            matches = _match(gts, preds, thresholds)
             counts = per_type[j]
-            counts.gt += len(gt_join)
-            frame_matches = matches.get(j, [])
-            matched_gt = {m[0] for m in frame_matches}
-            matched_pred = {m[1] for m in frame_matches}
-            counts.tp += len(frame_matches)
-            counts.fn += len(gt_join) - len(frame_matches)
-            counts.fp += len(pred_join) - len(matched_pred)
-            for gpos, ppos, dist in frame_matches:
-                gt_track = frame.poses[gpos].track_id
-                pred_track = pred.poses[ppos].track_id
-                key = (gt_track, j)
+            counts.gt += len(gts)
+            counts.tp += len(matches)
+            counts.fn += len(gts) - len(matches)
+            counts.fp += len(preds) - len(matches)
+            for gpos, ppos, dist in matches:
+                key = (frame.poses[gpos].track_id, j)
+                pred_track = pred_poses[ppos].track_id
                 prev = last_assoc.get(key)
                 if prev is not None and pred_track != prev:
                     counts.idsw += 1
                 last_assoc[key] = pred_track
                 motp_terms.append(1.0 - dist / thresholds[gpos])
-            for ppos, c in pred_join:
-                ap_preds[j].append((c.confidence, frame.frame_index, c.x, c.y, ppos))
+            taken = {ppos for _, ppos, _ in matches}
+            ranked[j] += [
+                (-c.confidence, frame.frame_index, c.x, c.y, ppos, ppos in taken)
+                for ppos, c in preds
+            ]
 
-    # AP pass: rank across the sequence, greedy against per-frame gt pools.
     per_joint_ap: dict[str, Optional[float]] = {}
     ap_values = []
     for j in range(topo.joint_count):
@@ -286,37 +274,7 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
             per_joint_ap[names[j]] = None
             logger.info("joint type %s has no ground truth; excluded from mAP", names[j])
             continue
-        available: dict[int, list[_GtJoint]] = {}
-        for frame in gt_frames:
-            pool = []
-            for pi, pose in enumerate(frame.poses):
-                c = _joint_items(pose, j)
-                if c is not None:
-                    pool.append(
-                        _GtJoint(
-                            pi,
-                            pose.track_id,
-                            c.x,
-                            c.y,
-                            max(thresh_factor * head[(frame.frame_index, pi)], 1e-9),
-                        )
-                    )
-            available[frame.frame_index] = pool
-        ranked = sorted(ap_preds[j], key=lambda e: (-e[0], e[1], e[2], e[3], e[4]))
-        flags = []
-        for conf, fidx, x, y, _ in ranked:
-            pool = available.get(fidx, [])
-            best = None
-            for k, g in enumerate(pool):
-                d = math.hypot(x - g.x, y - g.y)
-                if d <= g.threshold and (best is None or d < best[1]):
-                    best = (k, d)
-            if best is not None:
-                pool.pop(best[0])
-                flags.append(True)
-            else:
-                flags.append(False)
-        ap = _average_precision(flags, n_gt)
+        ap = _average_precision([e[-1] for e in sorted(ranked[j])], n_gt)
         per_joint_ap[names[j]] = ap
         ap_values.append(ap)
 
@@ -383,16 +341,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "motp": report.motp,
         "ap": {"per_joint": report.per_joint_ap, "mean": report.mean_ap},
         "counts": {
-            "total": {
-                "gt": report.total_counts.gt,
-                "tp": report.total_counts.tp,
-                "fn": report.total_counts.fn,
-                "fp": report.total_counts.fp,
-                "idsw": report.total_counts.idsw,
-            },
-            "per_group": {
-                g: {"gt": c.gt, "tp": c.tp, "fn": c.fn, "fp": c.fp, "idsw": c.idsw}
-                for g, c in report.group_counts.items()
-            },
+            "total": asdict(report.total_counts),
+            "per_group": {g: asdict(c) for g, c in report.group_counts.items()},
         },
     }

@@ -61,7 +61,6 @@ class TrackerConfig:
 class Track:
     track_id: int
     last_pose: Pose
-    last_frame_index: int
     misses: int = 0
 
 
@@ -70,9 +69,9 @@ class TrackState:
     next_id: int = 0
     active: list[Track] = field(default_factory=list)
 
-    def new_track(self, pose: Pose, frame_index: int) -> Pose:
+    def new_track(self, pose: Pose) -> Pose:
         labeled = pose.with_track_id(self.next_id)
-        self.active.append(Track(self.next_id, labeled, frame_index))
+        self.active.append(Track(self.next_id, labeled))
         self.next_id += 1
         return labeled
 
@@ -213,14 +212,13 @@ def match_frames(
             track = accepted[i]
             new_pose = pose.with_track_id(track.track_id)
             track.last_pose = new_pose
-            track.last_frame_index = frame.frame_index
             track.misses = 0
             matched_ids.add(track.track_id)
             labeled.append(new_pose)
         elif defer_new:
             labeled.append(pose.with_track_id(None))
         else:
-            labeled.append(state.new_track(pose.with_track_id(None), frame.frame_index))
+            labeled.append(state.new_track(pose.with_track_id(None)))
 
     for track in tracks:  # only tracks that were candidates can miss
         if track.track_id not in matched_ids:
@@ -300,7 +298,6 @@ def refine_middle_frame(
                 for track in state.active:
                     if track.track_id == tid:
                         track.last_pose = next_pose
-                        track.last_frame_index = frame_next.frame_index
                         track.misses = 0
                         break
         inserts.append(_average_pose(prev_by_id[tid], next_pose, tid, topo.joint_count))
@@ -313,7 +310,7 @@ def refine_middle_frame(
 
 def _finalize_pending(state: TrackState, frame: FramePoses) -> FramePoses:
     poses = [
-        p if p.track_id is not None else state.new_track(p, frame.frame_index)
+        p if p.track_id is not None else state.new_track(p)
         for p in frame.poses
     ]
     return replace(frame, poses=tuple(poses))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,16 @@ from limbflow.encoder import (
     grid_shape_for,
 )
 from limbflow.fileio import _HEADER_V1, _STRIDE, TMLF_MAGIC, TMLF_VERSION, FlowmapFormatError
+from limbflow.metrics import (
+    GROUP_ORDER,
+    EvalReport,
+    GroupCounts,
+    _average_precision,
+    _head_lengths,
+    _joint_items,
+    joint_group,
+    match_joints_pckh,
+)
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.skeleton import SkeletonTopology, default_topology
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
@@ -611,3 +621,149 @@ def scan_average_precision(flags: list[bool], n_gt: int) -> float:
         ap += (recall - prev_recall) * peak
         prev_recall = recall
     return 100.0 * ap
+
+
+@dataclass(frozen=True)
+class _GtJoint:
+    pose_pos: int
+    track_id: Optional[int]
+    x: float
+    y: float
+    threshold: float
+
+
+def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
+    """``evaluate`` in two matching passes: the oracle for the one-pass one.
+
+    MOTA and MOTP come from ``match_joints_pckh``; AP ranks every
+    prediction of the sequence and runs its own nearest-within-radius
+    search against per-frame gt pools, so a true positive here does not
+    depend on the library's per-frame match.
+
+    ``gt_seq`` and ``pred_seq`` are sequences (tracked or plain) sharing
+    one topology; frames are aligned by ``frame_index``. Ground truth
+    with no frames at all, or with a pose lacking a track id (MOTA's
+    ID-switch term needs ground-truth identities), is rejected.
+    """
+    topo: SkeletonTopology = gt_seq.topology
+    gt_frames = list(gt_seq.frames)
+    if not gt_frames:
+        raise ValueError("ground truth has no frames")
+    for frame in gt_frames:
+        for pi, pose in enumerate(frame.poses):
+            if pose.track_id is None:
+                raise ValueError(
+                    f"ground truth frame {frame.frame_index} pose {pi} has no track id"
+                )
+    pred_by_index = {f.frame_index: f for f in pred_seq.frames}
+    head = _head_lengths(gt_frames, topo)
+
+    names = topo.joint_names
+    per_type = {j: GroupCounts() for j in range(topo.joint_count)}
+    motp_terms: list[float] = []
+    last_assoc: dict[tuple[Optional[int], int], Optional[int]] = {}
+    # For AP: per joint type, every prediction of the sequence plus the
+    # per-frame gt pool it may consume.
+    ap_preds: dict[int, list[tuple[float, int, float, float, int]]] = {
+        j: [] for j in range(topo.joint_count)
+    }
+
+    empty = FramePoses(frame_index=-1, poses=(), image_size=(1, 1))
+    for frame in gt_frames:
+        pred = pred_by_index.get(frame.frame_index, empty)
+        thresholds = {
+            pi: max(thresh_factor * head[(frame.frame_index, pi)], 1e-9)
+            for pi in range(len(frame.poses))
+        }
+        matches = match_joints_pckh(frame, pred, thresholds)
+        for j in range(topo.joint_count):
+            gt_join = [
+                (pi, c) for pi, c in (
+                    (pi, _joint_items(p, j)) for pi, p in enumerate(frame.poses)
+                ) if c is not None
+            ]
+            pred_join = [
+                (pi, c) for pi, c in (
+                    (pi, _joint_items(p, j)) for pi, p in enumerate(pred.poses)
+                ) if c is not None
+            ]
+            counts = per_type[j]
+            counts.gt += len(gt_join)
+            frame_matches = matches.get(j, [])
+            matched_gt = {m[0] for m in frame_matches}
+            matched_pred = {m[1] for m in frame_matches}
+            counts.tp += len(frame_matches)
+            counts.fn += len(gt_join) - len(frame_matches)
+            counts.fp += len(pred_join) - len(matched_pred)
+            for gpos, ppos, dist in frame_matches:
+                gt_track = frame.poses[gpos].track_id
+                pred_track = pred.poses[ppos].track_id
+                key = (gt_track, j)
+                prev = last_assoc.get(key)
+                if prev is not None and pred_track != prev:
+                    counts.idsw += 1
+                last_assoc[key] = pred_track
+                motp_terms.append(1.0 - dist / thresholds[gpos])
+            for ppos, c in pred_join:
+                ap_preds[j].append((c.confidence, frame.frame_index, c.x, c.y, ppos))
+
+    # AP pass: rank across the sequence, greedy against per-frame gt pools.
+    per_joint_ap: dict[str, Optional[float]] = {}
+    ap_values = []
+    for j in range(topo.joint_count):
+        n_gt = per_type[j].gt
+        if n_gt == 0:
+            per_joint_ap[names[j]] = None
+            continue
+        available: dict[int, list[_GtJoint]] = {}
+        for frame in gt_frames:
+            pool = []
+            for pi, pose in enumerate(frame.poses):
+                c = _joint_items(pose, j)
+                if c is not None:
+                    pool.append(
+                        _GtJoint(
+                            pi,
+                            pose.track_id,
+                            c.x,
+                            c.y,
+                            max(thresh_factor * head[(frame.frame_index, pi)], 1e-9),
+                        )
+                    )
+            available[frame.frame_index] = pool
+        ranked = sorted(ap_preds[j], key=lambda e: (-e[0], e[1], e[2], e[3], e[4]))
+        flags = []
+        for conf, fidx, x, y, _ in ranked:
+            pool = available.get(fidx, [])
+            best = None
+            for k, g in enumerate(pool):
+                d = math.hypot(x - g.x, y - g.y)
+                if d <= g.threshold and (best is None or d < best[1]):
+                    best = (k, d)
+            if best is not None:
+                pool.pop(best[0])
+                flags.append(True)
+            else:
+                flags.append(False)
+        ap = _average_precision(flags, n_gt)
+        per_joint_ap[names[j]] = ap
+        ap_values.append(ap)
+
+    group_counts = {g: GroupCounts() for g in GROUP_ORDER}
+    total = GroupCounts()
+    for j in range(topo.joint_count):
+        g = joint_group(names[j])
+        group_counts.setdefault(g, GroupCounts()).add(per_type[j])
+        total.add(per_type[j])
+
+    motp = (
+        100.0 * sum(motp_terms) / len(motp_terms) if motp_terms else None
+    )
+    mean_ap_val = sum(ap_values) / len(ap_values) if ap_values else None
+    return EvalReport(
+        group_counts=group_counts,
+        total_counts=total,
+        motp=motp,
+        per_joint_ap=per_joint_ap,
+        mean_ap=mean_ap_val,
+    )

@@ -18,8 +18,17 @@ from limbflow.metrics import (
     report_to_dict,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
+from limbflow.tracker import TrackedSequence
 
-from helpers import TOPO, frame, partial_pose, scan_average_precision, stick_pose, translate_pose
+from helpers import (
+    TOPO,
+    frame,
+    partial_pose,
+    scan_average_precision,
+    stick_pose,
+    translate_pose,
+    two_pass_evaluate,
+)
 
 HEAD_LEN = 0.24 * 50  # stick_pose head_top to neck at h=50
 THRESH = 0.5 * HEAD_LEN
@@ -314,3 +323,66 @@ def test_gt_without_track_ids_rejected():
     ]
     with pytest.raises(ValueError, match="frame 0 pose 1 has no track id"):
         evaluate(seq_of(gt_frames), seq_of(pred_frames))
+
+
+def test_repeated_frame_index_rejected():
+    # Unless rejected, the one pred frame is scored once per gt frame of
+    # index 0: a plausible-looking report of gt 30, tp 15, fp 15, mAP 0.
+    twice = (frame([gt_person(80, 60, 0)], 0), frame([gt_person(150, 60, 1)], 0))
+    once = seq_of([frame([gt_person(80, 60, 0)], 0)])
+    with pytest.raises(ValueError, match="ground truth repeats frame index 0"):
+        evaluate(TrackedSequence(twice, (), TOPO), once)
+    with pytest.raises(ValueError, match="prediction repeats frame index 0"):
+        evaluate(once, TrackedSequence(twice, (), TOPO))
+
+
+# Joints on a coarse grid with three confidence levels, so coincident
+# joints and confidence ties are common; one in five is missing and one
+# in five of the rest is invisible.
+_coord = st.integers(0, 4).map(lambda v: 3.0 * v)
+_joint = st.tuples(
+    st.integers(0, 4),
+    st.builds(
+        JointCandidate,
+        x=_coord,
+        y=_coord,
+        confidence=st.sampled_from([0.25, 0.5, 1.0]),
+        visible=st.integers(0, 4).map(bool),
+    ),
+).map(lambda e: e[1] if e[0] else None)
+
+
+@st.composite
+def _eval_inputs(draw):
+    gt_indices = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+    # Pred frames: most of the gt frames, plus frames the gt lacks.
+    pred_indices = [i for i in gt_indices if draw(st.integers(0, 3))]
+    pred_indices += draw(st.lists(st.integers(7, 9), max_size=2, unique=True))
+
+    def seq(indices, track_ids):
+        pose = st.builds(
+            Pose,
+            joints=st.lists(_joint, min_size=TOPO.joint_count, max_size=TOPO.joint_count).map(tuple),
+            track_id=track_ids,
+        )
+        return seq_of(
+            FramePoses(i, tuple(draw(st.lists(pose, max_size=4))), (20, 20))
+            for i in sorted(indices)
+        )
+
+    gt = seq(gt_indices, st.integers(0, 3))
+    pred = seq(pred_indices, st.none() | st.integers(0, 3))
+    return gt, pred, draw(st.floats(0.05, 2.0))
+
+
+@given(inputs=_eval_inputs())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_equals_the_two_pass_oracle(inputs):
+    gt, pred, thresh_factor = inputs
+    try:
+        expected = two_pass_evaluate(gt, pred, thresh_factor)
+    except ValueError:
+        with pytest.raises(ValueError, match="no ground-truth pose has a head segment"):
+            evaluate(gt, pred, thresh_factor)
+        return
+    assert repr(evaluate(gt, pred, thresh_factor)) == repr(expected)
