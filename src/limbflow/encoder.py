@@ -100,8 +100,9 @@ class FlowMapGrid:
     memory (the dump format stores float32); channel_pairs equals
     ``limb_count`` for the individual layout and 1 for the accumulated
     layout. ``counts`` records how many contributions each cell received
-    (per channel); it is kept for auditability and is not serialized, so
-    grids loaded from disk carry ``counts=None``. ``limb_count`` always
+    (per channel); TMLF version 3 stores it, so a read-back carries the
+    encoder's counts, while grids read from version 1 or 2 files carry
+    ``counts=None``. ``limb_count`` always
     records the source channel count, even after accumulation, so the
     dump format round-trips bit-exactly.
     """
@@ -526,7 +527,8 @@ def accumulate_channels(grid: FlowMapGrid) -> FlowMapGrid:
     if grid.counts is not None:
         contributing = grid.counts > 0
     else:
-        # Loaded grids have no counts; fall back to nonzero vectors.
+        # Grids read from TMLF version 1 or 2 have no counts; fall back to
+        # nonzero vectors.
         contributing = np.any(grid.vectors != 0, axis=-1)
     means, n_chan = _mean_over_channels(grid.vectors.astype(np.float64), contributing)
     return FlowMapGrid(

@@ -5,26 +5,41 @@ round-trip decimal form, compact separators, newline-terminated. Parsing
 then serializing any valid document reproduces its canonical form
 byte-for-byte.
 
-Flow-map dumps ("TMLF") are little-endian binary:
+Flow-map dumps ("TMLF") are little-endian binary. A flow map is almost
+empty (unit vectors only along moving limbs), so version 3 stores only
+the covered (channel, cell) slots:
 
     magic  "TMLF"          4 bytes
-    version                u16  (2)
+    version                u16  (3)
     layout                 u8   (0 = individual, 1 = accumulated)
     limb_count             u16  (source channel count)
     width, height          u32, u32  (cells)
     grid_stride            u32  (pixels per cell side, >= 1)
-    planes                 float32[] channel-major, x-plane then y-plane
-                           per channel; individual grids carry
-                           2*limb_count planes, accumulated grids 2
+    has_counts             u8   (0 or 1)
+    n                      u64  (stored cells)
+    keys                   u64[n], strictly ascending:
+                           channel * height * width + iy * width + ix
+    vectors                float32[n][2], (x, y) per key
+    counts                 u32[n], each in [1, 2**31 - 1]; only if
+                           has_counts is 1
 
-Version 1 is the same without the ``grid_stride`` field (a 17-byte
-header); it is still read, as stride 1. Contributor counts are in-memory
-audit data and are not serialized.
+Individual grids have limb_count channels, accumulated grids 1. Every
+slot not listed is the zero vector with count 0. A grid with counts
+stores the cells with a positive count, including those whose strokes
+cancelled to (0, 0), and writing fails if a vector lies outside them. A
+grid without counts stores every cell whose float32 vector has a bit
+set, so -0.0 and NaN payloads survive.
+
+Versions 1 and 2 stored dense float32 planes after the header,
+channel-major, x-plane then y-plane per channel, and no counts. Both
+are still read, with ``counts=None``; version 1 lacks the
+``grid_stride`` field (a 17-byte header) and reads as stride 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Optional
 
@@ -36,9 +51,11 @@ from .skeleton import SkeletonTopology, resolve_topology
 
 FORMAT_VERSION = 1
 TMLF_MAGIC = b"TMLF"
-TMLF_VERSION = 2
+TMLF_VERSION = 3
 _HEADER_V1 = struct.Struct("<4sHBHII")
 _STRIDE = struct.Struct("<I")  # follows the version 1 header from version 2 on
+_SPARSE = struct.Struct("<BQ")  # has_counts, n: follows the stride from version 3 on
+_COUNT_MAX = np.iinfo(np.int32).max
 
 
 class AnnotationError(ValueError):
@@ -208,25 +225,50 @@ def read_annotations(path: str, topology: Optional[SkeletonTopology] = None) -> 
 
 def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     if grid.layout == LAYOUT_INDIVIDUAL:
-        layout_byte = 0
-        expected = grid.limb_count
+        layout_byte, pairs = 0, grid.limb_count
     elif grid.layout == LAYOUT_ACCUMULATED:
-        layout_byte = 1
-        expected = 1
+        layout_byte, pairs = 1, 1
     else:
         raise FlowmapFormatError(f"unknown layout {grid.layout!r}")
-    if grid.vectors.shape != (expected, grid.height, grid.width, 2):
+    shape = (pairs, grid.height, grid.width)
+    if grid.vectors.shape != shape + (2,):
         raise FlowmapFormatError(
-            f"vectors shape {grid.vectors.shape} does not match "
-            f"{(expected, grid.height, grid.width, 2)}"
+            f"vectors shape {grid.vectors.shape} does not match {shape + (2,)}"
         )
+    vectors = grid.vectors
+    if vectors.dtype not in (np.float32, np.float64):
+        vectors = vectors.astype(np.float64)
+    vectors = np.ascontiguousarray(vectors).reshape(-1, 2)
     header = _HEADER_V1.pack(
         TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
-    # One cast-and-transpose into the planes, one copy into the result.
-    planes = np.empty((expected, 2, grid.height, grid.width), dtype="<f4")
-    planes[...] = grid.vectors.transpose(0, 3, 1, 2)
-    return b"".join((header, planes))
+    if grid.counts is None:
+        # Every cell whose stored float32 vector has a bit set.
+        vectors = vectors.astype("<f4")
+        keys = np.flatnonzero(vectors.view("<u8"))
+        tail = ()
+    else:
+        if grid.counts.shape != shape:
+            raise FlowmapFormatError(f"counts shape {grid.counts.shape} does not match {shape}")
+        keys = np.flatnonzero(grid.counts)
+        counts = grid.counts.reshape(-1)[keys]
+        if counts.size and not (counts.min() >= 1 and counts.max() <= _COUNT_MAX):
+            raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
+        # Counted cells whose strokes cancelled to (0, 0) are kept; a set bit
+        # outside the counted cells would be lost, so it is an error.
+        bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
+        if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
+            raise FlowmapFormatError("a vector lies outside the counted cells")
+        tail = (counts.astype("<i4", copy=False),)
+    # Keys and counts are non-negative, so their signed bytes are the
+    # unsigned fields' bytes, without a copy on little-endian machines.
+    return b"".join((
+        header,
+        _SPARSE.pack(grid.counts is not None, len(keys)),
+        keys.astype("<i8", copy=False),
+        vectors[keys].astype("<f4", copy=False),
+        *tail,
+    ))
 
 
 def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
@@ -235,30 +277,46 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
     magic, version, layout_byte, limb_count, width, height = _HEADER_V1.unpack_from(data)
     if magic != TMLF_MAGIC:
         raise FlowmapFormatError("not a TMLF file")
-    if version == 1:
-        header_size, grid_stride = _HEADER_V1.size, 1
-    elif version == 2:
-        header_size = _HEADER_V1.size + _STRIDE.size
+    if version not in (1, 2, 3):
+        raise FlowmapFormatError(f"unsupported format version {version}")
+    grid_stride, header_size = 1, _HEADER_V1.size
+    if version >= 2:
+        header_size += _STRIDE.size
         if len(data) < header_size:
             raise FlowmapFormatError("truncated header")
         (grid_stride,) = _STRIDE.unpack_from(data, _HEADER_V1.size)
         if grid_stride < 1:
             raise FlowmapFormatError(f"grid stride {grid_stride} must be >= 1")
-    else:
-        raise FlowmapFormatError(f"unsupported format version {version}")
     if layout_byte == 0:
-        layout = LAYOUT_INDIVIDUAL
-        pairs = limb_count
+        layout, pairs = LAYOUT_INDIVIDUAL, limb_count
     elif layout_byte == 1:
-        layout = LAYOUT_ACCUMULATED
-        pairs = 1
+        layout, pairs = LAYOUT_ACCUMULATED, 1
     else:
         raise FlowmapFormatError(f"unknown layout byte {layout_byte}")
-    expected = header_size + pairs * 2 * width * height * 4
-    if len(data) != expected:
+    read = _sparse_cells if version == 3 else _dense_planes
+    vectors, counts = read(data, header_size, (pairs, height, width))
+    return FlowMapGrid(
+        layout=layout,
+        limb_count=limb_count,
+        width=width,
+        height=height,
+        vectors=vectors,
+        counts=counts,
+        grid_stride=grid_stride,
+    )
+
+
+def _check_length(data: bytes, header_size: int, payload: int) -> None:
+    if len(data) != header_size + payload:
         raise FlowmapFormatError(
-            f"payload is {len(data) - header_size} bytes, expected {expected - header_size}"
+            f"payload is {len(data) - header_size} bytes, expected {payload}"
         )
+
+
+def _dense_planes(data: bytes, header_size: int, shape: tuple[int, int, int]):
+    """Versions 1 and 2: float32 planes of every slot, no counts."""
+    pairs, height, width = shape
+    _check_length(data, header_size, pairs * 2 * height * width * 4)
     # Cast straight from the buffer into the grid, one component at a time
     # (faster than one transposed assignment).
     planes = np.frombuffer(data, dtype="<f4", offset=header_size)
@@ -266,15 +324,39 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
     vectors = np.empty((pairs, height, width, 2), dtype=np.float64)
     vectors[..., 0] = planes[:, 0]
     vectors[..., 1] = planes[:, 1]
-    return FlowMapGrid(
-        layout=layout,
-        limb_count=limb_count,
-        width=width,
-        height=height,
-        vectors=vectors,
-        counts=None,
-        grid_stride=grid_stride,
-    )
+    return vectors, None
+
+
+def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]):
+    """Version 3: the listed slots scattered into zeroed grids."""
+    if len(data) < header_size + _SPARSE.size:
+        raise FlowmapFormatError("truncated header")
+    has_counts, n = _SPARSE.unpack_from(data, header_size)
+    if has_counts not in (0, 1):
+        raise FlowmapFormatError(f"has_counts byte {has_counts} must be 0 or 1")
+    header_size += _SPARSE.size
+    _check_length(data, header_size, n * (8 + 8 + 4 * has_counts))
+    slots = math.prod(shape)
+    keys = np.frombuffer(data, dtype="<u8", count=n, offset=header_size)
+    if n and not (np.all(keys[1:] > keys[:-1]) and keys[-1] < slots):
+        raise FlowmapFormatError("cell keys must be strictly ascending and inside the grid")
+    cell_vectors = np.frombuffer(data, dtype="<f4", count=2 * n, offset=header_size + 8 * n)
+    cell_counts = np.frombuffer(data, dtype="<u4", count=n * has_counts, offset=header_size + 16 * n)
+    if cell_counts.size and not (cell_counts.min() >= 1 and cell_counts.max() <= _COUNT_MAX):
+        raise FlowmapFormatError(f"contributor counts must lie in [1, {_COUNT_MAX}]")
+    # Vectors and counts share one zeroed allocation. A separate counts
+    # array is small enough for glibc's adaptive mmap threshold to put it
+    # on the heap, and freeing it trims heap pages that the next encode's
+    # temporaries then fault in again (flowmap-dump seed 0, 2 CPUs: encode
+    # takes about 0.12 s per pass after one allocation, 0.17 s after two).
+    zeroed = np.zeros(slots * (16 + 4 * has_counts), dtype=np.uint8)
+    vectors = zeroed[: 16 * slots].view(np.float64).reshape(shape + (2,))
+    vectors.reshape(-1, 2)[keys] = cell_vectors.reshape(n, 2)
+    if not has_counts:
+        return vectors, None
+    counts = zeroed[16 * slots :].view(np.int32).reshape(shape)
+    counts.reshape(-1)[keys] = cell_counts
+    return vectors, counts
 
 
 def write_flowmap(grid: FlowMapGrid, path: str) -> None:

@@ -23,7 +23,7 @@ from limbflow.encoder import (
     accumulate_channels,
     grid_shape_for,
 )
-from limbflow.fileio import _HEADER_V1, _STRIDE, TMLF_MAGIC, TMLF_VERSION, FlowmapFormatError
+from limbflow.fileio import _HEADER_V1, _STRIDE, TMLF_MAGIC, FlowmapFormatError
 from limbflow.metrics import (
     GROUP_ORDER,
     EvalReport,
@@ -282,7 +282,10 @@ def group_box_rasterize(strokes: LimbStrokes) -> FlowMapGrid:
     return grid
 
 
+# ------------------------------------------- dense TMLF (version 2)
+
 def oracle_flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
+    """The version 2 dump: dense float32 planes of every slot, no counts."""
     if grid.layout == LAYOUT_INDIVIDUAL:
         layout_byte = 0
         expected = grid.limb_count
@@ -297,7 +300,7 @@ def oracle_flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
             f"{(expected, grid.height, grid.width, 2)}"
         )
     header = _HEADER_V1.pack(
-        TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
+        TMLF_MAGIC, 2, layout_byte, grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
     planes = np.ascontiguousarray(
         grid.vectors.astype("<f4", copy=False).transpose(0, 3, 1, 2)

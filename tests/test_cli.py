@@ -109,9 +109,11 @@ def test_encode_layout_byte(tmp_path):
         "--layout", "accumulated", "--out", out,
     ]) == 0
     blob = out.read_bytes()
-    magic, version, layout_byte, limb_count, w, h, stride = struct.unpack_from("<4sHBHIII", blob)
-    assert (magic, version, layout_byte, limb_count, stride) == (b"TMLF", 2, 1, 14, 1)
-    assert len(blob) == 21 + 2 * w * h * 4
+    header = struct.unpack_from("<4sHBHIIIBQ", blob)
+    magic, version, layout_byte, limb_count, w, h, stride, has_counts, n = header
+    assert (magic, version, layout_byte, limb_count, stride, has_counts) == (b"TMLF", 3, 1, 14, 1, 1)
+    assert 0 < n < w * h
+    assert len(blob) == 30 + 20 * n
 
     out2 = tmp_path / "map_ind.tmlf"
     assert run([
@@ -120,7 +122,9 @@ def test_encode_layout_byte(tmp_path):
     ]) == 0
     blob2 = out2.read_bytes()
     assert blob2[6] == 0
-    assert len(blob2) == 21 + 14 * 2 * w * h * 4
+    n2 = struct.unpack_from("<Q", blob2, 22)[0]
+    assert 0 < n2 < 14 * w * h
+    assert len(blob2) == 30 + 20 * n2
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limbflow.encoder import FlowMapGrid
+from limbflow.encoder import EncoderConfig, FlowMapGrid, accumulate_channels, encode_limb_flow
 from limbflow.fileio import (
     AnnotationError,
     FlowmapFormatError,
@@ -23,7 +23,15 @@ from limbflow.fileio import (
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 
-from helpers import TOPO, frame, oracle_flowmap_from_bytes, oracle_flowmap_to_bytes, stick_pose
+from helpers import (
+    TOPO,
+    frame,
+    oracle_flowmap_from_bytes,
+    oracle_flowmap_to_bytes,
+    raw_strokes_grid,
+    stick_pose,
+    translate_pose,
+)
 
 # ------------------------------------------------------------ annotations
 
@@ -195,8 +203,9 @@ def test_empty_grid_header_only():
         counts=None,
     )
     blob = flowmap_to_bytes(grid)
-    assert len(blob) == 21
+    assert len(blob) == 30
     assert blob[:4] == b"TMLF"
+    assert struct.unpack_from("<BQ", blob, 21) == (0, 0)
     back = flowmap_from_bytes(blob)
     assert back.limb_count == 14
 
@@ -205,11 +214,16 @@ def test_header_layout_byte():
     rng = np.random.default_rng(1)
     acc = _random_grid(rng, "accumulated")
     blob = flowmap_to_bytes(acc)
-    magic, version, layout_byte, limb_count, w, h, stride = struct.unpack_from("<4sHBHIII", blob)
+    magic, version, layout_byte, limb_count, w, h, stride, has_counts, n = struct.unpack_from(
+        "<4sHBHIIIBQ", blob
+    )
     assert magic == b"TMLF"
-    assert version == 2
+    assert version == 3
     assert layout_byte == 1
     assert stride == 1
+    assert has_counts == 0
+    assert n == w * h  # every uniform random cell is nonzero
+    assert len(blob) == 30 + 16 * n
 
 
 def test_bad_magic():
@@ -287,7 +301,7 @@ def test_zero_stride_and_cut_stride_field_rejected():
         flowmap_from_bytes(bytes(blob))
 
 
-# ------------------------------------------- one-pass TMLF vs the oracle
+# ------------------------------------ sparse TMLF vs the dense oracle
 
 # float64 values that stress the float32 cast: signed zeros, NaNs with
 # payloads, infinities, float32 and float64 subnormals, overflow to inf.
@@ -298,14 +312,26 @@ SPECIAL_VALUES = [
 ]
 
 
-def _assert_same_read_back(data: bytes) -> None:
-    got, want = flowmap_from_bytes(data), oracle_flowmap_from_bytes(data)
-    assert (got.layout, got.limb_count, got.width, got.height, got.grid_stride, got.counts) == (
-        want.layout, want.limb_count, want.width, want.height, want.grid_stride, want.counts
+def _assert_same_read_back(grid: FlowMapGrid) -> bytes:
+    """The v3 dump of ``grid`` reads back as the dense v2 oracle does, with
+    the grid's counts, and rewrites to the same bytes."""
+    with np.errstate(over="ignore"):  # values beyond float32 range cast to inf
+        blob = flowmap_to_bytes(grid)
+        want = oracle_flowmap_from_bytes(oracle_flowmap_to_bytes(grid))
+    got = flowmap_from_bytes(blob)
+    assert (got.layout, got.limb_count, got.width, got.height, got.grid_stride) == (
+        want.layout, want.limb_count, want.width, want.height, want.grid_stride
     )
     assert (got.vectors.shape, got.vectors.dtype) == (want.vectors.shape, want.vectors.dtype)
     assert got.vectors.flags.c_contiguous
     assert got.vectors.tobytes() == want.vectors.tobytes()
+    if grid.counts is None:
+        assert got.counts is None
+    else:
+        assert got.counts.dtype == np.int32
+        assert np.array_equal(got.counts, grid.counts)
+    assert flowmap_to_bytes(got) == blob
+    return blob
 
 
 @given(
@@ -315,10 +341,13 @@ def _assert_same_read_back(data: bytes) -> None:
     height=st.integers(0, 5),
     stride=st.integers(1, 4),
     dtype=st.sampled_from([np.float64, np.float32]),
+    with_counts=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_tmlf_bytes_and_read_back_equal_the_oracle(layout, limb_count, width, height, stride, dtype, data):
+def test_tmlf_bytes_and_read_back_equal_the_oracle(
+    layout, limb_count, width, height, stride, dtype, with_counts, data
+):
     pairs = limb_count if layout == "individual" else 1
     n = pairs * height * width * 2
     values = data.draw(
@@ -326,12 +355,17 @@ def test_tmlf_bytes_and_read_back_equal_the_oracle(layout, limb_count, width, he
             st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(width=64)), min_size=n, max_size=n
         )
     )
-    with np.errstate(over="ignore"):  # values beyond float32 range cast to inf
+    with np.errstate(over="ignore"):
         vectors = np.array(values, dtype=np.float64).astype(dtype).reshape(pairs, height, width, 2)
-        grid = FlowMapGrid(layout, limb_count, width, height, vectors, None, stride)
-        blob = flowmap_to_bytes(grid)
-        assert blob == oracle_flowmap_to_bytes(grid)
-    _assert_same_read_back(blob)
+    counts = None
+    if with_counts:
+        # Counted cells keep whatever they hold, (0, 0) included; the rest
+        # are +0.0, as the encoder leaves them.
+        counts = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=n // 2, max_size=n // 2)), dtype=np.int32
+        ).reshape(pairs, height, width)
+        vectors[counts == 0] = 0.0
+    _assert_same_read_back(FlowMapGrid(layout, limb_count, width, height, vectors, counts, stride))
 
 
 def test_tmlf_special_values_one_cell_and_accumulated_layout():
@@ -340,14 +374,177 @@ def test_tmlf_special_values_one_cell_and_accumulated_layout():
         FlowMapGrid("individual", len(special), 1, 1, special, None),
         FlowMapGrid("individual", 1, 1, 1, np.array([[[[-0.0, float("nan")]]]]), None, 3),
         FlowMapGrid("accumulated", 14, 3, 2, np.resize(special, (1, 2, 3, 2)), None, 2),
+        FlowMapGrid("individual", 1, 1, 2, np.array([[[[0.0, 0.0]], [[-0.0, 1e-50]]]]), None),
     ]
     for grid in grids:
-        with np.errstate(over="ignore"):
-            blob = flowmap_to_bytes(grid)
-            assert blob == oracle_flowmap_to_bytes(grid)
-        _assert_same_read_back(blob)
+        _assert_same_read_back(grid)
     back = flowmap_from_bytes(flowmap_to_bytes(grids[1]))
     assert np.signbit(back.vectors[0, 0, 0, 0]) and np.isnan(back.vectors[0, 0, 0, 1])
+    # Without counts, a cell is stored iff its float32 vector has a bit set:
+    # (-0.0, 1e-50) casts to (-0.0, 0.0) and is kept, (0.0, 0.0) is not.
+    blob = flowmap_to_bytes(grids[3])
+    assert struct.unpack_from("<BQQ", blob, 21) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("layout", ["individual", "accumulated"])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_tmlf_encoded_grid_round_trips_with_its_counts(layout, stride):
+    people = [stick_pose(40 + 50 * k, 60 + 10 * k, h=60.0) for k in range(3)]
+    fe = frame(people, 0)
+    fl = frame([translate_pose(p, 7.0, -4.0 + 3 * k) for k, p in enumerate(people)], 1)
+    cfg = EncoderConfig(layout=layout, grid_stride=stride)
+    grid = encode_limb_flow(fl, fe, [(0, 0), (1, 1), (2, 2), (0, 1)], TOPO, cfg)
+    assert grid.counts.sum() > 0
+    blob = _assert_same_read_back(grid)
+    n = struct.unpack_from("<BQ", blob, 21)[1]
+    assert n == np.count_nonzero(grid.counts)
+    assert len(blob) == 30 + 20 * n
+
+
+@given(
+    version=st.sampled_from([1, 2]),
+    layout=st.sampled_from(["individual", "accumulated"]),
+    limb_count=st.integers(0, 4),
+    width=st.integers(0, 5),
+    height=st.integers(0, 5),
+    stride=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_dense_version_1_and_2_bytes_still_read_unchanged(
+    version, layout, limb_count, width, height, stride, data
+):
+    pairs = limb_count if layout == "individual" else 1
+    n = pairs * height * width * 2
+    values = data.draw(
+        st.lists(st.floats(width=32, allow_nan=False), min_size=n, max_size=n)
+    )
+    vectors = np.array(values, dtype=np.float64).reshape(pairs, height, width, 2)
+    blob = oracle_flowmap_to_bytes(FlowMapGrid(layout, limb_count, width, height, vectors, None, stride))
+    if version == 1:  # no stride field
+        blob = blob[:4] + struct.pack("<H", 1) + blob[6:17] + blob[21:]
+        stride = 1
+    got, want = flowmap_from_bytes(blob), oracle_flowmap_from_bytes(blob)
+    assert (got.layout, got.limb_count, got.width, got.height, got.grid_stride, got.counts) == (
+        want.layout, want.limb_count, want.width, want.height, stride, None
+    )
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_write_rejects_a_vector_outside_the_counted_cells():
+    grid = raw_strokes_grid(8, 8, 2, [(0, (1, 4), (6, 4), (1.0, 0.0))])
+    flowmap_to_bytes(grid)
+    for value in (1e-300, -0.0, float("nan")):
+        bad = replace(grid, vectors=grid.vectors.copy())
+        bad.vectors[1, 0, 0, 1] = value
+        with pytest.raises(FlowmapFormatError, match="outside the counted cells"):
+            flowmap_to_bytes(bad)
+
+
+def test_write_rejects_bad_counts():
+    grid = raw_strokes_grid(8, 8, 2, [(0, (1, 4), (6, 4), (1.0, 0.0))])
+    with pytest.raises(FlowmapFormatError, match="counts shape"):
+        flowmap_to_bytes(replace(grid, counts=grid.counts[:1]))
+    for value in (-1, 2**31):
+        counts = grid.counts.astype(np.int64)
+        counts[0, 4, 3] = value
+        with pytest.raises(FlowmapFormatError, match="contributor counts"):
+            flowmap_to_bytes(replace(grid, counts=counts))
+
+
+def test_counts_survive_the_dump_so_accumulation_agrees():
+    # Channel 0's two strokes cancel to (0, 0) with count 2; channel 1 holds
+    # (0, 1). The mean over both contributing channels is (0, 0.5).
+    grid = raw_strokes_grid(
+        8, 8, 2,
+        [
+            (0, (1, 4), (6, 4), (1.0, 0.0)),
+            (0, (1, 4), (6, 4), (-1.0, 0.0)),
+            (1, (1, 4), (6, 4), (0.0, 1.0)),
+        ],
+    )
+    encoded = accumulate_channels(grid)
+    loaded = accumulate_channels(flowmap_from_bytes(flowmap_to_bytes(grid)))
+    assert encoded.vectors[0, 4, 3].tolist() == [0.0, 0.5]
+    assert encoded.counts[0, 4, 3] == 2
+    assert np.array_equal(loaded.vectors, encoded.vectors)
+    assert np.array_equal(loaded.counts, encoded.counts)
+
+
+# ----------------------------------------------- malformed version 3 input
+
+
+def _v3_blob(keys, vectors, counts=None, pairs=2, height=3, width=4, flag=None) -> bytes:
+    """Version 3 bytes of an individual grid, built field by field."""
+    n = len(keys)
+    flag = int(counts is not None) if flag is None else flag
+    blob = struct.pack("<4sHBHIIIBQ", b"TMLF", 3, 0, pairs, width, height, 1, flag, n)
+    blob += np.asarray(keys, dtype="<u8").tobytes()
+    blob += np.asarray(vectors, dtype="<f4").reshape(n, 2).tobytes()
+    if counts is not None:
+        blob += np.asarray(counts, dtype="<u4").tobytes()
+    return blob
+
+
+def test_v3_well_formed_blob_reads():
+    back = flowmap_from_bytes(_v3_blob([0, 5, 23], [[1, 0], [0, 0], [0, -1]], [1, 2, 3]))
+    assert back.vectors[0, 1, 1].tolist() == [0.0, 0.0]
+    assert back.counts[0, 1, 1] == 2
+    assert back.vectors[1, 2, 3].tolist() == [0.0, -1.0]
+    assert back.counts.sum() == 6
+
+
+def test_v3_unsorted_keys_rejected():
+    with pytest.raises(FlowmapFormatError, match="ascending"):
+        flowmap_from_bytes(_v3_blob([5, 0], [[1, 0], [0, 1]], [1, 1]))
+
+
+def test_v3_repeated_keys_rejected():
+    with pytest.raises(FlowmapFormatError, match="ascending"):
+        flowmap_from_bytes(_v3_blob([5, 5], [[1, 0], [0, 1]], [1, 1]))
+
+
+def test_v3_key_outside_the_grid_rejected():
+    flowmap_from_bytes(_v3_blob([23], [[1, 0]], [1]))  # the last slot of 2 * 3 * 4
+    with pytest.raises(FlowmapFormatError, match="inside the grid"):
+        flowmap_from_bytes(_v3_blob([24], [[1, 0]], [1]))
+
+
+def test_v3_zero_count_rejected():
+    with pytest.raises(FlowmapFormatError, match="contributor counts"):
+        flowmap_from_bytes(_v3_blob([1, 2], [[1, 0], [0, 1]], [1, 0]))
+
+
+def test_v3_count_above_int32_rejected():
+    flowmap_from_bytes(_v3_blob([1], [[1, 0]], [2**31 - 1]))
+    with pytest.raises(FlowmapFormatError, match="contributor counts"):
+        flowmap_from_bytes(_v3_blob([1], [[1, 0]], [2**31]))
+
+
+def test_v3_bad_counts_flag_rejected():
+    with pytest.raises(FlowmapFormatError, match="has_counts"):
+        flowmap_from_bytes(_v3_blob([1], [[1, 0]], [1], flag=2))
+
+
+def test_v3_length_must_match_the_cell_count():
+    blob = _v3_blob([1, 2], [[1, 0], [0, 1]], [1, 1])
+    for bad in (blob[:-1], blob + b"\x00", blob[:-4]):
+        with pytest.raises(FlowmapFormatError, match="payload"):
+            flowmap_from_bytes(bad)
+    huge = blob[:22] + struct.pack("<Q", 2**63) + blob[30:]
+    with pytest.raises(FlowmapFormatError, match="payload"):
+        flowmap_from_bytes(huge)
+
+
+def test_v3_cut_header_rejected():
+    blob = _v3_blob([], [])
+    assert not flowmap_from_bytes(blob).vectors.any()
+    for cut in range(len(blob)):
+        with pytest.raises(FlowmapFormatError, match="truncated"):
+            flowmap_from_bytes(blob[:cut])
+
+
+# ------------------------------------------------------------ memory
 
 
 def _payload_grid() -> FlowMapGrid:
@@ -365,14 +562,21 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_tmlf_write_peak_stays_near_the_payload():
-    # One float32 plane array plus the result; no further copies.
-    grid = _payload_grid()
-    payload = grid.vectors.size * 4
-    assert _traced_peak(flowmap_to_bytes, grid) < 2.2 * payload
+    # An encoded 640x480 grid: the writer allocates per covered cell, never
+    # per grid slot (the grid here is ~400 times the payload).
+    people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
+    fe = frame(people, 0, (640, 480))
+    fl = frame([translate_pose(p, 9.0, -6.0) for p in people], 1, (640, 480))
+    grid = encode_limb_flow(fl, fe, [(k, k) for k in range(5)], TOPO, EncoderConfig())
+    payload = len(flowmap_to_bytes(grid)) - 30
+    assert payload == 20 * np.count_nonzero(grid.counts)
+    assert _traced_peak(flowmap_to_bytes, grid) < 3 * payload
 
 
 def test_tmlf_read_peak_stays_near_the_payload():
-    # The float64 grid (twice the payload) filled straight from the bytes.
-    data = flowmap_to_bytes(_payload_grid())
-    payload = len(data) - 21
-    assert _traced_peak(flowmap_from_bytes, data) < 2.2 * payload
+    # The float64 grid filled straight from the bytes, even when every cell
+    # is stored: within 1.1 times the grid, as for the dense version 2.
+    grid = _payload_grid()
+    data = flowmap_to_bytes(grid)
+    assert len(data) == 30 + 16 * grid.vectors.size // 2
+    assert _traced_peak(flowmap_from_bytes, data) < 1.1 * grid.vectors.nbytes
