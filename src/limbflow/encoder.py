@@ -11,11 +11,13 @@ stored vector inside the unit disc.
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
 One kernel decides which cell centers a stroke covers, and one reduction
 turns the covered (stroke, cell) pairs into means; the two paths differ
-only in the cells they hand the kernel. The dense ``FlowMapGrid`` of
-``rasterize`` takes every cell of each stroke's own clipped box, so its
-cost follows the cells the strokes cover, not the grid size.
+only in the cells they hand the kernel. A stroke's box holds the cells
+whose centers lie inside the stroke's bounding box widened by the half
+width, clipped to the grid; no other cell can be covered. The dense
+``FlowMapGrid`` of ``rasterize`` takes every cell of each stroke's box,
+so its cost follows the cells the strokes cover, not the grid size.
 ``values_at`` takes only the requested cells that fall inside each
-stroke's own box, so its cost follows those (stroke, requested cell)
+stroke's box, so its cost follows those (stroke, requested cell)
 candidates, neither the cells the strokes cover nor the stroke groups.
 The two agree bit for bit wherever both exist.
 
@@ -177,15 +179,26 @@ def part_unit_vector(
 
 # ------------------------------------------------------------ the kernel
 
+# Cells whose centers lie within this many cells outside a stroke's box
+# stay candidates, so that rounding in the box bounds never drops a cell
+# ``_covers`` would hit; the cells it keeps are rejected there.
+_BOX_MARGIN = 1e-6
+
+
 def _box_rows(
     a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of the cell boxes that strokes (a[k], b[k]) can cover,
     clipped to the grid: per row its stroke k and the flat keys
     (iy * width + ix) of its first and last cell, stroke-major in
-    ascending rows. A box that misses the grid sideways has last < first."""
-    lo = np.floor((np.minimum(a, b) - half_width) / stride)
-    hi = np.ceil((np.maximum(a, b) + half_width) / stride)
+    ascending rows. A box that misses the grid sideways has last < first.
+
+    A box holds the cells whose centers lie inside the stroke's bounding
+    box widened by ``half_width`` (up to ``_BOX_MARGIN`` cells beyond its
+    edges); no cell center outside it is strictly closer than
+    ``half_width`` to the segment."""
+    lo = np.ceil((np.minimum(a, b) - half_width) / stride - _BOX_MARGIN)
+    hi = np.floor((np.maximum(a, b) + half_width) / stride + _BOX_MARGIN)
     last = np.array([width - 1, height - 1], dtype=np.float64)
     ix0, iy0 = np.minimum(np.maximum(lo, 0), last + 1).astype(np.int64).T
     ix1, iy1 = np.minimum(np.maximum(hi, -1), last).astype(np.int64).T
@@ -341,9 +354,11 @@ class LimbStrokes:
     def rasterize(self) -> FlowMapGrid:
         """The dense grid, at the cost of the cells the strokes cover.
 
-        The kernel runs on every cell of each stroke's own box. Covered
-        cells get the means of ``_cell_means``; every other cell keeps a
-        zero vector and a zero count.
+        The kernel runs on every cell of each stroke's box: the cells
+        whose centers lie inside its bounding box widened by the half
+        width (``_box_rows``). Covered cells get the means of
+        ``_cell_means``; every other cell keeps a zero vector and a zero
+        count.
         """
         stroke, cell = self._covered(np.arange(len(self.later)))
         key, means, counts = self._cell_means(stroke, cell, self.width * self.height)

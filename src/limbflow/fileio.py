@@ -242,15 +242,16 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     header = _HEADER_V1.pack(
         TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
+    plane_shape = (pairs, grid.height * grid.width)
     if grid.counts is None:
-        # Every cell whose stored float32 vector has a bit set.
+        # Every cell whose stored float32 vector has a bit set, plane by plane.
         vectors = vectors.astype("<f4")
-        keys = np.flatnonzero(vectors.view("<u8"))
+        keys = _nonzero_keys(vectors.view("<u8").reshape(plane_shape))
         tail = ()
     else:
         if grid.counts.shape != shape:
             raise FlowmapFormatError(f"counts shape {grid.counts.shape} does not match {shape}")
-        keys = np.flatnonzero(grid.counts)
+        keys = _nonzero_keys(grid.counts.reshape(plane_shape))
         counts = grid.counts.reshape(-1)[keys]
         if counts.size and not (counts.min() >= 1 and counts.max() <= _COUNT_MAX):
             raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
@@ -269,6 +270,16 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
         vectors[keys].astype("<f4", copy=False),
         *tail,
     ))
+
+
+def _nonzero_keys(planes: np.ndarray) -> np.ndarray:
+    """Ascending flat keys ``k * cells + i`` of the nonzero entries of
+    (pairs, cells) ``planes``, found one channel plane at a time through a
+    bool mask. ``np.flatnonzero`` takes several times longer on int32 and
+    uint64 arrays than on bool ones, and a mask of the whole grid would
+    cost a byte per slot where the dump costs 20 per covered slot."""
+    keys = [np.flatnonzero(plane != 0) + k * planes.shape[1] for k, plane in enumerate(planes)]
+    return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
 
 
 def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
@@ -349,7 +360,14 @@ def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]):
     # on the heap, and freeing it trims heap pages that the next encode's
     # temporaries then fault in again (flowmap-dump seed 0, 2 CPUs: encode
     # takes about 0.12 s per pass after one allocation, 0.17 s after two).
-    zeroed = np.zeros(slots * (16 + 4 * has_counts), dtype=np.uint8)
+    # Unlike the dense versions, the file's length does not bound the grid
+    # it declares.
+    try:
+        zeroed = np.zeros(slots * (16 + 4 * has_counts), dtype=np.uint8)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise FlowmapFormatError(
+            f"cannot allocate the declared grid of {' x '.join(map(str, shape))} cells"
+        ) from exc
     vectors = zeroed[: 16 * slots].view(np.float64).reshape(shape + (2,))
     vectors.reshape(-1, 2)[keys] = cell_vectors.reshape(n, 2)
     if not has_counts:

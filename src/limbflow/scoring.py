@@ -316,16 +316,21 @@ def build_association_matrix(
 
     # Samples are taken in chunks, twice: once to collect the distinct
     # cells, read together, and once to reduce. Memory stays bounded by
-    # the chunk, not by pairs x joints x samples.
+    # the chunk, not by pairs x joints x samples. The last chunk's lookups
+    # are kept from the first pass, and the reduce pass starts there.
     step = max(1, _CHUNK_SAMPLES // n_samples)
     chunks = [slice(lo, lo + step) for lo in range(0, len(ji), step)]
-    seen = [_distinct(lookups(c)[0]) for c in chunks]
+    seen, last = [], None
+    for c in chunks:
+        last = lookups(c)
+        seen.append(_distinct(last[0]))
     cells = _distinct(np.concatenate(seen)) if seen else np.empty(0, dtype=np.int64)
     cell_vals = _read_cells(grid, cells)
     directions = d[moving] / norm[moving][:, None]
     per_joint = np.empty(len(ji), dtype=np.float64)
-    for c in chunks:
-        keys, valid, frac = lookups(c)
+    for c in reversed(chunks):
+        keys, valid, frac = lookups(c) if last is None else last
+        last = None
         chunk_cells, inverse = np.unique(keys, return_inverse=True)
         vals = cell_vals[np.searchsorted(cells, chunk_cells)][inverse].reshape(keys.shape + (2,))
         vecs = _interpolate(vals, valid, frac).reshape(-1, n_samples, 2)

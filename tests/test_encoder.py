@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limbflow import encoder
 from limbflow.encoder import (
     EncoderConfig,
     FlowMapGrid,
@@ -22,6 +24,8 @@ from limbflow.encoder import (
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose
 from limbflow.skeleton import SkeletonTopology
+from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
+from limbflow.tracker import _reference_pairing
 
 from helpers import (
     TOPO,
@@ -344,6 +348,75 @@ def test_rasterize_equals_group_box_oracle_on_raw_strokes(seed, size, stride, ha
         vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),
     )
     _same_grid(strokes.rasterize(), group_box_rasterize(strokes))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.sampled_from([(1, 1), (9, 6), (30, 20)]),
+    stride=st.integers(1, 4),
+    half_width=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    layout=st.sampled_from(["individual", "accumulated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_stroke_boxes_keep_cells_on_the_capsule_edge(seed, size, stride, half_width, layout):
+    # Endpoints on cell centers and half widths of whole or half cells, so
+    # capsule edges pass exactly through cell centers: each stroke's box
+    # must still hold every cell it covers. Horizontal, vertical, diagonal
+    # and zero-length strokes, some partly or wholly off the grid.
+    rng = np.random.default_rng(seed)
+    width, height = grid_shape_for(size, stride)
+    limb_count = int(rng.integers(1, 4))
+    sizes = rng.integers(1, 5, int(rng.integers(1, 6)))
+    n = int(sizes.sum())
+    later = rng.integers(-3, [width + 3, height + 3], (n, 2))
+    direction = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (0, 0)])[rng.integers(0, 5, n)]
+    earlier = later + direction * rng.integers(-3, 4, (n, 1))
+    off_grid = rng.random(n) < 0.1
+    later[off_grid] += width + height + 6
+    earlier[off_grid] += width + height + 6
+    angle = rng.uniform(0, 2 * math.pi, n)
+    strokes = LimbStrokes(
+        layout=layout,
+        limb_count=limb_count,
+        width=width,
+        height=height,
+        grid_stride=stride,
+        half_width=half_width * stride,
+        channels=rng.integers(0, limb_count, len(sizes)).astype(np.int64),
+        bounds=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        later=later.astype(np.float64) * stride,
+        earlier=earlier.astype(np.float64) * stride,
+        vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),
+    )
+    grid = strokes.rasterize()
+    _same_grid(grid, group_box_rasterize(strokes))
+    iy, ix = np.mgrid[0:height, 0:width]
+    for c in range(grid.channel_pairs):
+        assert np.array_equal(strokes.values_at(c, iy.ravel(), ix.ravel()), grid.vectors[c].reshape(-1, 2))
+
+
+def test_encode_candidates_stay_near_the_covered_cells():
+    # The flowmap-dump benchmark scene at default settings. Each stroke's
+    # box holds only cells whose centers lie inside its bounding box widened
+    # by the half width: 185,948 kernel candidates for 176,969 covered
+    # (stroke, cell) pairs. Boxes rounded outward to whole cells gave
+    # 430,368 candidates.
+    scene = SceneConfig(people=4, motion="crossing", image_size=(640, 480), frames=8, seed=0)
+    frames = apply_corruption(generate_sequence(scene), scene).frames
+    seen = {"candidates": 0, "covered": 0}
+    kernel = encoder._covers
+
+    def counting(a, b, half_width, cx, cy):
+        hit = kernel(a, b, half_width, cx, cy)
+        seen["candidates"] += hit.size
+        seen["covered"] += int(hit.sum())
+        return hit
+
+    with mock.patch.object(encoder, "_covers", counting):
+        for later, earlier in zip(frames[1:], frames[:-1]):
+            encode_limb_flow(later, earlier, _reference_pairing(later, earlier), TOPO, CFG)
+    assert seen["covered"] == 176_969
+    assert seen["candidates"] <= 190_000
 
 
 def test_encode_equals_group_box_oracle_on_a_benchmark_sized_pair():

@@ -544,6 +544,16 @@ def test_v3_cut_header_rejected():
             flowmap_from_bytes(blob[:cut])
 
 
+@pytest.mark.parametrize("pairs, side", [(14, 2**20), (65535, 2**32 - 1)])
+def test_v3_grid_that_cannot_be_allocated_rejected(pairs, side):
+    # 30 bytes that list no cell but declare a grid beyond any address space
+    # (224 TiB of vectors), or beyond what numpy can index.
+    blob = _v3_blob([], [], pairs=pairs, height=side, width=side)
+    assert len(blob) == 30
+    with pytest.raises(FlowmapFormatError, match=f"grid of {pairs} x {side} x {side} cells"):
+        flowmap_from_bytes(blob)
+
+
 # ------------------------------------------------------------ memory
 
 
