@@ -178,7 +178,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     grid = encode_limb_flow(frame_later, frame_earlier, pairing, seq.topology, cfg.encoder())
     fileio.write_flowmap(grid, args.out)
     print(
-        f"wrote {args.out}: {grid.layout} layout, {grid.vectors.shape[0]} channels, "
+        f"wrote {args.out}: {grid.layout} layout, {grid.channel_pairs} channels, "
         f"{grid.width}x{grid.height} cells"
     )
     return EXIT_OK

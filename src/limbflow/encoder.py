@@ -13,13 +13,16 @@ One kernel decides which cell centers a stroke covers, and one reduction
 turns the covered (stroke, cell) pairs into means; the two paths differ
 only in the cells they hand the kernel. A stroke's box holds the cells
 whose centers lie inside the stroke's bounding box widened by the half
-width, clipped to the grid; no other cell can be covered. The dense
-``FlowMapGrid`` of ``rasterize`` takes every cell of each stroke's box,
-so its cost follows the cells the strokes cover, not the grid size.
-``values_at`` takes only the requested cells that fall inside each
-stroke's box, so its cost follows those (stroke, requested cell)
-candidates, neither the cells the strokes cover nor the stroke groups.
-The two agree bit for bit wherever both exist.
+width, clipped to the grid; no other cell can be covered. ``rasterize``
+takes every cell of each stroke's box, and the ``FlowMapGrid`` it
+returns stores the covered-cell table: the keys, means and counts of the
+covered (channel, cell) slots. Its dense planes are built from that
+table only when a caller first reads them, so encoding costs the cells
+the strokes cover, not the grid size. ``values_at`` takes only the
+requested cells that fall inside each stroke's box, so its cost follows
+those (stroke, requested cell) candidates, neither the cells the strokes
+cover nor the stroke groups. The two agree bit for bit wherever both
+exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -94,9 +97,29 @@ def _stored_channel(layout: str, limb_channel: int) -> int:
     return 0 if layout == LAYOUT_ACCUMULATED else limb_channel
 
 
+class FlowmapFormatError(ValueError):
+    """A flow map that is malformed, or whose declared grid cannot be built."""
+
+
+Cells = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
 @dataclass
 class FlowMapGrid:
     """A finalized flow-map grid.
+
+    A grid made by ``from_cells`` (the encoder's and the TMLF version 3
+    reader's) stores its covered-cell table, ``cells``: strictly ascending
+    int64 keys ``channel * height * width + iy * width + ix``, their (n, 2)
+    vectors, and their int32 contributor counts or ``None``. Every slot not
+    listed is the zero vector with count 0. The dense planes are built from
+    the table the first time ``vectors`` or ``counts`` is read, and kept:
+    every later read returns the same arrays, so in-place edits stick.
+    From then on the planes are the grid and ``cells`` is ``None``. If the
+    planes cannot be allocated, the read raises ``FlowmapFormatError`` and
+    the grid keeps its table. A grid constructed with its planes,
+    ``FlowMapGrid(layout, limb_count, width, height, vectors, counts[,
+    grid_stride])``, has them from the start.
 
     ``vectors`` has shape (channel_pairs, height, width, 2), float64 in
     memory (the dump format stores float32); channel_pairs equals
@@ -117,9 +140,64 @@ class FlowMapGrid:
     counts: Optional[np.ndarray]
     grid_stride: int = 1
 
+    _cells = None  # unannotated, so not a field: the table, set by from_cells
+
+    @classmethod
+    def from_cells(
+        cls,
+        layout: str,
+        limb_count: int,
+        width: int,
+        height: int,
+        cells: Cells,
+        grid_stride: int = 1,
+    ) -> "FlowMapGrid":
+        """A grid that stores the covered-cell table ``cells`` (see above)."""
+        grid = cls.__new__(cls)
+        grid.layout, grid.limb_count, grid.width, grid.height = layout, limb_count, width, height
+        grid.grid_stride = grid_stride
+        grid._cells = cells
+        return grid
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the planes of a
+        # grid made by from_cells, until the first read of either builds both.
+        if name not in ("vectors", "counts") or self._cells is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.vectors, self.counts = self._planes(*self._cells)
+        self._cells = None
+        return self.__dict__[name]
+
+    def _planes(
+        self, keys: np.ndarray, vectors: np.ndarray, counts: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        shape = (self.channel_pairs, self.height, self.width)
+        try:
+            planes = np.zeros(shape + (2,), dtype=np.float64)
+            plane_counts = None if counts is None else np.zeros(shape, dtype=np.int32)
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+            raise FlowmapFormatError(
+                f"cannot allocate the declared grid of {' x '.join(map(str, shape))} cells"
+            ) from exc
+        planes.reshape(-1, 2)[keys] = vectors
+        if plane_counts is not None:
+            plane_counts.reshape(-1)[keys] = counts
+        return planes, plane_counts
+
+    def __repr__(self) -> str:  # the dataclass repr would build the planes
+        return (
+            f"FlowMapGrid({self.layout!r}, limb_count={self.limb_count}, "
+            f"{self.width}x{self.height} cells, grid_stride={self.grid_stride})"
+        )
+
+    @property
+    def cells(self) -> Optional[Cells]:
+        """The covered-cell table, or ``None`` once the grid has planes."""
+        return self._cells
+
     @property
     def channel_pairs(self) -> int:
-        return int(self.vectors.shape[0])
+        return 1 if self.layout == LAYOUT_ACCUMULATED else self.limb_count
 
     def channel_for(self, limb_channel: int) -> int:
         """Map a topology limb channel to a stored channel index."""
@@ -130,9 +208,8 @@ class FlowMapGrid:
         return self.vectors[channel, iy, ix].astype(np.float64)
 
     def max_norm(self) -> float:
-        if self.vectors.size == 0:
-            return 0.0
-        return float(np.sqrt((self.vectors.astype(np.float64) ** 2).sum(axis=-1)).max())
+        vectors = self.vectors if self._cells is None else self._cells[1]
+        return float(np.sqrt((vectors.astype(np.float64) ** 2).sum(axis=-1)).max(initial=0.0))
 
 
 def grid_shape_for(image_size: tuple[int, int], grid_stride: int) -> tuple[int, int]:
@@ -352,29 +429,24 @@ class LimbStrokes:
         return key, means, counts
 
     def rasterize(self) -> FlowMapGrid:
-        """The dense grid, at the cost of the cells the strokes cover.
+        """The grid, at the cost of the cells the strokes cover.
 
         The kernel runs on every cell of each stroke's box: the cells
         whose centers lie inside its bounding box widened by the half
-        width (``_box_rows``). Covered cells get the means of
-        ``_cell_means``; every other cell keeps a zero vector and a zero
-        count.
+        width (``_box_rows``). The grid stores the covered cells' keys,
+        means and counts from ``_cell_means``; its planes, where every
+        other cell holds a zero vector and a zero count, are built only
+        when read.
         """
         stroke, cell = self._covered(np.arange(len(self.later)))
         key, means, counts = self._cell_means(stroke, cell, self.width * self.height)
-        channels = 1 if self.layout == LAYOUT_ACCUMULATED else self.limb_count
-        vectors = np.zeros((channels, self.height, self.width, 2), dtype=np.float64)
-        grid_counts = np.zeros((channels, self.height, self.width), dtype=np.int32)
-        vectors.reshape(-1, 2)[key] = means
-        grid_counts.reshape(-1)[key] = counts
-        return FlowMapGrid(
-            layout=self.layout,
-            limb_count=self.limb_count,
-            width=self.width,
-            height=self.height,
-            vectors=vectors,
-            counts=grid_counts,
-            grid_stride=self.grid_stride,
+        return FlowMapGrid.from_cells(
+            self.layout,
+            self.limb_count,
+            self.width,
+            self.height,
+            (key, means, counts.astype(np.int32)),
+            self.grid_stride,
         )
 
     def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
@@ -522,7 +594,7 @@ def encode_limb_flow(
     topo: SkeletonTopology,
     cfg: EncoderConfig,
 ) -> FlowMapGrid:
-    """Encode the dense flow-map grid for one frame pair.
+    """Encode the flow-map grid for one frame pair.
 
     The rasterized ``limb_strokes``: an empty pairing encodes an all-zero
     grid, and identical frames encode exactly zero everywhere.

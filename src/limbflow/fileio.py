@@ -30,6 +30,13 @@ cancelled to (0, 0), and writing fails if a vector lies outside them. A
 grid without counts stores every cell whose float32 vector has a bit
 set, so -0.0 and NaN payloads survive.
 
+These listed slots are the covered-cell table a ``FlowMapGrid`` stores.
+The writer packs a grid's table as it is, and scans the planes for it
+only when the grid has planes. The version 3 reader returns a grid that
+stores the file's table, and builds no plane: it allocates only what the
+file holds, whatever grid the header declares. A declared grid too large
+to allocate fails when its planes are first read.
+
 Versions 1 and 2 stored dense float32 planes after the header,
 channel-major, x-plane then y-plane per channel, and no counts. Both
 are still read, with ``counts=None``; version 1 lacks the
@@ -45,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .encoder import LAYOUT_ACCUMULATED, LAYOUT_INDIVIDUAL, FlowMapGrid
+from .encoder import LAYOUT_ACCUMULATED, LAYOUT_INDIVIDUAL, Cells, FlowmapFormatError, FlowMapGrid
 from .pose import FramePoses, JointCandidate, Pose, Sequence
 from .skeleton import SkeletonTopology, resolve_topology
 
@@ -64,10 +71,6 @@ class AnnotationError(ValueError):
     def __init__(self, message: str, where: str = ""):
         self.where = where
         super().__init__(f"{where}: {message}" if where else message)
-
-
-class FlowmapFormatError(ValueError):
-    pass
 
 
 def sequence_to_document(seq) -> dict:
@@ -225,12 +228,36 @@ def read_annotations(path: str, topology: Optional[SkeletonTopology] = None) -> 
 
 def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     if grid.layout == LAYOUT_INDIVIDUAL:
-        layout_byte, pairs = 0, grid.limb_count
+        layout_byte = 0
     elif grid.layout == LAYOUT_ACCUMULATED:
-        layout_byte, pairs = 1, 1
+        layout_byte = 1
     else:
         raise FlowmapFormatError(f"unknown layout {grid.layout!r}")
-    shape = (pairs, grid.height, grid.width)
+    header = _HEADER_V1.pack(
+        TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
+    ) + _STRIDE.pack(grid.grid_stride)
+    keys, vectors, counts = grid.cells if grid.cells is not None else _plane_cells(grid)
+    tail = ()
+    if counts is not None:
+        if counts.size and not (counts.min() >= 1 and counts.max() <= _COUNT_MAX):
+            raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
+        tail = (counts.astype("<i4", copy=False),)
+    # Keys and counts are non-negative, so their signed bytes are the
+    # unsigned fields' bytes, without a copy on little-endian machines.
+    return b"".join((
+        header,
+        _SPARSE.pack(counts is not None, len(keys)),
+        keys.astype("<i8", copy=False),
+        vectors.astype("<f4", copy=False),
+        *tail,
+    ))
+
+
+def _plane_cells(grid: FlowMapGrid) -> Cells:
+    """The covered-cell table of a grid's planes, which are then the grid:
+    the cells with a positive count, or, without counts, every cell whose
+    float32 vector has a bit set."""
+    shape = (grid.channel_pairs, grid.height, grid.width)
     if grid.vectors.shape != shape + (2,):
         raise FlowmapFormatError(
             f"vectors shape {grid.vectors.shape} does not match {shape + (2,)}"
@@ -239,37 +266,20 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     if vectors.dtype not in (np.float32, np.float64):
         vectors = vectors.astype(np.float64)
     vectors = np.ascontiguousarray(vectors).reshape(-1, 2)
-    header = _HEADER_V1.pack(
-        TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
-    ) + _STRIDE.pack(grid.grid_stride)
-    plane_shape = (pairs, grid.height * grid.width)
+    plane_shape = (shape[0], grid.height * grid.width)
     if grid.counts is None:
-        # Every cell whose stored float32 vector has a bit set, plane by plane.
         vectors = vectors.astype("<f4")
         keys = _nonzero_keys(vectors.view("<u8").reshape(plane_shape))
-        tail = ()
-    else:
-        if grid.counts.shape != shape:
-            raise FlowmapFormatError(f"counts shape {grid.counts.shape} does not match {shape}")
-        keys = _nonzero_keys(grid.counts.reshape(plane_shape))
-        counts = grid.counts.reshape(-1)[keys]
-        if counts.size and not (counts.min() >= 1 and counts.max() <= _COUNT_MAX):
-            raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
-        # Counted cells whose strokes cancelled to (0, 0) are kept; a set bit
-        # outside the counted cells would be lost, so it is an error.
-        bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
-        if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
-            raise FlowmapFormatError("a vector lies outside the counted cells")
-        tail = (counts.astype("<i4", copy=False),)
-    # Keys and counts are non-negative, so their signed bytes are the
-    # unsigned fields' bytes, without a copy on little-endian machines.
-    return b"".join((
-        header,
-        _SPARSE.pack(grid.counts is not None, len(keys)),
-        keys.astype("<i8", copy=False),
-        vectors[keys].astype("<f4", copy=False),
-        *tail,
-    ))
+        return keys, vectors[keys], None
+    if grid.counts.shape != shape:
+        raise FlowmapFormatError(f"counts shape {grid.counts.shape} does not match {shape}")
+    keys = _nonzero_keys(grid.counts.reshape(plane_shape))
+    # Counted cells whose strokes cancelled to (0, 0) are kept; a set bit
+    # outside the counted cells would be lost, so it is an error.
+    bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
+    if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
+        raise FlowmapFormatError("a vector lies outside the counted cells")
+    return keys, vectors[keys], grid.counts.reshape(-1)[keys]
 
 
 def _nonzero_keys(planes: np.ndarray) -> np.ndarray:
@@ -304,17 +314,12 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
         layout, pairs = LAYOUT_ACCUMULATED, 1
     else:
         raise FlowmapFormatError(f"unknown layout byte {layout_byte}")
-    read = _sparse_cells if version == 3 else _dense_planes
-    vectors, counts = read(data, header_size, (pairs, height, width))
-    return FlowMapGrid(
-        layout=layout,
-        limb_count=limb_count,
-        width=width,
-        height=height,
-        vectors=vectors,
-        counts=counts,
-        grid_stride=grid_stride,
-    )
+    shape = (pairs, height, width)
+    if version == 3:
+        cells = _sparse_cells(data, header_size, shape)
+        return FlowMapGrid.from_cells(layout, limb_count, width, height, cells, grid_stride)
+    vectors = _dense_planes(data, header_size, shape)
+    return FlowMapGrid(layout, limb_count, width, height, vectors, None, grid_stride)
 
 
 def _check_length(data: bytes, header_size: int, payload: int) -> None:
@@ -324,7 +329,7 @@ def _check_length(data: bytes, header_size: int, payload: int) -> None:
         )
 
 
-def _dense_planes(data: bytes, header_size: int, shape: tuple[int, int, int]):
+def _dense_planes(data: bytes, header_size: int, shape: tuple[int, int, int]) -> np.ndarray:
     """Versions 1 and 2: float32 planes of every slot, no counts."""
     pairs, height, width = shape
     _check_length(data, header_size, pairs * 2 * height * width * 4)
@@ -335,11 +340,18 @@ def _dense_planes(data: bytes, header_size: int, shape: tuple[int, int, int]):
     vectors = np.empty((pairs, height, width, 2), dtype=np.float64)
     vectors[..., 0] = planes[:, 0]
     vectors[..., 1] = planes[:, 1]
-    return vectors, None
+    return vectors
 
 
-def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]):
-    """Version 3: the listed slots scattered into zeroed grids."""
+def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]) -> Cells:
+    """Version 3: the listed slots, as the grid's covered-cell table of
+    read-only views into ``data``.
+
+    The table is checked to be the one the writer gives for its grid, so
+    it rewrites to the same bytes whether or not its planes were built.
+    Nothing the size of the declared grid is allocated: the file's length
+    bounds the table, not the grid, and a grid too large to allocate fails
+    only when its planes are read."""
     if len(data) < header_size + _SPARSE.size:
         raise FlowmapFormatError("truncated header")
     has_counts, n = _SPARSE.unpack_from(data, header_size)
@@ -347,34 +359,21 @@ def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]):
         raise FlowmapFormatError(f"has_counts byte {has_counts} must be 0 or 1")
     header_size += _SPARSE.size
     _check_length(data, header_size, n * (8 + 8 + 4 * has_counts))
-    slots = math.prod(shape)
-    keys = np.frombuffer(data, dtype="<u8", count=n, offset=header_size)
-    if n and not (np.all(keys[1:] > keys[:-1]) and keys[-1] < slots):
+    # Read as signed: a u64 key of 2**63 or more turns negative, and a u32
+    # count above the int32 range does too, so each fails its check below.
+    keys = np.frombuffer(data, dtype="<i8", count=n, offset=header_size)
+    ascending = np.all(keys[1:] > keys[:-1])
+    if n and not (ascending and keys[0] >= 0 and int(keys[-1]) < math.prod(shape)):
         raise FlowmapFormatError("cell keys must be strictly ascending and inside the grid")
-    cell_vectors = np.frombuffer(data, dtype="<f4", count=2 * n, offset=header_size + 8 * n)
-    cell_counts = np.frombuffer(data, dtype="<u4", count=n * has_counts, offset=header_size + 16 * n)
-    if cell_counts.size and not (cell_counts.min() >= 1 and cell_counts.max() <= _COUNT_MAX):
-        raise FlowmapFormatError(f"contributor counts must lie in [1, {_COUNT_MAX}]")
-    # Vectors and counts share one zeroed allocation. A separate counts
-    # array is small enough for glibc's adaptive mmap threshold to put it
-    # on the heap, and freeing it trims heap pages that the next encode's
-    # temporaries then fault in again (flowmap-dump seed 0, 2 CPUs: encode
-    # takes about 0.12 s per pass after one allocation, 0.17 s after two).
-    # Unlike the dense versions, the file's length does not bound the grid
-    # it declares.
-    try:
-        zeroed = np.zeros(slots * (16 + 4 * has_counts), dtype=np.uint8)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        raise FlowmapFormatError(
-            f"cannot allocate the declared grid of {' x '.join(map(str, shape))} cells"
-        ) from exc
-    vectors = zeroed[: 16 * slots].view(np.float64).reshape(shape + (2,))
-    vectors.reshape(-1, 2)[keys] = cell_vectors.reshape(n, 2)
+    vectors = np.frombuffer(data, dtype="<f4", count=2 * n, offset=header_size + 8 * n)
     if not has_counts:
-        return vectors, None
-    counts = zeroed[16 * slots :].view(np.int32).reshape(shape)
-    counts.reshape(-1)[keys] = cell_counts
-    return vectors, counts
+        if not np.all(vectors.view("<u8")):
+            raise FlowmapFormatError("a cell listed without counts must have a vector bit set")
+        return keys, vectors.reshape(n, 2), None
+    counts = np.frombuffer(data, dtype="<i4", count=n, offset=header_size + 16 * n)
+    if counts.size and counts.min() < 1:
+        raise FlowmapFormatError(f"contributor counts must lie in [1, {_COUNT_MAX}]")
+    return keys, vectors.reshape(n, 2), counts
 
 
 def write_flowmap(grid: FlowMapGrid, path: str) -> None:

@@ -31,9 +31,10 @@ import numpy as np
 from .assignment import FORBIDDEN, hungarian
 from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
 
-# Tracking never builds a dense grid. encode_limb_flow stays importable
-# from this module because the benchmark's checks (perfbench) encode the
-# dense grid of a pair through it, next to _reference_pairing.
+# Tracking never builds a FlowMapGrid, whose dense planes exist only once
+# a caller reads them. encode_limb_flow stays importable from this module
+# because the benchmark's checks (perfbench) encode a pair's grid through
+# it, next to _reference_pairing.
 from .encoder import encode_limb_flow  # noqa: F401
 from .pose import FramePoses, JointCandidate, Pose, Sequence
 from .scoring import ScoreConfig, build_association_matrix, distance_matrix

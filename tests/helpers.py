@@ -102,6 +102,39 @@ def raw_strokes_grid(
     ).rasterize()
 
 
+def random_strokes(rng, size, stride: int, half_width: float, layout: str) -> LimbStrokes:
+    """Random stroke groups over an image of ``size`` pixels: groups in any
+    channel order, repeated channels, zero-length segments and segments
+    partly or wholly off the grid."""
+    width, height = grid_shape_for(size, stride)
+    limb_count = int(rng.integers(1, 5))
+    n_groups = int(rng.integers(0, 7))
+    sizes = rng.integers(1, 7, n_groups)
+    n = int(sizes.sum())
+    span = np.array([size[0], size[1]], dtype=np.float64)
+    later = rng.uniform(-0.5, 1.5, (n, 2)) * span
+    earlier = later + rng.normal(0, 3, (n, 2))
+    zero_length = rng.random(n) < 0.2
+    earlier[zero_length] = later[zero_length]
+    off_grid = rng.random(n) < 0.1
+    later[off_grid] += 4 * span
+    earlier[off_grid] += 4 * span
+    angle = rng.uniform(0, 2 * math.pi, n)
+    return LimbStrokes(
+        layout=layout,
+        limb_count=limb_count,
+        width=width,
+        height=height,
+        grid_stride=stride,
+        half_width=half_width,
+        channels=rng.integers(0, limb_count, n_groups).astype(np.int64),
+        bounds=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        later=later,
+        earlier=earlier,
+        vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),
+    )
+
+
 # ------------------------------------------------- brute-force encoder
 
 def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):

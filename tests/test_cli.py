@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,33 @@ def test_encode_layout_byte(tmp_path):
     n2 = struct.unpack_from("<Q", blob2, 22)[0]
     assert 0 < n2 < 14 * w * h
     assert len(blob2) == 30 + 20 * n2
+
+
+def test_encode_builds_no_dense_grid(tmp_path, capsys):
+    # One 1280x720 grid in planes is 14 x 720 x 1280 slots of float64
+    # vectors and int32 counts, about 258 MB; encoding and writing it need
+    # only the covered cells and the kernel's per-candidate temporaries
+    # (about 15 MB here).
+    ann = tmp_path / "cand.json"
+    assert run([
+        "synth", "--out", ann, "--preset", "wander", "--seed", "2", "--people", "6",
+        "--frames", "2", "--image-width", "1280", "--image-height", "720",
+    ]) == 0
+    out = tmp_path / "map.tmlf"
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run([
+            "encode", "--in", tmp_path / "cand.json.gt.json", "--t1", "0", "--t2", "1", "--out", out,
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "individual layout, 14 channels, 1280x720 cells" in capsys.readouterr().out
+    n = struct.unpack_from("<Q", out.read_bytes(), 22)[0]
+    assert n > 0
+    assert peak < 64 * 2**20
 
 
 def test_exit_codes(tmp_path, capsys):

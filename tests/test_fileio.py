@@ -26,8 +26,10 @@ from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from helpers import (
     TOPO,
     frame,
+    group_box_rasterize,
     oracle_flowmap_from_bytes,
     oracle_flowmap_to_bytes,
+    random_strokes,
     raw_strokes_grid,
     stick_pose,
     translate_pose,
@@ -402,6 +404,38 @@ def test_tmlf_encoded_grid_round_trips_with_its_counts(layout, stride):
 
 
 @given(
+    seed=st.integers(0, 10_000),
+    size=st.sampled_from([(1, 1), (9, 6), (30, 20)]),
+    stride=st.integers(1, 4),
+    half_width=st.floats(0.5, 3.0),
+    layout=st.sampled_from(["individual", "accumulated"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_tmlf_of_encoded_strokes_equals_the_plane_scan_and_the_oracle(
+    seed, size, stride, half_width, layout
+):
+    strokes = random_strokes(np.random.default_rng(seed), size, stride, half_width, layout)
+    grid = strokes.rasterize()
+    blob = flowmap_to_bytes(grid)  # written from the table: no plane built yet
+    geometry = (grid.layout, grid.limb_count, grid.width, grid.height)
+    dense = FlowMapGrid(*geometry, grid.vectors.copy(), grid.counts.copy(), stride)
+    assert flowmap_to_bytes(dense) == blob
+    assert flowmap_to_bytes(grid) == blob  # the same grid, now from its planes
+
+    oracle = group_box_rasterize(strokes)
+    back = flowmap_from_bytes(blob)
+    assert back.vectors.tobytes() == oracle.vectors.astype(np.float32).astype(np.float64).tobytes()
+    assert back.counts.tobytes() == oracle.counts.tobytes()
+
+    # An edit to the read-back's planes is what the writer then writes.
+    uncounted = np.argwhere(back.counts == 0)
+    if len(uncounted):
+        back.vectors[tuple(uncounted[0])] = (0.0, 1.0)
+        with pytest.raises(FlowmapFormatError, match="outside the counted cells"):
+            flowmap_to_bytes(back)
+
+
+@given(
     version=st.sampled_from([1, 2]),
     layout=st.sampled_from(["individual", "accumulated"]),
     limb_count=st.integers(0, 4),
@@ -544,14 +578,32 @@ def test_v3_cut_header_rejected():
             flowmap_from_bytes(blob[:cut])
 
 
+def test_v3_listed_cell_without_counts_needs_a_set_bit():
+    # The writer lists such a cell only if its float32 vector has a bit set,
+    # so a file listing (0, 0) would rewrite to other bytes once read.
+    flowmap_from_bytes(_v3_blob([1], [[-0.0, 0.0]]))
+    with pytest.raises(FlowmapFormatError, match="bit set"):
+        flowmap_from_bytes(_v3_blob([1, 2], [[1, 0], [0, 0]]))
+
+
 @pytest.mark.parametrize("pairs, side", [(14, 2**20), (65535, 2**32 - 1)])
-def test_v3_grid_that_cannot_be_allocated_rejected(pairs, side):
+def test_v3_declared_grid_reads_without_allocating_it(pairs, side):
     # 30 bytes that list no cell but declare a grid beyond any address space
-    # (224 TiB of vectors), or beyond what numpy can index.
+    # (224 TiB of vectors), or beyond what numpy can index. The read-back
+    # allocates only what the file holds; only its planes cannot be built.
     blob = _v3_blob([], [], pairs=pairs, height=side, width=side)
     assert len(blob) == 30
-    with pytest.raises(FlowmapFormatError, match=f"grid of {pairs} x {side} x {side} cells"):
-        flowmap_from_bytes(blob)
+    assert _traced_peak(flowmap_from_bytes, blob) < 2**20
+    back = flowmap_from_bytes(blob)
+    assert (back.layout, back.limb_count, back.width, back.height, back.grid_stride) == (
+        "individual", pairs, side, side, 1
+    )
+    assert (back.channel_pairs, back.max_norm()) == (pairs, 0.0)
+    for plane in ("vectors", "counts"):
+        declared = f"cannot allocate the declared grid of {pairs} x {side} x {side} cells"
+        with pytest.raises(FlowmapFormatError, match=declared):
+            getattr(back, plane)
+    assert flowmap_to_bytes(back) == blob
 
 
 # ------------------------------------------------------------ memory
@@ -584,8 +636,9 @@ def test_tmlf_write_peak_stays_near_the_payload():
 
 
 def test_tmlf_read_peak_stays_near_the_payload():
-    # The float64 grid filled straight from the bytes, even when every cell
-    # is stored: within 1.1 times the grid, as for the dense version 2.
+    # Even when every cell is stored, reading stays within 1.1 times the
+    # grid, the bound of the dense version 2 (the read-back's table is a
+    # view into the bytes).
     grid = _payload_grid()
     data = flowmap_to_bytes(grid)
     assert len(data) == 30 + 16 * grid.vectors.size // 2
