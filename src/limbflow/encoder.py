@@ -69,7 +69,7 @@ class EncoderConfig:
             raise ValueError("parts_per_limb must be >= 1")
         if not self.stroke_half_width > 0:
             raise ValueError("stroke_half_width must be > 0")
-        if self.epsilon_motion < 0:
+        if not self.epsilon_motion >= 0:
             raise ValueError("epsilon_motion must be >= 0")
         if self.layout not in (LAYOUT_INDIVIDUAL, LAYOUT_ACCUMULATED):
             raise ValueError(f"unknown layout {self.layout!r}")

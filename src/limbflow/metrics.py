@@ -211,8 +211,11 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     one topology; frames are aligned by ``frame_index``. Ground truth
     with no frames at all, or with a pose lacking a track id (MOTA's
     ID-switch term needs ground-truth identities), is rejected, and so is
-    a frame index that repeats in either sequence.
+    a frame index that repeats in either sequence, or a ``thresh_factor``
+    that is not finite and positive.
     """
+    if not (math.isfinite(thresh_factor) and thresh_factor > 0):
+        raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
     topo: SkeletonTopology = gt_seq.topology
     gt_frames = list(gt_seq.frames)
     if not gt_frames:

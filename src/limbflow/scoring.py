@@ -20,8 +20,11 @@ a forbidden link.
 reference; ``build_association_matrix`` scores all pairs of two frames
 together and must equal them bit for bit. The order of its contractions
 and sums is therefore part of the scorer's contract, set out in its
-docstring. Flow maps are read through ``values_at``, which a dense grid
-answers by indexing and ``LimbStrokes`` by computing only those cells.
+docstring. It walks the integral samples once, in chunks of joints taken
+in stored-channel order, and reads each distinct cell of a chunk once.
+Flow maps are read through ``values_at``, which a dense grid answers by
+indexing and ``LimbStrokes`` by computing only those cells, one call per
+channel of a chunk.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .encoder import FlowMap
 from .pose import FramePoses, Pose, common_joints, pose_arrays
 from .skeleton import SkeletonTopology
 
-# Integral samples gathered at once by build_association_matrix.
+# Integral samples per chunk of build_association_matrix. A distinct cell
+# is read once per chunk, not once per call; the chunk bounds the memory of
+# a call and the bits of its sort keys.
 _CHUNK_SAMPLES = 1 << 16
 
 
@@ -55,6 +60,8 @@ class ScoreConfig:
             raise ValueError("integral_samples must be >= 1")
         if not self.distance_scale > 0:
             raise ValueError("distance_scale must be > 0")
+        if not self.epsilon_motion >= 0:
+            raise ValueError("epsilon_motion must be >= 0")
 
 
 def _lookup_cells(
@@ -88,13 +95,21 @@ def _lookup_cells(
     return keys, np.stack(valid), frac
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys, by one sort: ``np.unique`` without an inverse
-    hashes integer keys, about 10x slower on a chunk's keys."""
-    keys = np.sort(keys, axis=None)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of non-negative int64 keys,
+    by one plain sort in place of an argsort: each key is packed above the
+    bits of its flat position, ``key << b | position``, so the sorted packs
+    carry both. The caller makes sure the largest key fits in ``63 - b``
+    bits, b being the bit length of ``keys.size - 1``."""
+    bits = max(keys.size - 1, 0).bit_length()
+    packed = (keys.ravel() << bits) | np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    ordered = packed >> bits
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[packed & ((1 << bits) - 1)] = np.cumsum(first) - 1
+    return ordered[first], inverse.reshape(keys.shape)
 
 
 def _read_cells(flow: FlowMap, cells: np.ndarray) -> np.ndarray:
@@ -280,10 +295,15 @@ def build_association_matrix(
 
     Equal bit for bit to ``association_score(flow_score(...),
     distance_score(...))`` per pair; ``flow_score`` and ``distance_score``
-    are kept as that reference. All pairs are scored together: the
-    integral samples of every moving common joint of every pair are
-    gathered, each distinct cell is read from the flow map once, and
-    the terms are reduced. Equality depends on the order of that
+    are kept as that reference. All pairs are scored together, in one
+    pass over the moving common joints of every pair. The joints are
+    taken in stored-channel order, in chunks of ``_CHUNK_SAMPLES``
+    integral samples; each distinct cell of a chunk is read from the flow
+    map once, with one ``values_at`` call per channel the chunk spans
+    (the channel order keeps that to one or two), and the chunk's joint
+    terms are reduced before the next chunk is sampled. Raises
+    ``ValueError`` if the flow map has too many cells for a chunk's keys
+    to pack into 63 bits. Equality depends on the order of that
     arithmetic, which is part of this function's contract: each sample
     is dotted with its direction by a batched ``@``, the samples of a
     joint are summed along one contiguous axis as ``np.sum`` does, the
@@ -307,32 +327,24 @@ def build_association_matrix(
     channels = joint_channel[ji]
     n_samples = cfg.integral_samples
     u = (np.arange(n_samples, dtype=np.float64) + 0.5) / n_samples
-
-    def lookups(items: slice):
-        px = (1.0 - u) * a[items, 0, None] + u * b[items, 0, None]
-        py = (1.0 - u) * a[items, 1, None] + u * b[items, 1, None]
-        pts = np.stack([px.ravel(), py.ravel()], axis=1)
-        return _lookup_cells(grid, np.repeat(channels[items], n_samples), pts, cfg.bilinear)
-
-    # Samples are taken in chunks, twice: once to collect the distinct
-    # cells, read together, and once to reduce. Memory stays bounded by
-    # the chunk, not by pairs x joints x samples. The last chunk's lookups
-    # are kept from the first pass, and the reduce pass starts there.
-    step = max(1, _CHUNK_SAMPLES // n_samples)
-    chunks = [slice(lo, lo + step) for lo in range(0, len(ji), step)]
-    seen, last = [], None
-    for c in chunks:
-        last = lookups(c)
-        seen.append(_distinct(last[0]))
-    cells = _distinct(np.concatenate(seen)) if seen else np.empty(0, dtype=np.int64)
-    cell_vals = _read_cells(grid, cells)
     directions = d[moving] / norm[moving][:, None]
     per_joint = np.empty(len(ji), dtype=np.float64)
-    for c in reversed(chunks):
-        keys, valid, frac = lookups(c) if last is None else last
-        last = None
-        chunk_cells, inverse = np.unique(keys, return_inverse=True)
-        vals = cell_vals[np.searchsorted(cells, chunk_cells)][inverse].reshape(keys.shape + (2,))
+    order = np.argsort(channels, kind="stable")  # a chunk then spans one or two channels
+    step = max(1, _CHUNK_SAMPLES // n_samples)
+    # _unique_inverse packs each key above the bits of its place in a chunk.
+    key_space = (int(channels.max(initial=0)) + 1) * grid.width * grid.height
+    positions = (4 if cfg.bilinear else 1) * min(step, len(ji)) * n_samples
+    if len(ji) and key_space > 1 << (63 - (positions - 1).bit_length()):
+        raise ValueError(f"{key_space} flow-map cells are too many to pack with {positions} lookups")
+    for lo in range(0, len(ji), step):
+        c = order[lo : lo + step]
+        px = (1.0 - u) * a[c, 0, None] + u * b[c, 0, None]
+        py = (1.0 - u) * a[c, 1, None] + u * b[c, 1, None]
+        pts = np.stack([px.ravel(), py.ravel()], axis=1)
+        keys, valid, frac = _lookup_cells(grid, np.repeat(channels[c], n_samples), pts, cfg.bilinear)
+        cells, inverse = _unique_inverse(keys)
+        del px, py, pts, keys  # not held while the flow map computes the cells
+        vals = np.take(_read_cells(grid, cells), inverse, axis=0)
         vecs = _interpolate(vals, valid, frac).reshape(-1, n_samples, 2)
         projections = (vecs @ directions[c, :, None]).reshape(-1, n_samples)
         per_joint[c] = projections.sum(axis=1) / n_samples

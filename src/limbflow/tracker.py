@@ -50,7 +50,7 @@ class TrackerConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        if self.nms_radius < 0:
+        if not self.nms_radius >= 0:
             raise ValueError("nms_radius must be >= 0")
         if not np.isfinite(self.score_threshold):
             raise ValueError("score_threshold must be finite")
@@ -107,7 +107,7 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
     Suppressed joints are removed from their poses; poses left with no
     joints are dropped.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     keep: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
     for j in range(joint_count):

@@ -268,3 +268,46 @@ def test_eval_rejects_gt_without_track_ids(tmp_path, capsys):
     # the candidate file carries no track ids, so it cannot serve as ground truth
     assert run(["eval", "--gt", ann, "--pred", tracked]) == 3
     assert "has no track id" in capsys.readouterr().err
+
+
+def _synth_scene(tmp_path):
+    ann = tmp_path / "cand.json"
+    assert run(["synth", "--out", ann, "--preset", "wander", "--people", "4", "--frames", "6"]) == 0
+    return ann
+
+
+def test_track_rejects_a_nan_nms_radius(tmp_path, capsys):
+    # NaN fails every NMS distance test: each frame kept one joint per type.
+    ann = _synth_scene(tmp_path)
+    out = tmp_path / "tracked.json"
+    assert run(["track", "--in", ann, "--out", out, "--nms-radius", "nan"]) == 3
+    assert not out.exists()
+    assert "nms_radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["track", "encode"])
+def test_config_file_nan_epsilon_motion_exits_3(tmp_path, capsys, command):
+    # NaN makes every displacement "static": no stroke is drawn.
+    ann = _synth_scene(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon_motion = nan\n")
+    out = tmp_path / "out"
+    args = {
+        "track": ["track", "--in", ann, "--out", out],
+        "encode": ["encode", "--in", ann, "--t1", "0", "--t2", "1", "--out", out],
+    }[command]
+    assert run([*args, "--config", cfg]) == 3
+    assert not out.exists()
+    assert "epsilon_motion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+def test_eval_rejects_a_bad_pckh_factor(tmp_path, capsys, factor):
+    # A NaN factor matched no joint: "Total MOTA -100.0".
+    gt = tmp_path / "cand.json.gt.json"
+    _synth_scene(tmp_path)
+    capsys.readouterr()
+    assert run(["eval", "--gt", gt, "--pred", gt, "--pckh-factor", factor]) == 3
+    captured = capsys.readouterr()
+    assert "MOTA" not in captured.out
+    assert "thresh_factor" in captured.err

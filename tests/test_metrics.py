@@ -312,6 +312,14 @@ def test_empty_gt_rejected():
         evaluate(seq_of([]), seq_of([]))
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -0.5])
+def test_thresh_factor_not_finite_and_positive_rejected(factor):
+    # A NaN factor matched nothing: every gt joint a miss, MOTA -100.
+    frames = [frame([gt_person(80, 60, 0)], t) for t in range(2)]
+    with pytest.raises(ValueError, match="thresh_factor must be finite and > 0"):
+        evaluate(seq_of(frames), seq_of(frames), thresh_factor=factor)
+
+
 def test_gt_without_track_ids_rejected():
     # A perfect prediction must not be scored against identity-less ground
     # truth: every gt pose would key to None and charge false ID switches.

@@ -221,3 +221,12 @@ def test_matrix_empty_earlier_frame():
     grid = encode_limb_flow(fl, fe, [], TOPO, ENC)
     m = build_association_matrix(fl, fe, grid, TOPO, SC)
     assert m.shape == (1, 0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1e-6])
+def test_score_config_rejects_a_bad_epsilon_motion(epsilon):
+    # A NaN threshold makes no joint move: every flow term reads 0.
+    with pytest.raises(ValueError, match="epsilon_motion"):
+        ScoreConfig(epsilon_motion=epsilon).validate()
+    with pytest.raises(ValueError, match="epsilon_motion"):
+        EncoderConfig(epsilon_motion=epsilon).validate()

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from limbflow.scoring import (
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
 from limbflow.tracker import SequenceFlowSource, TrackerConfig, _reference_pairing, track_sequence
 
-from helpers import TOPO, frame
+from helpers import TOPO, frame, stick_pose, translate_pose
 
 SIZE = (40, 30)
 
@@ -152,23 +153,75 @@ def test_values_at_equals_rasterize_at_any_requested_cells(seed, enc, static_sha
 
 
 def test_association_matrix_memory_stays_per_channel():
-    # The crowd-hd scene: 20 people crossing in 960x720. One scoring call
-    # peaked at 8.3 MiB before the flat lookup and after it; reading every
-    # channel in one call instead peaked at 23.5 MiB.
-    scene = SceneConfig(
-        people=20, frames=2, image_size=(960, 720), motion="crossing",
-        jitter_sigma=2.0, dropout_prob=0.05, seed=0,
-    )
-    cand = apply_corruption(generate_sequence(scene), scene)
-    earlier, later = cand.frames
-    flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig())
-    tracemalloc.start()
-    try:
-        build_association_matrix(later, earlier, flow, TOPO, ScoreConfig())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 << 20
+    # The crowd-hd scene: 20 people crossing in 960x720, at seeds 0-3. One
+    # scoring call peaks at 5.6-8.1 MiB with chunks read one at a time (and
+    # 8.7-9.6 MiB with one read of every distinct cell of the call); reading
+    # every channel in one call instead peaked at 23.5 MiB on seed 0.
+    for seed in range(4):
+        scene = SceneConfig(
+            people=20, frames=2, image_size=(960, 720), motion="crossing",
+            jitter_sigma=2.0, dropout_prob=0.05, seed=seed,
+        )
+        cand = apply_corruption(generate_sequence(scene), scene)
+        earlier, later = cand.frames
+        flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig())
+        tracemalloc.start()
+        try:
+            build_association_matrix(later, earlier, flow, TOPO, ScoreConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20, f"seed {seed}: traced peak {peak / 2**20:.2f} MiB"
+
+
+@given(
+    taps=st.sampled_from([1, 4]),
+    n=st.integers(0, 300),
+    spread=st.sampled_from(["equal", "few", "wide", "largest"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_unique_inverse_equals_np_unique(taps, n, spread, seed):
+    rng = np.random.default_rng(seed)
+    # Keys below this bound leave room for the bits of a position.
+    bound = 1 << (63 - max(taps * n - 1, 0).bit_length())
+    shape = (taps, n)
+    if spread == "equal":
+        keys = np.full(shape, rng.integers(0, bound), dtype=np.int64)
+    elif spread == "few":
+        keys = rng.integers(0, 5, shape)
+    elif spread == "wide":
+        keys = rng.integers(0, bound, shape)
+    else:
+        keys = bound - 1 - rng.integers(0, 3, shape)
+    values, inverse = scoring._unique_inverse(keys)
+    want_values, want_inverse = np.unique(keys, return_inverse=True)
+    assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+    assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
+    assert np.array_equal(inverse, want_inverse)
+
+
+def test_association_matrix_rejects_a_key_space_too_large_to_pack():
+    # One pose pair, all 15 joints moving: 300 samples, 9 position bits, so
+    # keys must stay below 2**54. In the accumulated layout (one channel) a
+    # 2**27 x 2**27 image holds exactly 2**54 cells; one column more does not
+    # fit, and neither do the 14 channels of the individual layout.
+    earlier = stick_pose(1e6, 1e6)
+    later = translate_pose(earlier, 6.0, 2.0)
+    cfg = ScoreConfig()
+
+    def flow(width, layout):
+        size = (width, 1 << 27)
+        fl, fe = frame([later], 1, size), frame([earlier], 0, size)
+        return limb_strokes(fl, fe, [(0, 0)], TOPO, EncoderConfig(layout=layout))
+
+    fits = flow(1 << 27, "accumulated")
+    got = build_association_matrix([later], [earlier], fits, TOPO, cfg).scores
+    assert np.array_equal(got, _oracle_matrix([later], [earlier], fits, cfg))
+    assert got[0, 0] > 0.5  # the flow term was read, not zero
+    for too_large in (flow((1 << 27) + 1, "accumulated"), flow(1 << 27, "individual")):
+        with pytest.raises(ValueError, match="too many to pack"):
+            build_association_matrix([later], [earlier], too_large, TOPO, cfg)
 
 
 def _oracle_matrix(later, earlier, flow, cfg):

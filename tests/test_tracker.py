@@ -72,6 +72,15 @@ def test_nms_rejects_negative_radius():
         suppress_duplicate_joints(frame([stick_pose(60, 60)], 0), -1.0, 15)
 
 
+def test_nms_rejects_nan_radius():
+    # Every distance test against NaN fails, so each joint type would keep
+    # only its first candidate of the frame.
+    with pytest.raises(ValueError):
+        suppress_duplicate_joints(frame([stick_pose(60, 60)], 0), float("nan"), 15)
+    with pytest.raises(ValueError, match="nms_radius"):
+        TrackerConfig(nms_radius=float("nan")).validate()
+
+
 def test_frame_nms_drops_emptied_poses():
     a = stick_pose(60, 60, confidence=0.9)
     b = stick_pose(60.5, 60, h=50, confidence=0.5)  # duplicate of a, weaker
