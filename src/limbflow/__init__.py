@@ -51,8 +51,8 @@ from .synth import SceneConfig, apply_corruption, generate_sequence
 from .tracker import (
     SequenceFlowSource,
     TrackedSequence,
+    Tracker,
     TrackerConfig,
-    TrackState,
     match_frames,
     refine_middle_frame,
     track_sequence,

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import augment as augment_mod
 from . import fileio, metrics, synth
@@ -190,18 +190,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     flow_source = None
     if args.flow_from:
         ref = _read_sequence(args.flow_from, args.topology)
-        if [f.frame_index for f in ref.frames] != [f.frame_index for f in seq.frames]:
-            raise ValueError("--flow-from sequence must have the input's frame indices")
-        if any(r.image_size != f.image_size for r, f in zip(ref.frames, seq.frames)):
-            raise ValueError("--flow-from sequence must have the input's image_size")
         flow_source = SequenceFlowSource(ref, cfg.encoder())
     result = track_sequence(seq, cfg.tracker(), flow_source)
     fileio.write_annotations(result, args.out)
     if args.log_out:
-        log = [
-            {"frame_index": e.frame_index, "track_id": e.track_id, "source": e.source}
-            for e in result.refinement_log
-        ]
+        log = [asdict(e) for e in result.refinement_log]
         with open(args.log_out, "w", encoding="utf-8") as fh:
             json.dump(log, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -327,8 +320,9 @@ def build_parser() -> _Parser:
     p.add_argument("--log-out", help="refinement log output path (JSON)")
     p.add_argument(
         "--flow-from",
-        help="annotations whose poses/ids define the flow maps (e.g. the GT sidecar); "
-        "default: encode from the input itself",
+        help="ground-truth oracle: annotations (e.g. the GT sidecar) whose poses and ids "
+        "define the flow maps, standing in for a learned motion estimator; it must hold "
+        "every input frame index at the input's image size; default: encode from the input itself",
     )
     _add_config_flags(p, ["alpha", "integral_samples", "distance_scale", "score_threshold", "nms_radius", "parts_per_limb", "stroke_half_width", "layout", "grid_stride"])
     p.add_argument("--refine", dest="refine", action="store_true", default=None, help="enable middle-frame refinement (default)")

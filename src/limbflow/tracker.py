@@ -1,24 +1,25 @@
-"""Track assignment across a sequence: NMS, bipartite matching, refinement.
+"""Online track assignment: one ``Tracker.push`` step per frame.
 
-Frames are processed as sliding sets (F[t-1], F[t], F[t+1]) at one-frame
-interval. Each new frame is matched against the active tracks with a
-stride-1 flow map; once both pairs of a set are matched, the middle
-frame is refined with a stride-2 flow map: a track seen at t-1 but
-missed at t that can be associated straight to a frame t+1 pose gets
-the average of its two neighbor poses inserted at t.
+A step on frame t runs NMS, then ``match_frames``: poses link to the live
+tracks through a stride-1 flow map over (t, t-1). With refinement on,
+``refine_middle_frame`` then repairs frame t-1 through a stride-2 map
+over (t, t-2): a track seen at t-2, missed at t-1 and linked straight to
+a pose at t gets the average of those two poses inserted at t-1, and the
+pose at t takes its id if it had none. Both only label poses. The step's
+one bookkeeping pass is the only place where tracks change: a pose
+labelled at t renews its track, every other track gains a miss, each
+unlabelled pose starts a fresh id, and a track with two misses running
+retires for good: it lives just long enough for refinement to catch it.
 
-Unmatched tracks stay active for one extra frame set, exactly long
-enough for the stride-2 refinement to catch them, then retire for good;
-re-identification beyond that window is out of scope.
+``push`` returns the frames no later step can change: frame t at once
+with refinement off, frame t-1 with it on; ``finish`` returns the rest.
+A tracker holds at most two input and two output frames.
 
-Flow maps come from a flow source. By default they are drawn from the
-input sequence itself, pairing people across frames by track id when
-the input carries ids and by a minimum-total-distance assignment
-otherwise. Pass an explicit ``SequenceFlowSource`` built from ground
-truth to emulate an upstream motion estimator that has learned the true
-limb flow. The source hands out ``LimbStrokes``, which the scorer reads
-only at the cells it samples; ``match_frames`` and
-``refine_middle_frame`` accept those or a dense ``FlowMapGrid`` alike.
+Flow maps come from a flow source's ``grid(later, earlier)`` over two
+pushed frames. The default draws them from the pushed (NMS'd) frames,
+pairing people by input track id, or else by minimum total distance. A
+``SequenceFlowSource`` built from ground truth is an oracle for a motion
+estimator that has learned the true limb flow.
 """
 
 from __future__ import annotations
@@ -63,22 +64,6 @@ class Track:
     track_id: int
     last_pose: Pose
     misses: int = 0
-
-
-@dataclass
-class TrackState:
-    next_id: int = 0
-    active: list[Track] = field(default_factory=list)
-
-    def new_track(self, pose: Pose) -> Pose:
-        labeled = pose.with_track_id(self.next_id)
-        self.active.append(Track(self.next_id, labeled))
-        self.next_id += 1
-        return labeled
-
-    def cull(self, max_misses: int = 2) -> None:
-        # Retired ids are never reused or revived.
-        self.active = [t for t in self.active if t.misses < max_misses]
 
 
 @dataclass(frozen=True)
@@ -155,77 +140,64 @@ class SequenceFlowSource:
     """Flow-map provider backed by a reference sequence.
 
     ``grid(later, earlier)`` returns the strokes of the flow map between
-    two frame positions of the reference sequence. The cache keeps only
-    the pairs ending at the latest ``later`` position asked for, which is
-    the window ``track_sequence`` reads at each step ((t, t-1) and
-    (t, t-2)); each entry is sized by people x limbs x parts, so memory
-    stays flat in sequence length.
+    the reference frames that share the two given frames' indices. It
+    raises ``ValueError`` when the reference lacks one of them or holds
+    it at another image size.
     """
 
     def __init__(self, seq: Sequence, encoder_cfg: EncoderConfig):
-        self.seq = seq
+        self.topology = seq.topology
         self.cfg = encoder_cfg
-        self._cache: dict[tuple[int, int], LimbStrokes] = {}
+        self._by_index = {f.frame_index: f for f in seq.frames}
 
-    def grid(self, later: int, earlier: int) -> LimbStrokes:
-        key = (later, earlier)
-        if key not in self._cache:
-            self._cache = {k: v for k, v in self._cache.items() if k[0] == later}
-            fl = self.seq.frames[later]
-            fe = self.seq.frames[earlier]
-            pairing = _reference_pairing(fl, fe)
-            self._cache[key] = limb_strokes(fl, fe, pairing, self.seq.topology, self.cfg)
-        return self._cache[key]
+    def _reference(self, frame: FramePoses) -> FramePoses:
+        i = frame.frame_index
+        ref = self._by_index.get(i)
+        if ref is None:
+            raise ValueError(
+                f"flow reference lacks frame {i}: its frame indices must include the input's"
+            )
+        if ref.image_size != frame.image_size:
+            raise ValueError(
+                f"flow reference frame {i} has image_size {ref.image_size}, not {frame.image_size}"
+            )
+        return ref
+
+    def grid(self, later: FramePoses, earlier: FramePoses) -> LimbStrokes:
+        fl, fe = self._reference(later), self._reference(earlier)
+        return limb_strokes(fl, fe, _reference_pairing(fl, fe), self.topology, self.cfg)
+
+
+class _PushedFrames(SequenceFlowSource):
+    """The default flow source: every pushed frame is its own reference."""
+
+    def _reference(self, frame: FramePoses) -> FramePoses:
+        return frame
 
 
 def match_frames(
-    state: TrackState,
     frame: FramePoses,
+    tracks: list[Track],
     grid: Optional[FlowMap],
     topo: SkeletonTopology,
     cfg: TrackerConfig,
-    defer_new: bool = False,
 ) -> FramePoses:
-    """Match one frame's poses against the active tracks.
+    """Label one frame's poses with the ids of the tracks they link to.
 
-    The flow map must be drawn over (this frame, previous frame). Links at
-    or above ``score_threshold`` inherit the track id; unmatched poses
-    start fresh tracks (or stay unlabeled when ``defer_new`` is set, so a
-    later refinement step may claim them); unmatched tracks accumulate a
-    miss. With ``defer_new`` the caller owns miss-based retirement,
-    otherwise tracks retire here after their second miss.
+    The flow map must be drawn over (this frame, previous frame). A pose
+    whose optimal link scores at or above ``score_threshold`` takes the
+    track's id; every other pose comes back unlabelled. The tracks are
+    only read.
     """
-    cfg.validate()
-    tracks = list(state.active)
-    accepted: dict[int, Track] = {}
+    accepted: dict[int, int] = {}
     if tracks and frame.poses and grid is not None:
         matrix = build_association_matrix(
             list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
         )
         for i, j in hungarian(matrix.scores):
             if matrix.scores[i, j] >= cfg.score_threshold:
-                accepted[i] = tracks[j]
-
-    matched_ids = set()
-    labeled: list[Pose] = []
-    for i, pose in enumerate(frame.poses):
-        if i in accepted:
-            track = accepted[i]
-            new_pose = pose.with_track_id(track.track_id)
-            track.last_pose = new_pose
-            track.misses = 0
-            matched_ids.add(track.track_id)
-            labeled.append(new_pose)
-        elif defer_new:
-            labeled.append(pose.with_track_id(None))
-        else:
-            labeled.append(state.new_track(pose.with_track_id(None)))
-
-    for track in tracks:  # only tracks that were candidates can miss
-        if track.track_id not in matched_ids:
-            track.misses += 1
-    if not defer_new:
-        state.cull()
+                accepted[i] = tracks[j].track_id
+    labeled = [pose.with_track_id(accepted.get(i)) for i, pose in enumerate(frame.poses)]
     return replace(frame, poses=tuple(labeled))
 
 
@@ -254,7 +226,6 @@ def refine_middle_frame(
     grid_stride2: FlowMap,
     topo: SkeletonTopology,
     cfg: TrackerConfig,
-    state: Optional[TrackState] = None,
 ) -> tuple[FramePoses, FramePoses, list[RefinementEntry]]:
     """Restore tracks that skipped the middle frame of a three-frame set.
 
@@ -280,9 +251,8 @@ def refine_middle_frame(
     )
     scores = matrix.scores.copy()
     for i, pose in enumerate(frame_next.poses):
-        for c, tid in enumerate(missing):
-            if pose.track_id is not None and pose.track_id != tid:
-                scores[i, c] = FORBIDDEN
+        if pose.track_id is not None:  # a labelled pose may take only its own id
+            scores[i, [tid != pose.track_id for tid in missing]] = FORBIDDEN
 
     inserts: list[Pose] = []
     entries: list[RefinementEntry] = []
@@ -291,17 +261,8 @@ def refine_middle_frame(
         if scores[i, c] < cfg.score_threshold:
             continue
         tid = missing[c]
-        next_pose = next_poses[i]
-        if next_pose.track_id is None:
-            next_pose = next_pose.with_track_id(tid)
-            next_poses[i] = next_pose
-            if state is not None:
-                for track in state.active:
-                    if track.track_id == tid:
-                        track.last_pose = next_pose
-                        track.misses = 0
-                        break
-        inserts.append(_average_pose(prev_by_id[tid], next_pose, tid, topo.joint_count))
+        next_poses[i] = next_poses[i].with_track_id(tid)  # it had none or this one
+        inserts.append(_average_pose(prev_by_id[tid], next_poses[i], tid, topo.joint_count))
         entries.append(RefinementEntry(frame_mid.frame_index, tid))
 
     new_mid = replace(frame_mid, poses=tuple(list(frame_mid.poses) + inserts))
@@ -309,12 +270,78 @@ def refine_middle_frame(
     return new_mid, new_next, entries
 
 
-def _finalize_pending(state: TrackState, frame: FramePoses) -> FramePoses:
-    poses = [
-        p if p.track_id is not None else state.new_track(p)
-        for p in frame.poses
-    ]
-    return replace(frame, poses=tuple(poses))
+class Tracker:
+    """Online tracker: ``push`` frames in order, then ``finish``.
+
+    ``tracks`` maps each live track's id to its ``Track``, oldest first;
+    ``refinement_log`` lists every insertion so far.
+    """
+
+    def __init__(
+        self,
+        topology: SkeletonTopology,
+        cfg: TrackerConfig,
+        flow_source: Optional[SequenceFlowSource] = None,
+    ):
+        cfg.validate()
+        self.topology = topology
+        self.cfg = cfg
+        if flow_source is None:
+            flow_source = _PushedFrames(Sequence((), topology), cfg.encoder)
+        self.flow_source = flow_source
+        self.tracks: dict[int, Track] = {}
+        self.refinement_log: list[RefinementEntry] = []
+        self._next_id = 0
+        self._inputs: list[FramePoses] = []  # the last two NMS'd input frames
+        self._outputs: list[FramePoses] = []  # the last two labelled frames
+
+    def push(self, frame: FramePoses) -> list[FramePoses]:
+        """Run one step on ``frame``; return the frames that became final."""
+        if self._inputs and frame.frame_index <= self._inputs[-1].frame_index:
+            raise ValueError(
+                f"frame index {frame.frame_index} pushed after {self._inputs[-1].frame_index}; "
+                "indices must increase"
+            )
+        topo, cfg = self.topology, self.cfg
+        frame = suppress_duplicate_joints(frame, cfg.nms_radius, topo.joint_count)
+        earlier = self._inputs
+        grid = self.flow_source.grid(frame, earlier[-1]) if earlier else None
+        labeled = match_frames(frame, list(self.tracks.values()), grid, topo, cfg)
+        if cfg.refine and len(earlier) == 2:
+            grid2 = self.flow_source.grid(frame, earlier[0])
+            prev, mid = self._outputs
+            mid, labeled, entries = refine_middle_frame(prev, mid, labeled, grid2, topo, cfg)
+            self._outputs[1] = mid
+            self.refinement_log.extend(entries)
+        self._inputs = (earlier + [frame])[-2:]
+        self._outputs = (self._outputs + [self._update_tracks(labeled)])[-2:]
+        # With refinement on, the next step may still insert poses at t.
+        return self._outputs[-2:-1] if cfg.refine else self._outputs[-1:]
+
+    def finish(self) -> list[FramePoses]:
+        """Return the frames that no ``push`` has returned yet."""
+        rest = self._outputs[-1:] if self.cfg.refine else []
+        self._inputs, self._outputs = [], []
+        return rest
+
+    def _update_tracks(self, frame: FramePoses) -> FramePoses:
+        """The step's bookkeeping: the one place where tracks change."""
+        labeled = {p.track_id: p for p in frame.poses if p.track_id is not None}
+        for track in self.tracks.values():
+            if track.track_id in labeled:
+                track.last_pose = labeled[track.track_id]
+                track.misses = 0
+            else:
+                track.misses += 1
+        poses = []
+        for pose in frame.poses:
+            if pose.track_id is None:
+                pose = pose.with_track_id(self._next_id)
+                self.tracks[self._next_id] = Track(self._next_id, pose)
+                self._next_id += 1
+            poses.append(pose)
+        self.tracks = {tid: t for tid, t in self.tracks.items() if t.misses < 2}
+        return replace(frame, poses=tuple(poses))
 
 
 def track_sequence(
@@ -328,30 +355,7 @@ def track_sequence(
     default flow source). Deterministic: identical inputs and config give
     an identical result.
     """
-    cfg.validate()
-    topo = seq.topology
-    frames = [
-        suppress_duplicate_joints(f, cfg.nms_radius, topo.joint_count) for f in seq.frames
-    ]
-    if not frames:
-        return TrackedSequence(frames=(), refinement_log=(), topology=topo)
-    if flow_source is None:
-        flow_source = SequenceFlowSource(Sequence(tuple(frames), topo), cfg.encoder)
-
-    state = TrackState()
-    results: list[FramePoses] = []
-    log: list[RefinementEntry] = []
-    for t, frame in enumerate(frames):
-        grid = flow_source.grid(t, t - 1) if t > 0 else None
-        results.append(match_frames(state, frame, grid, topo, cfg, defer_new=True))
-        if cfg.refine and t >= 2:
-            grid2 = flow_source.grid(t, t - 2)
-            mid, nxt, entries = refine_middle_frame(
-                results[t - 2], results[t - 1], results[t], grid2, topo, cfg, state
-            )
-            results[t - 1] = mid
-            results[t] = nxt
-            log.extend(entries)
-        results[t] = _finalize_pending(state, results[t])
-        state.cull()
-    return TrackedSequence(frames=tuple(results), refinement_log=tuple(log), topology=topo)
+    tracker = Tracker(seq.topology, cfg, flow_source)
+    frames = [final for frame in seq.frames for final in tracker.push(frame)]
+    frames += tracker.finish()
+    return TrackedSequence(tuple(frames), tuple(tracker.refinement_log), seq.topology)

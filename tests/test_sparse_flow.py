@@ -7,7 +7,7 @@ and its per-pair oracle, to agree bit for bit (``np.array_equal``).
 """
 
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limbflow.encoder import EncoderConfig, LimbStrokes, limb_strokes
+from limbflow.encoder import EncoderConfig, limb_strokes
 from limbflow.fileio import serialize_annotations
 from limbflow import scoring
 from limbflow.pose import JointCandidate, Pose
@@ -306,20 +306,3 @@ def test_tracking_is_identical_on_strokes_and_rasterized_grids(seed, people, mot
     dense = track_sequence(cand, cfg, _DenseFlowSource(gt, enc))
     assert serialize_annotations(sparse) == serialize_annotations(dense)
     assert sparse.refinement_log == dense.refinement_log
-
-
-def test_flow_source_cache_stays_small_on_a_long_sequence():
-    # 59 + 58 frame pairs: kept as dense 640x480 grids they would take
-    # ~10 GB, and kept as strokes ~6 MB. Only the current window stays.
-    scene = SceneConfig(people=4, frames=60, image_size=(640, 480), motion="wander", seed=3)
-    gt = generate_sequence(scene)
-    source = SequenceFlowSource(gt, EncoderConfig())
-    out = track_sequence(apply_corruption(gt, scene), TrackerConfig(), source)
-    assert len(out.frames) == 60
-    cached = [
-        getattr(strokes, f.name)
-        for strokes in source._cache.values()
-        for f in fields(LimbStrokes)
-    ]
-    assert source._cache
-    assert sum(a.nbytes for a in cached if isinstance(a, np.ndarray)) < 1 << 20

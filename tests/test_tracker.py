@@ -13,9 +13,8 @@ from limbflow.scoring import ScoreConfig
 from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import (
     SequenceFlowSource,
+    Tracker,
     TrackerConfig,
-    TrackState,
-    match_frames,
     refine_middle_frame,
     suppress_duplicate_joints,
     track_sequence,
@@ -96,34 +95,41 @@ def _grid_for(fl, fe, pairing):
     return encode_limb_flow(fl, fe, pairing, TOPO, CFG.encoder)
 
 
+def _push_all(frames, cfg=CFG, flow_source=None):
+    """Push ``frames`` into a fresh tracker; the tracker and its output."""
+    tracker = Tracker(TOPO, cfg, flow_source)
+    out = [final for f in frames for final in tracker.push(f)]
+    return tracker, out + tracker.finish()
+
+
+def _ids(f):
+    return [p.track_id for p in f.poses]
+
+
 def test_static_person_keeps_id():
     p = stick_pose(70, 60)
-    f0, f1 = frame([p], 0), frame([p], 1)
-    state = TrackState()
-    out0 = match_frames(state, f0, None, TOPO, CFG)
-    out1 = match_frames(state, f1, _grid_for(f1, f0, [(0, 0)]), TOPO, CFG)
-    assert out0.poses[0].track_id == 0
-    assert out1.poses[0].track_id == 0
+    _, (out0, out1) = _push_all([frame([p], 0), frame([p], 1)])
+    assert _ids(out0) == [0]
+    assert _ids(out1) == [0]
 
 
 def test_new_pose_gets_fresh_id():
     p = stick_pose(70, 60)
     q = translate_pose(p, 60, 0)
-    state = TrackState()
-    match_frames(state, frame([p], 0), None, TOPO, CFG)
-    out = match_frames(state, frame([p, q], 1), _grid_for(frame([p, q], 1), frame([p], 0), [(0, 0)]), TOPO, CFG)
-    assert {pose.track_id for pose in out.poses} == {0, 1}
+    _, (_, out) = _push_all([frame([p], 0), frame([p, q], 1)])
+    assert set(_ids(out)) == {0, 1}
 
 
 def test_absent_person_track_retained_then_retired():
     p = stick_pose(70, 60)
-    state = TrackState()
-    match_frames(state, frame([p], 0), None, TOPO, CFG)
-    empty = frame([], 1)
-    match_frames(state, empty, _grid_for(empty, frame([p], 0), []), TOPO, CFG)
-    assert [t.misses for t in state.active] == [1]  # still active, one miss
-    match_frames(state, frame([], 2), None, TOPO, CFG)
-    assert state.active == []  # second miss retires
+    tracker = Tracker(TOPO, CFG)
+    tracker.push(frame([p], 0))
+    tracker.push(frame([], 1))
+    assert [t.misses for t in tracker.tracks.values()] == [1]  # still active, one miss
+    tracker.push(frame([], 2))
+    assert tracker.tracks == {}  # second miss retires
+    *_, back = _push_all([frame([p], 0), frame([], 1), frame([], 2), frame([p], 3)])[1]
+    assert _ids(back) == [1]  # a retired id never returns
 
 
 def test_crossing_with_true_flow_keeps_identities():
@@ -141,10 +147,10 @@ def test_crossing_with_true_flow_keeps_identities():
 def test_match_threshold_blocks_weak_links():
     p = stick_pose(70, 60)
     far = translate_pose(p, 120, 40)  # distance term ~ exp(-126/32) ~ 0.02
-    state = TrackState()
-    match_frames(state, frame([p], 0), None, TOPO, CFG)
-    out = match_frames(state, frame([far], 1), _grid_for(frame([far], 1), frame([p], 0), []), TOPO, CFG)
-    assert out.poses[0].track_id == 1  # fresh id, no link
+    # The ground truth pairs nobody, so the flow map is empty, as before.
+    gt = Sequence((frame([p.with_track_id(0)], 0), frame([far.with_track_id(1)], 1)), TOPO)
+    _, (_, out) = _push_all([frame([p], 0), frame([far], 1)], flow_source=SequenceFlowSource(gt, CFG.encoder))
+    assert _ids(out) == [1]  # fresh id, no link
 
 
 # ------------------------------------------------------------ refinement
@@ -205,13 +211,18 @@ def test_refine_never_relabels_existing():
 
 
 def test_refine_receives_unlabeled_next_pose():
-    fprev, fmid, fnext, grid2 = _three_frame_setup()
-    unlabeled = frame([fnext.poses[0].with_track_id(None)], 2)
-    state = TrackState()
-    state.next_id = 1
-    mid, nxt, entries = refine_middle_frame(fprev, fmid, unlabeled, grid2, TOPO, CFG, state)
-    assert len(entries) == 1
-    assert nxt.poses[0].track_id == 0  # received the old id
+    fprev, fmid, fnext, _ = _three_frame_setup()
+    frames = [replace(f, poses=tuple(p.with_track_id(None) for p in f.poses)) for f in (fprev, fmid, fnext)]
+    # At this threshold the stride-1 match of the t+1 pose (no flow: nobody
+    # is at t) fails and the stride-2 link (flow plus distance) clears it.
+    cfg = replace(CFG, score_threshold=0.5)
+    unrefined = _push_all(frames, replace(cfg, refine=False))[1]
+    assert _ids(unrefined[2]) == [1]
+    tracker, out = _push_all(frames, cfg)
+    assert len(tracker.refinement_log) == 1
+    assert _ids(out[2]) == [0]  # received the old id
+    assert tracker.tracks[0].last_pose == out[2].poses[0]
+    assert tracker.tracks[0].misses == 0
 
 
 # ------------------------------------------------------------ sequences
@@ -370,3 +381,77 @@ def test_evaluate_ignores_the_order_of_input_poses(scene, oracle, order_seed):
     gt, out = _track(scene, oracle)
     _, permuted = _track(scene, oracle, poses_order=rng.permutation)
     assert repr(evaluate(gt, permuted)) == repr(evaluate(gt, out))
+
+
+@given(scene=synth_scenes, oracle=st.booleans(), refine=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_push_returns_each_frame_once_in_order_and_equals_track_sequence(scene, oracle, refine):
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+    cfg = replace(CFG, refine=refine)
+
+    def source():
+        return SequenceFlowSource(gt, cfg.encoder) if oracle else None
+
+    tracker = Tracker(cand.topology, cfg, source())
+    out: list = []
+    for t, f in enumerate(cand.frames):
+        out += tracker.push(f)
+        # Frames come out in input order, each no later than one push
+        # after it went in.
+        assert [g.frame_index for g in out] == [g.frame_index for g in cand.frames[: len(out)]]
+        assert t <= len(out) <= t + 1
+        # Flat memory in sequence length: two frames each way at most.
+        assert len(tracker._inputs) <= 2 and len(tracker._outputs) <= 2
+    out += tracker.finish()
+    assert [f.frame_index for f in out] == [f.frame_index for f in cand.frames]
+    whole = track_sequence(cand, cfg, source())
+    assert serialize_annotations(Sequence(tuple(out), cand.topology)) == serialize_annotations(whole)
+    assert tuple(tracker.refinement_log) == whole.refinement_log
+
+
+def test_push_rejects_a_frame_index_that_does_not_increase():
+    tracker = Tracker(TOPO, CFG)
+    tracker.push(frame([stick_pose(60, 60)], 3))
+    for index in (3, 2):
+        with pytest.raises(ValueError, match=f"frame index {index} pushed after 3; indices must increase"):
+            tracker.push(frame([stick_pose(60, 60)], index))
+
+
+def _scene_and_truth():
+    scene = SceneConfig(people=2, frames=4, image_size=(192, 144), motion="crossing", speed=6, seed=2)
+    gt = generate_sequence(scene)
+    return apply_corruption(gt, scene), gt
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # shifted indices: frame 0 is missing from the reference
+        (lambda f: replace(f, frame_index=f.frame_index + 1), "lacks frame 0"),
+        # a reference one frame short
+        (lambda f: None if f.frame_index == 3 else f, "lacks frame 3"),
+        (lambda f: replace(f, image_size=(96, 72)), r"frame 1 has image_size \(96, 72\), not \(192, 144\)"),
+    ],
+    ids=["shifted", "shorter", "resized"],
+)
+def test_mismatched_flow_reference_rejected(edit, message):
+    cand, gt = _scene_and_truth()
+    ref = Sequence(tuple(g for g in map(edit, gt.frames) if g is not None), gt.topology)
+    with pytest.raises(ValueError, match=message):
+        track_sequence(cand, CFG, SequenceFlowSource(ref, CFG.encoder))
+
+
+def test_flow_reference_is_read_by_frame_index():
+    # A reference holding more frames than the input is read at the
+    # input's frame indices, not at its positions.
+    scene = SceneConfig(people=3, frames=6, image_size=(192, 144), motion="crossing", speed=12, seed=0)
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+
+    def without_frame_2(seq):
+        return replace(seq, frames=tuple(f for f in seq.frames if f.frame_index != 2))
+
+    full = track_sequence(without_frame_2(cand), CFG, SequenceFlowSource(gt, CFG.encoder))
+    exact = track_sequence(without_frame_2(cand), CFG, SequenceFlowSource(without_frame_2(gt), CFG.encoder))
+    assert serialize_annotations(full) == serialize_annotations(exact)
