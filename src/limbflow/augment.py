@@ -33,12 +33,14 @@ class StrideConfig:
     def validate(self) -> None:
         if self.max_stride < 1:
             raise ValueError("max_stride must be >= 1")
+        if not all(math.isfinite(s) for s in self.scale_range):
+            raise ValueError("scale_range must be finite")
         if self.scale_range[0] > self.scale_range[1]:
             raise ValueError("scale_range min must be <= max")
         if self.scale_range[0] <= 0:
             raise ValueError("scale must be positive")
-        if self.rotation_range < 0:
-            raise ValueError("rotation_range must be >= 0")
+        if not (0 <= self.rotation_range < math.inf):
+            raise ValueError("rotation_range must be finite and >= 0")
         if self.crop_size[0] < 1 or self.crop_size[1] < 1:
             raise ValueError("crop_size must be positive")
 

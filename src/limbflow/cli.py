@@ -2,7 +2,12 @@
 
 One binary with subcommands. Options can come from a ``key = value``
 config file (``--config``); explicit flags win over the file, which wins
-over built-in defaults. Exit codes: 0 ok, 1 usage, 2 I/O, 3 validation.
+over built-in defaults. The keys are the fields of the component configs
+(``ScoreConfig``, ``EncoderConfig``, ``TrackerConfig``, ``StrideConfig``,
+``SceneConfig``), a pair field split into one key per element, and each
+value must have its field's type: ``refine = False``, not ``false``; an
+int field takes no float or bool, a float field takes an int. Exit codes:
+0 ok, 1 usage, 2 I/O, 3 validation.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, Field, asdict, fields
 
 from . import augment as augment_mod
 from . import fileio, metrics, synth
@@ -36,105 +41,84 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Flat bag of every pipeline option, file-loadable."""
+# The component configs; their scalar fields are the run options, in this order.
+_COMPONENTS = (ScoreConfig, EncoderConfig, TrackerConfig, augment_mod.StrideConfig, synth.SceneConfig)
+# The fields whose keys differ from their names; a pair field has a key per element.
+_RENAMED = {
+    "rng_seed": ("seed",),
+    "scale_range": ("scale_min", "scale_max"),
+    "crop_size": ("crop_width", "crop_height"),
+    "image_size": ("image_width", "image_height"),
+    "motion": ("preset",),
+}
 
-    # scoring
-    alpha: float = ScoreConfig.alpha
-    integral_samples: int = ScoreConfig.integral_samples
-    distance_scale: float = ScoreConfig.distance_scale
-    bilinear: bool = ScoreConfig.bilinear
-    # encoder
-    parts_per_limb: int = EncoderConfig.parts_per_limb
-    stroke_half_width: float = EncoderConfig.stroke_half_width
-    epsilon_motion: float = EncoderConfig.epsilon_motion
-    layout: str = EncoderConfig.layout
-    grid_stride: int = EncoderConfig.grid_stride
-    # tracker
-    score_threshold: float = TrackerConfig.score_threshold
-    nms_radius: float = TrackerConfig.nms_radius
-    refine: bool = TrackerConfig.refine
-    # stride sampling / augmentation
-    max_stride: int = augment_mod.StrideConfig.max_stride
-    scale_min: float = augment_mod.StrideConfig.scale_range[0]
-    scale_max: float = augment_mod.StrideConfig.scale_range[1]
-    rotation_range: float = augment_mod.StrideConfig.rotation_range
-    crop_width: int = augment_mod.StrideConfig.crop_size[0]
-    crop_height: int = augment_mod.StrideConfig.crop_size[1]
-    # synthetic scenes
-    people: int = synth.SceneConfig.people
-    frames: int = synth.SceneConfig.frames
-    image_width: int = synth.SceneConfig.image_size[0]
-    image_height: int = synth.SceneConfig.image_size[1]
-    preset: str = synth.SceneConfig.motion
-    speed: float = synth.SceneConfig.speed
-    jitter_sigma: float = synth.SceneConfig.jitter_sigma
-    dropout_prob: float = synth.SceneConfig.dropout_prob
-    seed: int = synth.SceneConfig.seed
+
+def _scalar_fields(component) -> list[tuple[Field, tuple[str, ...]]]:
+    """The component's fields other than its nested configs, each with its keys."""
+    return [(f, _RENAMED.get(f.name, (f.name,))) for f in fields(component) if f.default is not MISSING]
+
+
+_DEFAULTS: dict[str, object] = {
+    key: value
+    for component in _COMPONENTS
+    for f, keys in _scalar_fields(component)
+    for key, value in zip(keys, f.default if len(keys) > 1 else (f.default,))
+}
+
+
+class RunConfig:
+    """Every pipeline option under its flat key, file-loadable.
+
+    A key that two components share (``epsilon_motion``, ``seed``) sets both.
+    """
+
+    def __init__(self) -> None:
+        self.values = dict(_DEFAULTS)
+
+    def set(self, key: str, value: object) -> None:
+        """Set ``key``; its value must have the type of the key's default."""
+        if key not in _DEFAULTS:
+            raise ValueError(f"unknown config key {key!r}")
+        kind = type(_DEFAULTS[key])
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind:  # so a bool is no int, and "false" no bool
+            raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+        self.values[key] = value
 
     def load_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             data = parse_keyvalue(fh.read())
-        known = {f.name: f.type for f in fields(self)}
         for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(self, key, value)
+            self.set(key, value)
 
     def apply_args(self, args: argparse.Namespace) -> None:
-        for f in fields(self):
-            value = getattr(args, f.name, None)
+        for key in _DEFAULTS:
+            value = getattr(args, key, None)
             if value is not None:
-                setattr(self, f.name, value)
+                self.set(key, value)
+
+    def _build(self, component, **nested):
+        kwargs = {}
+        for f, keys in _scalar_fields(component):
+            values = tuple(self.values[key] for key in keys)
+            kwargs[f.name] = values if len(keys) > 1 else values[0]
+        return component(**kwargs, **nested)
 
     def encoder(self) -> EncoderConfig:
-        return EncoderConfig(
-            parts_per_limb=int(self.parts_per_limb),
-            stroke_half_width=float(self.stroke_half_width),
-            epsilon_motion=float(self.epsilon_motion),
-            layout=str(self.layout),
-            grid_stride=int(self.grid_stride),
-        )
+        return self._build(EncoderConfig)
 
     def score(self) -> ScoreConfig:
-        return ScoreConfig(
-            alpha=float(self.alpha),
-            integral_samples=int(self.integral_samples),
-            distance_scale=float(self.distance_scale),
-            bilinear=bool(self.bilinear),
-            epsilon_motion=float(self.epsilon_motion),
-        )
+        return self._build(ScoreConfig)
 
     def tracker(self) -> TrackerConfig:
-        return TrackerConfig(
-            score_threshold=float(self.score_threshold),
-            nms_radius=float(self.nms_radius),
-            refine=bool(self.refine),
-            score=self.score(),
-            encoder=self.encoder(),
-        )
+        return self._build(TrackerConfig, score=self.score(), encoder=self.encoder())
 
     def stride(self) -> augment_mod.StrideConfig:
-        return augment_mod.StrideConfig(
-            max_stride=int(self.max_stride),
-            rng_seed=int(self.seed),
-            scale_range=(float(self.scale_min), float(self.scale_max)),
-            rotation_range=float(self.rotation_range),
-            crop_size=(int(self.crop_width), int(self.crop_height)),
-        )
+        return self._build(augment_mod.StrideConfig)
 
     def scene(self) -> synth.SceneConfig:
-        return synth.SceneConfig(
-            people=int(self.people),
-            frames=int(self.frames),
-            image_size=(int(self.image_width), int(self.image_height)),
-            motion=str(self.preset),
-            speed=float(self.speed),
-            jitter_sigma=float(self.jitter_sigma),
-            dropout_prob=float(self.dropout_prob),
-            seed=int(self.seed),
-        )
+        return self._build(synth.SceneConfig)
 
     def validate(self) -> None:
         self.tracker().validate()
@@ -230,12 +214,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     for i in range(args.samples):
         sample = augment_mod.draw_augmented_pair(frames, stride_cfg, i)
         out_path = os.path.join(args.out_dir, f"sample_{i:04d}.json")
-        pair_frames = sample.frames
-        if pair_frames[0].frame_index == pair_frames[1].frame_index:  # pragma: no cover
-            raise ValueError("sample frames must differ")
-        fileio.write_annotations(
-            Sequence(frames=pair_frames, topology=seq.topology), out_path
-        )
+        fileio.write_annotations(Sequence(frames=sample.frames, topology=seq.topology), out_path)
         manifest.append(
             {
                 "sample": i,
@@ -258,35 +237,34 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names: list[str]) -> None:
-    spec = {
-        "alpha": (float, "flow/distance mixing weight in [0,1]; 0 = distance only"),
-        "integral_samples": (int, "line-integral sample count"),
-        "distance_scale": (float, "pixels; distance-to-similarity scale"),
-        "parts_per_limb": (int, "limb subdivisions per stroke"),
-        "stroke_half_width": (float, "stroke half width in pixels"),
-        "layout": (str, "flow-map layout: individual | accumulated"),
-        "grid_stride": (int, "pixels per grid cell"),
-        "score_threshold": (float, "minimum association score for a link"),
-        "nms_radius": (float, "joint NMS radius in pixels"),
-        "max_stride": (int, "largest sampled frame interval"),
-        "scale_min": (float, "augmentation scale lower bound"),
-        "scale_max": (float, "augmentation scale upper bound"),
-        "rotation_range": (float, "augmentation rotation range, degrees"),
-        "crop_width": (int, "augmentation crop width"),
-        "crop_height": (int, "augmentation crop height"),
-        "people": (int, "people per synthetic scene"),
-        "frames": (int, "frames per synthetic scene"),
-        "image_width": (int, "scene width, pixels"),
-        "image_height": (int, "scene height, pixels"),
-        "preset": (str, "motion preset: static | crossing | wander | occlusion-middle"),
-        "speed": (float, "pixels per frame"),
-        "jitter_sigma": (float, "candidate coordinate noise, pixels"),
-        "dropout_prob": (float, "per-pose dropout probability"),
-        "seed": (int, "RNG seed"),
+    spec = {  # help texts; each flag has the type of its key's default
+        "alpha": "flow/distance mixing weight in [0,1]; 0 = distance only",
+        "integral_samples": "line-integral sample count",
+        "distance_scale": "pixels; distance-to-similarity scale",
+        "parts_per_limb": "limb subdivisions per stroke",
+        "stroke_half_width": "stroke half width in pixels",
+        "layout": "flow-map layout: individual | accumulated",
+        "grid_stride": "pixels per grid cell",
+        "score_threshold": "minimum association score for a link",
+        "nms_radius": "joint NMS radius in pixels",
+        "max_stride": "largest sampled frame interval",
+        "scale_min": "augmentation scale lower bound",
+        "scale_max": "augmentation scale upper bound",
+        "rotation_range": "augmentation rotation range, degrees",
+        "crop_width": "augmentation crop width",
+        "crop_height": "augmentation crop height",
+        "people": "people per synthetic scene",
+        "frames": "frames per synthetic scene",
+        "image_width": "scene width, pixels",
+        "image_height": "scene height, pixels",
+        "preset": "motion preset: static | crossing | wander | occlusion-middle",
+        "speed": "pixels per frame",
+        "jitter_sigma": "candidate coordinate noise, pixels",
+        "dropout_prob": "per-pose dropout probability",
+        "seed": "RNG seed",
     }
     for name in names:
-        typ, help_text = spec[name]
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None, help=help_text)
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(_DEFAULTS[name]), default=None, help=spec[name])
 
 
 def build_parser() -> _Parser:

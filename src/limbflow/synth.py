@@ -55,10 +55,10 @@ class SceneConfig:
             raise ValueError(f"unknown motion preset {self.motion!r}")
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError("dropout_prob must be in [0, 1]")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
+        if not (0 <= self.jitter_sigma < math.inf):
+            raise ValueError("jitter_sigma must be finite and >= 0")
+        if not (0 <= self.speed < math.inf):
+            raise ValueError("speed must be finite and >= 0")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

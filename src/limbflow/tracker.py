@@ -232,8 +232,9 @@ def refine_middle_frame(
     For every track id present at t-1 and absent at t, its t-1 pose is
     associated against the t+1 poses via the stride-2 flow map (drawn
     over (t+1, t-1)). A link clearing the score threshold is honored when
-    the t+1 pose already carries the same id, or is still unlabeled, in
-    which case it receives the id. The joint-wise average of the two
+    the t+1 pose already carries the same id, or is still unlabeled and no
+    t+1 pose carries the id, in which case it receives the id, so ids stay
+    unique within a frame. The joint-wise average of the two
     neighbor poses is then inserted at t. Existing poses are never deleted
     or relabeled, only inserted; a person absent at t+1 as well simply
     cannot be refined.
@@ -250,9 +251,12 @@ def refine_middle_frame(
         list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
     )
     scores = matrix.scores.copy()
+    held = {p.track_id for p in frame_next.poses if p.track_id is not None}
     for i, pose in enumerate(frame_next.poses):
         if pose.track_id is not None:  # a labelled pose may take only its own id
             scores[i, [tid != pose.track_id for tid in missing]] = FORBIDDEN
+        else:  # an unlabelled one only an id that no pose at t+1 holds
+            scores[i, [tid in held for tid in missing]] = FORBIDDEN
 
     inserts: list[Pose] = []
     entries: list[RefinementEntry] = []

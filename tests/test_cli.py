@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from limbflow.augment import StrideConfig
-from limbflow.cli import RunConfig, main
+from limbflow.cli import RunConfig, build_parser, main
 from limbflow.fileio import read_annotations
 from limbflow.synth import SceneConfig
 from limbflow.tracker import TrackerConfig
@@ -311,3 +311,162 @@ def test_eval_rejects_a_bad_pckh_factor(tmp_path, capsys, factor):
     captured = capsys.readouterr()
     assert "MOTA" not in captured.out
     assert "thresh_factor" in captured.err
+
+
+# Every subcommand's options, in parser order: (option strings, dest, type,
+# default). The run options' types come from the component configs' field
+# defaults; this table pins what the parser makes of them.
+PARSER_OPTIONS = {
+    "synth": [
+        ("--config", "config", None, None),
+        ("--topology", "topology", None, None),
+        ("--out", "out", None, None),
+        ("--gt-out", "gt_out", None, None),
+        ("--people", "people", int, None),
+        ("--frames", "frames", int, None),
+        ("--image-width", "image_width", int, None),
+        ("--image-height", "image_height", int, None),
+        ("--preset", "preset", str, None),
+        ("--speed", "speed", float, None),
+        ("--jitter-sigma", "jitter_sigma", float, None),
+        ("--dropout-prob", "dropout_prob", float, None),
+        ("--seed", "seed", int, None),
+    ],
+    "encode": [
+        ("--config", "config", None, None),
+        ("--topology", "topology", None, None),
+        ("--in", "in_path", None, None),
+        ("--t1", "t1", int, None),
+        ("--t2", "t2", int, None),
+        ("--out", "out", None, None),
+        ("--parts-per-limb", "parts_per_limb", int, None),
+        ("--stroke-half-width", "stroke_half_width", float, None),
+        ("--layout", "layout", str, None),
+        ("--grid-stride", "grid_stride", int, None),
+    ],
+    "track": [
+        ("--config", "config", None, None),
+        ("--topology", "topology", None, None),
+        ("--in", "in_path", None, None),
+        ("--out", "out", None, None),
+        ("--log-out", "log_out", None, None),
+        ("--flow-from", "flow_from", None, None),
+        ("--alpha", "alpha", float, None),
+        ("--integral-samples", "integral_samples", int, None),
+        ("--distance-scale", "distance_scale", float, None),
+        ("--score-threshold", "score_threshold", float, None),
+        ("--nms-radius", "nms_radius", float, None),
+        ("--parts-per-limb", "parts_per_limb", int, None),
+        ("--stroke-half-width", "stroke_half_width", float, None),
+        ("--layout", "layout", str, None),
+        ("--grid-stride", "grid_stride", int, None),
+        ("--refine", "refine", None, None),
+        ("--no-refine", "refine", None, True),
+    ],
+    "eval": [
+        ("--config", "config", None, None),
+        ("--topology", "topology", None, None),
+        ("--gt", "gt", None, None),
+        ("--pred", "pred", None, None),
+        ("--report-out", "report_out", None, None),
+        ("--pckh-factor", "pckh_factor", float, 0.5),
+    ],
+    "augment": [
+        ("--config", "config", None, None),
+        ("--topology", "topology", None, None),
+        ("--in", "in_path", None, None),
+        ("--out-dir", "out_dir", None, None),
+        ("--samples", "samples", int, 16),
+        ("--max-stride", "max_stride", int, None),
+        ("--scale-min", "scale_min", float, None),
+        ("--scale-max", "scale_max", float, None),
+        ("--rotation-range", "rotation_range", float, None),
+        ("--crop-width", "crop_width", int, None),
+        ("--crop-height", "crop_height", int, None),
+        ("--seed", "seed", int, None),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        name: [("/".join(a.option_strings), a.dest, a.type, a.default) for a in p._actions if a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+    assert options == PARSER_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("track", "refine = false"),  # a bare string: it used to turn refinement on
+        ("track", "bilinear = false"),
+        ("synth", "people = 2.7"),  # an int key used to truncate a float
+        ("synth", "frames = True"),
+        ("track", "grid_stride = 2.9"),
+    ],
+)
+def test_config_file_value_of_the_wrong_type_exits_3(tmp_path, capsys, command, line):
+    ann = _synth_scene(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.json"
+    args = {"track": ["track", "--in", ann], "synth": ["synth"]}[command]
+    capsys.readouterr()
+    assert run([*args, "--config", cfg, "--out", out]) == 3
+    assert not out.exists()
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+
+
+def test_config_file_refine_false_disables_refinement(tmp_path):
+    ann = tmp_path / "cand.json"
+    assert run([
+        "synth", "--out", ann, "--preset", "occlusion-middle", "--seed", "4",
+        "--people", "2", "--frames", "9", "--speed", "8",
+        "--image-width", "192", "--image-height", "120",
+    ]) == 0
+    base = ["track", "--in", ann, "--flow-from", tmp_path / "cand.json.gt.json", "--out", tmp_path / "t.json"]
+    log = tmp_path / "log.json"
+    assert run([*base, "--log-out", log]) == 0
+    assert len(json.loads(log.read_text())) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("refine = False\n")
+    assert run([*base, "--log-out", log, "--config", cfg]) == 0
+    assert json.loads(log.read_text()) == []
+
+
+def test_config_file_keys_take_their_field_types(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("speed = 3\nseed = 7\nscale_max = 2\n")
+    cfg = RunConfig()
+    cfg.load_file(str(path))
+    scene, stride = cfg.scene(), cfg.stride()
+    assert type(scene.speed) is float and scene.speed == 3.0  # a float key takes an int
+    assert type(stride.scale_range[1]) is float
+    assert scene.seed == stride.rng_seed == 7  # a shared key sets both configs
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("synth", "--jitter-sigma", "nan", "jitter_sigma"),  # wrote the bytes of sigma 0
+        ("synth", "--jitter-sigma", "inf", "jitter_sigma"),  # wrote "confidence":NaN
+        ("synth", "--speed", "nan", "speed"),
+        ("synth", "--speed", "inf", "speed"),  # crashed with an OverflowError
+        ("augment", "--rotation-range", "nan", "rotation_range"),
+        ("augment", "--rotation-range", "inf", "rotation_range"),
+        ("augment", "--scale-min", "nan", "scale_range"),
+        ("augment", "--scale-max", "inf", "scale_range"),
+    ],
+)
+def test_non_finite_scene_and_stride_values_exit_3(tmp_path, capsys, command, flag, value, field):
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--out", out],
+        "augment": ["augment", "--in", _synth_scene(tmp_path), "--out-dir", out],
+    }[command]
+    capsys.readouterr()
+    assert run([*args, flag, value]) == 3
+    assert not out.exists()
+    assert field in capsys.readouterr().err

@@ -225,6 +225,19 @@ def test_refine_receives_unlabeled_next_pose():
     assert tracker.tracks[0].misses == 0
 
 
+def test_refine_gives_no_unlabelled_pose_an_id_held_at_the_next_frame():
+    # Track 2 skips frame 4 and the match at frame 5 gives it back to one
+    # pose; refinement also handed it to an unlabelled pose: [1, 2, 0, 2].
+    scene = SceneConfig(
+        people=4, frames=6, image_size=(192, 144), motion="occlusion-middle",
+        speed=12.0, dropout_prob=0.5, seed=1090,
+    )
+    _, out = _track(scene, oracle=False)
+    assert (4, 2) in [(e.frame_index, e.track_id) for e in out.refinement_log]
+    for f in out.frames:
+        assert len(_ids(f)) == len(set(_ids(f))), f.frame_index
+
+
 # ------------------------------------------------------------ sequences
 
 def test_single_frame_sequence():
