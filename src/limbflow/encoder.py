@@ -15,10 +15,10 @@ only in the cells they hand the kernel. A stroke's box holds the cells
 whose centers lie inside the stroke's bounding box widened by the half
 width, clipped to the grid; no other cell can be covered. ``rasterize``
 takes every cell of each stroke's box, and the ``FlowMapGrid`` it
-returns stores the covered-cell table: the keys, means and counts of the
-covered (channel, cell) slots. Its dense planes are built from that
-table only when a caller first reads them, so encoding costs the cells
-the strokes cover, not the grid size. ``values_at`` takes only the
+returns is the covered-cell table: the keys, means and counts of the
+covered (channel, cell) slots, its only storage. A dense plane is built
+from it only for a caller that reads one, so encoding costs the cells the
+strokes cover, not the grid size. ``values_at`` takes only the
 requested cells that fall inside each stroke's box, so its cost follows
 those (stroke, requested cell) candidates, neither the cells the strokes
 cover nor the stroke groups. The two agree bit for bit wherever both
@@ -103,44 +103,49 @@ class FlowmapFormatError(ValueError):
 
 Cells = tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
+_COUNT_MAX = np.iinfo(np.int32).max
 
-@dataclass
+
 class FlowMapGrid:
-    """A finalized flow-map grid.
+    """A finalized flow-map grid, stored as its covered-cell table.
 
-    A grid made by ``from_cells`` (the encoder's and the TMLF version 3
-    reader's) stores its covered-cell table, ``cells``: strictly ascending
-    int64 keys ``channel * height * width + iy * width + ix``, their (n, 2)
-    vectors, and their int32 contributor counts or ``None``. Every slot not
-    listed is the zero vector with count 0. The dense planes are built from
-    the table the first time ``vectors`` or ``counts`` is read, and kept:
-    every later read returns the same arrays, so in-place edits stick.
-    From then on the planes are the grid and ``cells`` is ``None``. If the
-    planes cannot be allocated, the read raises ``FlowmapFormatError`` and
-    the grid keeps its table. A grid constructed with its planes,
+    ``cells`` holds strictly ascending int64 keys
+    ``channel * height * width + iy * width + ix``, their (n, 2) vectors,
+    and their int32 contributor counts or ``None``. Every slot not listed
+    is the zero vector with count 0. ``from_cells`` (the encoder's and the
+    TMLF version 3 reader's) takes a table as it is. The dense constructor,
     ``FlowMapGrid(layout, limb_count, width, height, vectors, counts[,
-    grid_stride])``, has them from the start.
+    grid_stride])``, scans its planes into a table once: the cells with a
+    positive count, including those whose strokes cancelled to (0, 0), or,
+    without counts, every cell whose vector has a bit set. The table keeps
+    the planes' float32 or float64 dtype, so every bit of them survives. A
+    shape mismatch, a count outside [0, 2**31 - 1] or a set bit outside the
+    counted cells raises ``FlowmapFormatError``.
 
-    ``vectors`` has shape (channel_pairs, height, width, 2), float64 in
-    memory (the dump format stores float32); channel_pairs equals
+    ``vectors``, (channel_pairs, height, width, 2) float64, and ``counts``,
+    (channel_pairs, height, width) int32 or ``None``, are read-only: each
+    read builds a new plane from the table, or raises
+    ``FlowmapFormatError`` if it cannot be allocated. channel_pairs equals
     ``limb_count`` for the individual layout and 1 for the accumulated
-    layout. ``counts`` records how many contributions each cell received
-    (per channel); TMLF version 3 stores it, so a read-back carries the
-    encoder's counts, while grids read from version 1 or 2 files carry
-    ``counts=None``. ``limb_count`` always
-    records the source channel count, even after accumulation, so the
-    dump format round-trips bit-exactly.
+    layout. TMLF version 3 stores the counts, so a read-back carries the
+    encoder's counts, while grids read from version 1 or 2 carry none.
+    ``limb_count`` always records the source channel count, even after
+    accumulation, so the dump format round-trips bit-exactly.
     """
 
-    layout: str
-    limb_count: int
-    width: int
-    height: int
-    vectors: np.ndarray
-    counts: Optional[np.ndarray]
-    grid_stride: int = 1
-
-    _cells = None  # unannotated, so not a field: the table, set by from_cells
+    def __init__(
+        self,
+        layout: str,
+        limb_count: int,
+        width: int,
+        height: int,
+        vectors: np.ndarray,
+        counts: Optional[np.ndarray],
+        grid_stride: int = 1,
+    ):
+        self.layout, self.limb_count, self.width, self.height = layout, limb_count, width, height
+        self.grid_stride = grid_stride
+        self.cells = self._scan(np.asarray(vectors), counts)
 
     @classmethod
     def from_cells(
@@ -156,44 +161,61 @@ class FlowMapGrid:
         grid = cls.__new__(cls)
         grid.layout, grid.limb_count, grid.width, grid.height = layout, limb_count, width, height
         grid.grid_stride = grid_stride
-        grid._cells = cells
+        grid.cells = cells
         return grid
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: the planes of a
-        # grid made by from_cells, until the first read of either builds both.
-        if name not in ("vectors", "counts") or self._cells is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.vectors, self.counts = self._planes(*self._cells)
-        self._cells = None
-        return self.__dict__[name]
+    def _scan(self, vectors: np.ndarray, counts: Optional[np.ndarray]) -> Cells:
+        shape = (self.channel_pairs, self.height, self.width)
+        if vectors.shape != shape + (2,):
+            raise FlowmapFormatError(f"vectors shape {vectors.shape} does not match {shape + (2,)}")
+        if vectors.dtype not in (np.float32, np.float64):
+            vectors = vectors.astype(np.float64)
+        vectors = np.ascontiguousarray(vectors).reshape(-1, 2)
+        bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
+        if counts is None:
+            keys = np.flatnonzero(bits.any(axis=1))
+            return keys, vectors[keys], None
+        counts = np.asarray(counts)
+        if counts.shape != shape:
+            raise FlowmapFormatError(f"counts shape {counts.shape} does not match {shape}")
+        if counts.size and not (counts.min() >= 0 and counts.max() <= _COUNT_MAX):
+            raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
+        keys = np.flatnonzero(counts)
+        # A set bit outside the counted cells would be lost, so it is an error.
+        if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
+            raise FlowmapFormatError("a vector lies outside the counted cells")
+        return keys, vectors[keys], counts.reshape(-1)[keys].astype(np.int32)
 
-    def _planes(
-        self, keys: np.ndarray, vectors: np.ndarray, counts: Optional[np.ndarray]
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    @property
+    def vectors(self) -> np.ndarray:
+        keys, vectors, _ = self.cells
+        planes = self._zeros((2,), np.float64)
+        planes.reshape(-1, 2)[keys] = vectors
+        return planes
+
+    @property
+    def counts(self) -> Optional[np.ndarray]:
+        keys, _, counts = self.cells
+        if counts is None:
+            return None
+        plane = self._zeros((), np.int32)
+        plane.reshape(-1)[keys] = counts
+        return plane
+
+    def _zeros(self, tail: tuple[int, ...], dtype) -> np.ndarray:
         shape = (self.channel_pairs, self.height, self.width)
         try:
-            planes = np.zeros(shape + (2,), dtype=np.float64)
-            plane_counts = None if counts is None else np.zeros(shape, dtype=np.int32)
+            return np.zeros(shape + tail, dtype=dtype)
         except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
             raise FlowmapFormatError(
                 f"cannot allocate the declared grid of {' x '.join(map(str, shape))} cells"
             ) from exc
-        planes.reshape(-1, 2)[keys] = vectors
-        if plane_counts is not None:
-            plane_counts.reshape(-1)[keys] = counts
-        return planes, plane_counts
 
-    def __repr__(self) -> str:  # the dataclass repr would build the planes
+    def __repr__(self) -> str:
         return (
             f"FlowMapGrid({self.layout!r}, limb_count={self.limb_count}, "
             f"{self.width}x{self.height} cells, grid_stride={self.grid_stride})"
         )
-
-    @property
-    def cells(self) -> Optional[Cells]:
-        """The covered-cell table, or ``None`` once the grid has planes."""
-        return self._cells
 
     @property
     def channel_pairs(self) -> int:
@@ -204,12 +226,20 @@ class FlowMapGrid:
         return _stored_channel(self.layout, limb_channel)
 
     def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """(m, 2) float64 vectors of one stored channel at in-grid cells."""
-        return self.vectors[channel, iy, ix].astype(np.float64)
+        """(m, 2) float64 vectors of one stored channel at in-grid cells,
+        found by binary search in the table's keys."""
+        keys, vectors, _ = self.cells
+        wanted = np.ravel_multi_index((channel, iy, ix), (self.channel_pairs, self.height, self.width))
+        values = np.zeros(wanted.shape + (2,), dtype=np.float64)
+        if len(keys):
+            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            hit = keys[at] == wanted
+            values[hit] = vectors[at[hit]]
+        return values
 
     def max_norm(self) -> float:
-        vectors = self.vectors if self._cells is None else self._cells[1]
-        return float(np.sqrt((vectors.astype(np.float64) ** 2).sum(axis=-1)).max(initial=0.0))
+        vectors = self.cells[1].astype(np.float64)
+        return float(np.sqrt((vectors**2).sum(axis=-1)).max(initial=0.0))
 
 
 def grid_shape_for(image_size: tuple[int, int], grid_stride: int) -> tuple[int, int]:
@@ -318,16 +348,19 @@ def _ordered_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarra
     return sums
 
 
-def _mean_over_channels(
-    vectors: np.ndarray, contributing: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell, the mean over the leading (channel) axis of the
-    contributing channels, summed in channel order; and their count."""
-    n_chan = contributing.sum(axis=0)
-    sums = np.where(contributing[..., None], vectors, 0.0).sum(axis=0)
-    means = sums / np.maximum(n_chan, 1)[..., None]
-    means[n_chan == 0] = 0.0
-    return means, n_chan
+def _channel_means(
+    key: np.ndarray, vectors: np.ndarray, cells: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending cell keys, with the mean over their contributing channels
+    and its int32 count, from the (n, 2) float64 ``vectors`` at ascending
+    (channel, cell) keys ``channel * cells + cell``.
+
+    Each cell's sum starts at +0.0 and adds its channels in channel order,
+    as a sum over every channel plane would: a sum that starts at +0.0 is
+    never -0.0, so adding a +0.0 plane leaves it as it is."""
+    key, column = np.unique(key % cells, return_inverse=True)
+    n_chan = np.bincount(column, minlength=len(key))
+    return key, _ordered_sums(column, vectors, len(key)) / n_chan[:, None], n_chan.astype(np.int32)
 
 
 # ------------------------------------------------------------ strokes
@@ -419,13 +452,7 @@ class LimbStrokes:
         counts = np.bincount(per_key, minlength=len(key))
         means = _ordered_sums(per_key[group_starts], group_sums, len(key)) / counts[:, None]
         if self.layout == LAYOUT_ACCUMULATED:
-            channel = key // cells
-            key, column = np.unique(key % cells, return_inverse=True)
-            per_channel = np.zeros((self.limb_count, len(key), 2), dtype=np.float64)
-            per_channel[channel, column] = means
-            contributing = np.zeros((self.limb_count, len(key)), dtype=bool)
-            contributing[channel, column] = True
-            means, counts = _mean_over_channels(per_channel, contributing)
+            return _channel_means(key, means, cells)
         return key, means, counts
 
     def rasterize(self) -> FlowMapGrid:
@@ -611,22 +638,15 @@ def accumulate_channels(grid: FlowMapGrid) -> FlowMapGrid:
     """
     if grid.layout != LAYOUT_INDIVIDUAL:
         raise ValueError("accumulate_channels expects an individual-layout grid")
-    if grid.counts is not None:
-        contributing = grid.counts > 0
-    else:
+    keys, vectors, counts = grid.cells
+    if counts is None:
         # Grids read from TMLF version 1 or 2 have no counts; fall back to
         # nonzero vectors.
-        contributing = np.any(grid.vectors != 0, axis=-1)
-    means, n_chan = _mean_over_channels(grid.vectors.astype(np.float64), contributing)
-    return FlowMapGrid(
-        layout=LAYOUT_ACCUMULATED,
-        limb_count=grid.limb_count,
-        width=grid.width,
-        height=grid.height,
-        vectors=means[None, ...],
-        counts=n_chan[None, ...].astype(np.int32),
-        grid_stride=grid.grid_stride,
-    )
+        contributing = np.any(vectors != 0, axis=-1)
+        keys, vectors = keys[contributing], vectors[contributing]
+    table = _channel_means(keys, vectors.astype(np.float64), grid.width * grid.height)
+    geometry = (grid.limb_count, grid.width, grid.height)
+    return FlowMapGrid.from_cells(LAYOUT_ACCUMULATED, *geometry, table, grid.grid_stride)
 
 
 def encode_joint_flow(

@@ -24,18 +24,16 @@ the covered (channel, cell) slots:
                            has_counts is 1
 
 Individual grids have limb_count channels, accumulated grids 1. Every
-slot not listed is the zero vector with count 0. A grid with counts
-stores the cells with a positive count, including those whose strokes
-cancelled to (0, 0), and writing fails if a vector lies outside them. A
-grid without counts stores every cell whose float32 vector has a bit
-set, so -0.0 and NaN payloads survive.
+slot not listed is the zero vector with count 0.
 
 These listed slots are the covered-cell table a ``FlowMapGrid`` stores.
-The writer packs a grid's table as it is, and scans the planes for it
-only when the grid has planes. The version 3 reader returns a grid that
-stores the file's table, and builds no plane: it allocates only what the
-file holds, whatever grid the header declares. A declared grid too large
-to allocate fails when its planes are first read.
+The writer packs a grid's table: a grid with counts stores every cell of
+it, including those whose strokes cancelled to (0, 0); a grid without
+counts stores every cell whose float32 vector has a bit set, so -0.0 and
+NaN payloads survive. The version 3 reader returns a grid that stores
+the file's table, and builds no plane: it allocates only what the file
+holds, whatever grid the header declares. A declared grid too large to
+allocate fails when one of its planes is read.
 
 Versions 1 and 2 stored dense float32 planes after the header,
 channel-major, x-plane then y-plane per channel, and no counts. Both
@@ -52,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .encoder import LAYOUT_ACCUMULATED, LAYOUT_INDIVIDUAL, Cells, FlowmapFormatError, FlowMapGrid
+from .encoder import _COUNT_MAX, LAYOUT_ACCUMULATED, LAYOUT_INDIVIDUAL, Cells, FlowmapFormatError, FlowMapGrid
 from .pose import FramePoses, JointCandidate, Pose, Sequence
 from .skeleton import SkeletonTopology, resolve_topology
 
@@ -62,7 +60,6 @@ TMLF_VERSION = 3
 _HEADER_V1 = struct.Struct("<4sHBHII")
 _STRIDE = struct.Struct("<I")  # follows the version 1 header from version 2 on
 _SPARSE = struct.Struct("<BQ")  # has_counts, n: follows the stride from version 3 on
-_COUNT_MAX = np.iinfo(np.int32).max
 
 
 class AnnotationError(ValueError):
@@ -236,11 +233,17 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
     header = _HEADER_V1.pack(
         TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
-    keys, vectors, counts = grid.cells if grid.cells is not None else _plane_cells(grid)
+    keys, vectors, counts = grid.cells
     tail = ()
-    if counts is not None:
+    if counts is None:
+        # Without counts, a cell whose float32 vector has no bit set is not
+        # stored (a float64 one that underflows, say).
+        vectors = np.ascontiguousarray(vectors, dtype="<f4")
+        stored = vectors.view("<u8").reshape(-1) != 0
+        keys, vectors = keys[stored], vectors[stored]
+    else:
         if counts.size and not (counts.min() >= 1 and counts.max() <= _COUNT_MAX):
-            raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
+            raise FlowmapFormatError(f"contributor counts must lie in [1, {_COUNT_MAX}]")
         tail = (counts.astype("<i4", copy=False),)
     # Keys and counts are non-negative, so their signed bytes are the
     # unsigned fields' bytes, without a copy on little-endian machines.
@@ -251,45 +254,6 @@ def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
         vectors.astype("<f4", copy=False),
         *tail,
     ))
-
-
-def _plane_cells(grid: FlowMapGrid) -> Cells:
-    """The covered-cell table of a grid's planes, which are then the grid:
-    the cells with a positive count, or, without counts, every cell whose
-    float32 vector has a bit set."""
-    shape = (grid.channel_pairs, grid.height, grid.width)
-    if grid.vectors.shape != shape + (2,):
-        raise FlowmapFormatError(
-            f"vectors shape {grid.vectors.shape} does not match {shape + (2,)}"
-        )
-    vectors = grid.vectors
-    if vectors.dtype not in (np.float32, np.float64):
-        vectors = vectors.astype(np.float64)
-    vectors = np.ascontiguousarray(vectors).reshape(-1, 2)
-    plane_shape = (shape[0], grid.height * grid.width)
-    if grid.counts is None:
-        vectors = vectors.astype("<f4")
-        keys = _nonzero_keys(vectors.view("<u8").reshape(plane_shape))
-        return keys, vectors[keys], None
-    if grid.counts.shape != shape:
-        raise FlowmapFormatError(f"counts shape {grid.counts.shape} does not match {shape}")
-    keys = _nonzero_keys(grid.counts.reshape(plane_shape))
-    # Counted cells whose strokes cancelled to (0, 0) are kept; a set bit
-    # outside the counted cells would be lost, so it is an error.
-    bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
-    if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
-        raise FlowmapFormatError("a vector lies outside the counted cells")
-    return keys, vectors[keys], grid.counts.reshape(-1)[keys]
-
-
-def _nonzero_keys(planes: np.ndarray) -> np.ndarray:
-    """Ascending flat keys ``k * cells + i`` of the nonzero entries of
-    (pairs, cells) ``planes``, found one channel plane at a time through a
-    bool mask. ``np.flatnonzero`` takes several times longer on int32 and
-    uint64 arrays than on bool ones, and a mask of the whole grid would
-    cost a byte per slot where the dump costs 20 per covered slot."""
-    keys = [np.flatnonzero(plane != 0) + k * planes.shape[1] for k, plane in enumerate(planes)]
-    return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
 
 
 def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
@@ -348,10 +312,9 @@ def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]) ->
     read-only views into ``data``.
 
     The table is checked to be the one the writer gives for its grid, so
-    it rewrites to the same bytes whether or not its planes were built.
-    Nothing the size of the declared grid is allocated: the file's length
-    bounds the table, not the grid, and a grid too large to allocate fails
-    only when its planes are read."""
+    it rewrites to the same bytes. Nothing the size of the declared grid is
+    allocated: the file's length bounds the table, not the grid, and a grid
+    too large to allocate fails only when one of its planes is read."""
     if len(data) < header_size + _SPARSE.size:
         raise FlowmapFormatError("truncated header")
     has_counts, n = _SPARSE.unpack_from(data, header_size)

@@ -166,9 +166,11 @@ def parse_keyvalue(text: str) -> dict[str, object]:
     """Parse a minimal ``key = value`` config; values are Python literals.
 
     Lines starting with ``#`` and blank lines are skipped. Values that do
-    not parse as a literal are kept as bare strings.
+    not parse as a literal are kept as bare strings. A key given twice
+    raises ``ValueError``.
     """
     out: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,6 +182,9 @@ def parse_keyvalue(text: str) -> dict[str, object]:
         value = value.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             out[key] = ast.literal_eval(value)
         except (ValueError, SyntaxError):

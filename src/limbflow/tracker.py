@@ -219,6 +219,13 @@ def _average_pose(a: Pose, b: Pose, track_id: int, joint_count: int) -> Pose:
     return Pose(joints=tuple(joints), track_id=track_id)
 
 
+def _refinable_ids(frame_prev: FramePoses, frame_mid: FramePoses, frame_next: FramePoses) -> list[int]:
+    """The ids seen at t-1 and missed at t, ascending; none if t+1 has no pose."""
+    if not frame_next.poses:
+        return []
+    return sorted({p.track_id for p in frame_prev.poses} - {p.track_id for p in frame_mid.poses} - {None})
+
+
 def refine_middle_frame(
     frame_prev: FramePoses,
     frame_mid: FramePoses,
@@ -241,11 +248,10 @@ def refine_middle_frame(
 
     Returns the updated (middle frame, next frame) plus log entries.
     """
-    prev_by_id = {p.track_id: p for p in frame_prev.poses if p.track_id is not None}
-    mid_ids = {p.track_id for p in frame_mid.poses if p.track_id is not None}
-    missing = sorted(tid for tid in prev_by_id if tid not in mid_ids)
-    if not missing or not frame_next.poses:
+    missing = _refinable_ids(frame_prev, frame_mid, frame_next)
+    if not missing:
         return frame_mid, frame_next, []
+    prev_by_id = {p.track_id: p for p in frame_prev.poses if p.track_id is not None}
 
     matrix = build_association_matrix(
         list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
@@ -311,7 +317,9 @@ class Tracker:
         earlier = self._inputs
         grid = self.flow_source.grid(frame, earlier[-1]) if earlier else None
         labeled = match_frames(frame, list(self.tracks.values()), grid, topo, cfg)
-        if cfg.refine and len(earlier) == 2:
+        # A stride-2 map costs a pairing and its strokes: draw it only
+        # when refinement has a missed track to link through it.
+        if cfg.refine and len(earlier) == 2 and _refinable_ids(*self._outputs, labeled):
             grid2 = self.flow_source.grid(frame, earlier[0])
             prev, mid = self._outputs
             mid, labeled, entries = refine_middle_frame(prev, mid, labeled, grid2, topo, cfg)

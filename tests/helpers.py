@@ -20,7 +20,6 @@ from limbflow.encoder import (
     EncoderConfig,
     FlowMapGrid,
     LimbStrokes,
-    accumulate_channels,
     grid_shape_for,
 )
 from limbflow.fileio import _HEADER_V1, _STRIDE, TMLF_MAGIC, FlowmapFormatError
@@ -311,8 +310,49 @@ def group_box_rasterize(strokes: LimbStrokes) -> FlowMapGrid:
         acc.add_strokes(int(channel), a, b, vectors, strokes.half_width)
     grid = acc.finalize(LAYOUT_INDIVIDUAL, strokes.limb_count)
     if strokes.layout == LAYOUT_ACCUMULATED:
-        return accumulate_channels(grid)
+        return dense_accumulate_channels(grid)
     return grid
+
+
+# --------------------------------------- dense channel accumulation
+
+def _mean_over_channels(
+    vectors: np.ndarray, contributing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the mean over the leading (channel) axis of the
+    contributing channels, summed in channel order; and their count."""
+    n_chan = contributing.sum(axis=0)
+    sums = np.where(contributing[..., None], vectors, 0.0).sum(axis=0)
+    means = sums / np.maximum(n_chan, 1)[..., None]
+    means[n_chan == 0] = 0.0
+    return means, n_chan
+
+
+def dense_accumulate_channels(grid: FlowMapGrid) -> FlowMapGrid:
+    """``accumulate_channels`` on the dense planes, over every cell of the grid.
+
+    Per cell, the mean over channels with a nonzero contributor count.
+    Opposing motion of different limbs at the same cell averages out,
+    which is exactly the information loss the individual layout avoids.
+    """
+    if grid.layout != LAYOUT_INDIVIDUAL:
+        raise ValueError("accumulate_channels expects an individual-layout grid")
+    if grid.counts is not None:
+        contributing = grid.counts > 0
+    else:
+        # Grids read from TMLF version 1 or 2 have no counts; fall back to
+        # nonzero vectors.
+        contributing = np.any(grid.vectors != 0, axis=-1)
+    means, n_chan = _mean_over_channels(grid.vectors.astype(np.float64), contributing)
+    return FlowMapGrid(
+        layout=LAYOUT_ACCUMULATED,
+        limb_count=grid.limb_count,
+        width=grid.width,
+        height=grid.height,
+        vectors=means[None, ...],
+        counts=n_chan[None, ...].astype(np.int32),
+        grid_stride=grid.grid_stride,
+    )
 
 
 # ------------------------------------------- dense TMLF (version 2)

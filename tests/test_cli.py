@@ -256,6 +256,30 @@ def test_topology_flag(tmp_path):
     assert run(["track", "--in", renamed, "--topology", topo_cfg, "--out", tracked]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--config", "--topology"])
+def test_a_repeated_config_key_exits_3(tmp_path, capsys, flag):
+    # Keeping the last of a repeated key let a duplicated line change a run silently.
+    ann = tmp_path / "c.json"
+    assert run(["synth", "--out", ann, "--preset", "static", "--frames", "2"]) == 0
+    lines = {
+        "--config": ["nms_radius = 4.0", "refine = True"],
+        "--topology": [
+            "joints = " + repr(list(map(str, range(15)))),
+            "limbs = [[0,1],[1,2],[2,3],[3,4],[4,5],[2,6],[6,7],[7,8],[2,9],[9,10],[10,11],[2,12],[12,13],[13,14]]",
+            "head_segment = [0, 2]",
+        ],
+    }[flag]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "t.json"
+    assert run(["track", "--in", ann, "--out", out, flag, cfg]) == 0
+    cfg.write_text("\n".join(lines + [lines[0]]) + "\n")
+    capsys.readouterr()
+    assert run(["track", "--in", ann, "--out", out, flag, cfg]) == 3
+    key = lines[0].partition(" =")[0]
+    assert f"line {len(lines) + 1}: key {key!r} repeats line 1" in capsys.readouterr().err
+
+
 def test_eval_rejects_gt_without_track_ids(tmp_path, capsys):
     ann = tmp_path / "cand.json"
     assert run([

@@ -25,6 +25,7 @@ from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 
 from helpers import (
     TOPO,
+    dense_accumulate_channels,
     frame,
     group_box_rasterize,
     oracle_flowmap_from_bytes,
@@ -268,14 +269,14 @@ def test_flowmap_file_round_trip(tmp_path):
 
 
 def test_write_rejects_shape_mismatch():
-    grid = FlowMapGrid("individual", 3, 4, 4, np.zeros((2, 4, 4, 2)), None)
     with pytest.raises(FlowmapFormatError, match="shape"):
-        flowmap_to_bytes(grid)
+        FlowMapGrid("individual", 3, 4, 4, np.zeros((2, 4, 4, 2)), None)
 
 
 def test_stride_round_trips():
     rng = np.random.default_rng(4)
-    grid = replace(_random_grid(rng), grid_stride=2)
+    g = _random_grid(rng)
+    grid = FlowMapGrid(g.layout, g.limb_count, g.width, g.height, g.vectors, None, grid_stride=2)
     back = flowmap_from_bytes(flowmap_to_bytes(grid))
     assert back.grid_stride == 2
     assert np.array_equal(back.vectors, grid.vectors)
@@ -416,23 +417,24 @@ def test_tmlf_of_encoded_strokes_equals_the_plane_scan_and_the_oracle(
 ):
     strokes = random_strokes(np.random.default_rng(seed), size, stride, half_width, layout)
     grid = strokes.rasterize()
-    blob = flowmap_to_bytes(grid)  # written from the table: no plane built yet
+    blob = flowmap_to_bytes(grid)
     geometry = (grid.layout, grid.limb_count, grid.width, grid.height)
     dense = FlowMapGrid(*geometry, grid.vectors.copy(), grid.counts.copy(), stride)
     assert flowmap_to_bytes(dense) == blob
-    assert flowmap_to_bytes(grid) == blob  # the same grid, now from its planes
+    assert flowmap_to_bytes(grid) == blob  # reading its planes left the grid as it was
 
     oracle = group_box_rasterize(strokes)
     back = flowmap_from_bytes(blob)
     assert back.vectors.tobytes() == oracle.vectors.astype(np.float32).astype(np.float64).tobytes()
     assert back.counts.tobytes() == oracle.counts.tobytes()
 
-    # An edit to the read-back's planes is what the writer then writes.
+    # A grid built from the read-back's planes, edited, holds the edit.
     uncounted = np.argwhere(back.counts == 0)
     if len(uncounted):
-        back.vectors[tuple(uncounted[0])] = (0.0, 1.0)
+        vectors = back.vectors
+        vectors[tuple(uncounted[0])] = (0.0, 1.0)
         with pytest.raises(FlowmapFormatError, match="outside the counted cells"):
-            flowmap_to_bytes(back)
+            FlowMapGrid(*geometry, vectors, back.counts, stride)
 
 
 @given(
@@ -468,22 +470,24 @@ def test_dense_version_1_and_2_bytes_still_read_unchanged(
 def test_write_rejects_a_vector_outside_the_counted_cells():
     grid = raw_strokes_grid(8, 8, 2, [(0, (1, 4), (6, 4), (1.0, 0.0))])
     flowmap_to_bytes(grid)
+    geometry = (grid.layout, grid.limb_count, grid.width, grid.height)
     for value in (1e-300, -0.0, float("nan")):
-        bad = replace(grid, vectors=grid.vectors.copy())
-        bad.vectors[1, 0, 0, 1] = value
+        vectors = grid.vectors
+        vectors[1, 0, 0, 1] = value
         with pytest.raises(FlowmapFormatError, match="outside the counted cells"):
-            flowmap_to_bytes(bad)
+            FlowMapGrid(*geometry, vectors, grid.counts)
 
 
 def test_write_rejects_bad_counts():
     grid = raw_strokes_grid(8, 8, 2, [(0, (1, 4), (6, 4), (1.0, 0.0))])
+    geometry = (grid.layout, grid.limb_count, grid.width, grid.height)
     with pytest.raises(FlowmapFormatError, match="counts shape"):
-        flowmap_to_bytes(replace(grid, counts=grid.counts[:1]))
+        FlowMapGrid(*geometry, grid.vectors, grid.counts[:1])
     for value in (-1, 2**31):
         counts = grid.counts.astype(np.int64)
         counts[0, 4, 3] = value
         with pytest.raises(FlowmapFormatError, match="contributor counts"):
-            flowmap_to_bytes(replace(grid, counts=counts))
+            FlowMapGrid(*geometry, grid.vectors, counts)
 
 
 def test_counts_survive_the_dump_so_accumulation_agrees():
@@ -503,6 +507,92 @@ def test_counts_survive_the_dump_so_accumulation_agrees():
     assert encoded.counts[0, 4, 3] == 2
     assert np.array_equal(loaded.vectors, encoded.vectors)
     assert np.array_equal(loaded.counts, encoded.counts)
+
+
+# ------------------------------------- one storage: the covered-cell table
+
+
+def _assert_one_grid(grid: FlowMapGrid) -> None:
+    """``grid`` and the grid rebuilt from its own planes agree in every view,
+    and their accumulation equals the dense oracle's bit for bit."""
+    geometry = (grid.layout, grid.limb_count, grid.width, grid.height)
+    vectors, counts = grid.vectors, grid.counts
+    rebuilt = FlowMapGrid(*geometry, vectors, counts, grid.grid_stride)
+    (keys, table, table_counts), (keys_again, table_again, counts_again) = grid.cells, rebuilt.cells
+    assert keys.tolist() == keys_again.tolist()
+    assert table.astype(np.float64).tobytes() == table_again.tobytes()
+    if counts is None:
+        assert table_counts is None and counts_again is None
+    else:
+        assert table_counts.tolist() == counts_again.tolist() == counts.reshape(-1)[keys].tolist()
+        assert rebuilt.counts.tobytes() == counts.tobytes()
+    assert rebuilt.vectors.tobytes() == vectors.tobytes()
+    assert flowmap_to_bytes(rebuilt) == flowmap_to_bytes(grid)
+    iy, ix = np.divmod(np.arange(grid.width * grid.height), max(grid.width, 1))
+    for c in range(grid.channel_pairs):
+        want = vectors[c].reshape(-1, 2).tobytes()
+        assert grid.values_at(c, iy, ix).tobytes() == rebuilt.values_at(c, iy, ix).tobytes() == want
+    if grid.layout == "individual":
+        oracle = dense_accumulate_channels(grid)
+        for acc in (accumulate_channels(grid), accumulate_channels(rebuilt)):
+            assert acc.vectors.tobytes() == oracle.vectors.tobytes()
+            assert acc.counts.tobytes() == oracle.counts.tobytes()
+            assert flowmap_to_bytes(acc) == flowmap_to_bytes(oracle)
+
+
+@given(
+    strokes=st.booleans(),
+    layout=st.sampled_from(["individual", "accumulated"]),
+    stride=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    limb_count=st.integers(0, 6),
+    width=st.integers(0, 5),
+    height=st.integers(0, 5),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    with_counts=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_grid_is_its_table_in_every_view_and_accumulates_as_the_dense_oracle(
+    strokes, layout, stride, seed, limb_count, width, height, dtype, with_counts, data
+):
+    if strokes:
+        drawn = random_strokes(np.random.default_rng(seed), (30, 20), stride, 1.5, layout)
+        grid = drawn.rasterize()
+        if layout == "accumulated":  # the encoder's accumulation is the oracle's too
+            oracle = dense_accumulate_channels(replace(drawn, layout="individual").rasterize())
+            assert grid.vectors.tobytes() == oracle.vectors.tobytes()
+            assert grid.counts.tobytes() == oracle.counts.tobytes()
+    else:
+        # Signed zeros, NaN payloads, float32 subnormals and values that
+        # underflow or overflow in float32, with and without counts.
+        pairs = limb_count if layout == "individual" else 1
+        n = pairs * height * width
+        value = st.one_of(st.sampled_from(SPECIAL_VALUES + [0.0] * 6), st.floats(width=64))
+        values = data.draw(st.lists(value, min_size=2 * n, max_size=2 * n))
+        with np.errstate(over="ignore"):
+            vectors = np.array(values).astype(dtype).reshape(pairs, height, width, 2)
+        counts = None
+        if with_counts:
+            counts = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            counts = np.array(counts, dtype=np.int32).reshape(pairs, height, width)
+            vectors[counts == 0] = 0.0
+        grid = FlowMapGrid(layout, limb_count, width, height, vectors, counts, stride)
+        assert grid.vectors.tobytes() == vectors.astype(np.float64).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_one_grid(grid)
+
+
+def test_a_float32_grid_keeps_every_bit_of_its_planes():
+    # A signalling NaN would turn quiet in a float64 plane; the table keeps
+    # the float32 planes as they are, and so does the dump.
+    snan = np.array([0x7F800001, 0xFFA00000], dtype=np.uint32).view(np.float32)
+    grid = FlowMapGrid("individual", 1, 2, 1, np.array([[[snan, [0.0, 0.0]]]], dtype=np.float32), None)
+    keys, table, _ = grid.cells
+    assert keys.tolist() == [0] and table.dtype == np.float32
+    back = flowmap_from_bytes(flowmap_to_bytes(grid))
+    for stored in (table, back.cells[1]):
+        assert stored.view(np.uint32).tolist() == [[0x7F800001, 0xFFA00000]]
 
 
 # ----------------------------------------------- malformed version 3 input
@@ -598,11 +688,10 @@ def test_v3_declared_grid_reads_without_allocating_it(pairs, side):
     assert (back.layout, back.limb_count, back.width, back.height, back.grid_stride) == (
         "individual", pairs, side, side, 1
     )
-    assert (back.channel_pairs, back.max_norm()) == (pairs, 0.0)
-    for plane in ("vectors", "counts"):
-        declared = f"cannot allocate the declared grid of {pairs} x {side} x {side} cells"
-        with pytest.raises(FlowmapFormatError, match=declared):
-            getattr(back, plane)
+    assert (back.channel_pairs, back.max_norm(), back.counts) == (pairs, 0.0, None)
+    declared = f"cannot allocate the declared grid of {pairs} x {side} x {side} cells"
+    with pytest.raises(FlowmapFormatError, match=declared):
+        back.vectors
     assert flowmap_to_bytes(back) == blob
 
 
@@ -633,6 +722,28 @@ def test_tmlf_write_peak_stays_near_the_payload():
     payload = len(flowmap_to_bytes(grid)) - 30
     assert payload == 20 * np.count_nonzero(grid.counts)
     assert _traced_peak(flowmap_to_bytes, grid) < 3 * payload
+
+
+def _encoded_640x480_grid() -> FlowMapGrid:
+    people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
+    fe = frame(people, 0, (640, 480))
+    fl = frame([translate_pose(p, 9.0, -6.0) for p in people], 1, (640, 480))
+    return encode_limb_flow(fl, fe, [(k, k) for k in range(5)], TOPO, EncoderConfig())
+
+
+def test_accumulate_channels_builds_no_grid_sized_plane():
+    grid = _encoded_640x480_grid()
+    one_plane = grid.width * grid.height * 16  # one channel's float64 vectors
+    assert len(grid.cells[0]) > 10_000
+    assert _traced_peak(accumulate_channels, grid) < one_plane / 2
+
+
+def test_values_at_on_a_read_back_builds_no_grid_sized_plane():
+    back = flowmap_from_bytes(flowmap_to_bytes(_encoded_640x480_grid()))
+    one_plane = back.width * back.height * 16
+    iy, ix = np.divmod(np.arange(0, back.width * back.height, 97), back.width)
+    for c in range(back.channel_pairs):
+        assert _traced_peak(back.values_at, c, iy, ix) < one_plane / 8
 
 
 def test_tmlf_read_peak_stays_near_the_payload():

@@ -266,6 +266,32 @@ def test_occlusion_middle_restored():
     assert report.total_mota() == pytest.approx(100.0)
 
 
+class _CountingFlowSource(SequenceFlowSource):
+    """A ground-truth flow source that records each map's frame indices."""
+
+    def __init__(self, seq, encoder_cfg):
+        super().__init__(seq, encoder_cfg)
+        self.drawn = []
+
+    def grid(self, later, earlier):
+        self.drawn.append((later.frame_index, earlier.frame_index))
+        return super().grid(later, earlier)
+
+
+def test_stride_2_map_drawn_only_when_refinement_reads_it():
+    # Only the occluded frame misses a track seen the frame before, and
+    # refinement reads no stride-2 map at any other step.
+    cfg = SceneConfig(people=2, frames=9, image_size=(192, 120), motion="occlusion-middle", speed=8, seed=5)
+    gt = generate_sequence(cfg)
+    cand = apply_corruption(gt, cfg)
+    occ_frame, _ = occlusion_target(cfg)
+    source = _CountingFlowSource(gt, CFG.encoder)
+    out = track_sequence(cand, CFG, source)
+    stride_1 = [(t, t - 1) for t in range(1, 9)]
+    assert [pair for pair in source.drawn if pair not in stride_1] == [(occ_frame + 1, occ_frame - 1)]
+    assert [e.frame_index for e in out.refinement_log] == [occ_frame]
+
+
 def test_track_ids_unique_per_frame_and_never_reused():
     cfg = SceneConfig(people=3, frames=8, image_size=(224, 160), motion="wander", speed=6, seed=9, dropout_prob=0.15)
     gt = generate_sequence(cfg)
