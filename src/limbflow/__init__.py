@@ -19,7 +19,6 @@ from .encoder import (
     encode_joint_flow,
     encode_limb_flow,
     limb_strokes,
-    part_unit_vector,
     subdivide_limb,
 )
 from .fileio import (

@@ -69,7 +69,8 @@ _DEFAULTS: dict[str, object] = {
 class RunConfig:
     """Every pipeline option under its flat key, file-loadable.
 
-    A key that two components share (``epsilon_motion``, ``seed``) sets both.
+    A key that two components share sets both: ``seed`` sets
+    ``StrideConfig.rng_seed`` and ``SceneConfig.seed``.
     """
 
     def __init__(self) -> None:

@@ -32,8 +32,9 @@ Conventions, fixed here and relied on by the scorer:
 * A cell belongs to a stroke iff its center is strictly closer than
   ``stroke_half_width`` to the anchor segment. Plain distance test, no
   anti-aliasing, for bit-reproducibility across platforms.
-* Displacements of at most ``epsilon_motion`` have no defined direction
-  and contribute nothing.
+* Displacements of at most ``MOTION_EPSILON`` (1e-6 px) have no defined
+  direction and contribute nothing: the encoder draws no such part and
+  the scorer adds 0 for such a joint.
 * A cell's sum accumulates stroke groups (one per paired person and
   limb) in enumeration order, and strokes within a group in part order:
   each group's strokes are summed first, then the group sums are added
@@ -55,12 +56,14 @@ from .skeleton import SkeletonTopology
 LAYOUT_INDIVIDUAL = "individual"
 LAYOUT_ACCUMULATED = "accumulated"
 
+# Displacements (pixels) of at most this length count as no motion.
+MOTION_EPSILON = 1e-6
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
     parts_per_limb: int = 20
     stroke_half_width: float = 1.0
-    epsilon_motion: float = 1e-6
     layout: str = LAYOUT_INDIVIDUAL
     grid_stride: int = 1
 
@@ -69,8 +72,6 @@ class EncoderConfig:
             raise ValueError("parts_per_limb must be >= 1")
         if not self.stroke_half_width > 0:
             raise ValueError("stroke_half_width must be > 0")
-        if not self.epsilon_motion >= 0:
-            raise ValueError("epsilon_motion must be >= 0")
         if self.layout not in (LAYOUT_INDIVIDUAL, LAYOUT_ACCUMULATED):
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.grid_stride < 1:
@@ -267,21 +268,6 @@ def _subdivide(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """``subdivide_limb`` over the leading axes of (..., 2) endpoint arrays."""
     frac = (np.arange(n, dtype=np.float64) + 0.5) / n
     return a[..., None, :] + frac[:, None] * (b - a)[..., None, :]
-
-
-def part_unit_vector(
-    s_later: tuple[float, float], s_earlier: tuple[float, float], eps: float
-) -> np.ndarray:
-    """Unit vector from the earlier anchor to the later one.
-
-    Displacements of norm <= eps have no direction and yield the zero
-    vector.
-    """
-    d = np.asarray(s_later, dtype=np.float64) - np.asarray(s_earlier, dtype=np.float64)
-    norm = float(np.hypot(d[0], d[1]))
-    if norm <= eps:
-        return np.zeros(2, dtype=np.float64)
-    return d / norm
 
 
 # ------------------------------------------------------------ the kernel
@@ -584,7 +570,7 @@ def limb_strokes(
 
     ``pairing`` lists (person_in_later_frame, person_in_earlier_frame)
     correspondences whose motion is drawn; an empty pairing draws
-    nothing. Zero-motion parts are dropped (the epsilon rule), which
+    nothing. Parts that move at most ``MOTION_EPSILON`` are dropped, which
     also keeps static limbs from diluting moving ones at shared cells.
     """
     cfg.validate()
@@ -594,7 +580,7 @@ def limb_strokes(
     )
     disp = later - earlier
     norms = np.hypot(disp[..., 0], disp[..., 1])
-    moving = norms > cfg.epsilon_motion  # (M, n)
+    moving = norms > MOTION_EPSILON  # (M, n)
     drawn = moving.any(axis=1)
     moving = moving[drawn]
     later, earlier, disp, norms = later[drawn], earlier[drawn], disp[drawn], norms[drawn]

@@ -294,17 +294,13 @@ def _check_length(data: bytes, header_size: int, payload: int) -> None:
 
 
 def _dense_planes(data: bytes, header_size: int, shape: tuple[int, int, int]) -> np.ndarray:
-    """Versions 1 and 2: float32 planes of every slot, no counts."""
+    """Versions 1 and 2: the float32 planes of every slot, no counts, as a
+    read-only (pairs, height, width, 2) view into ``data`` for the grid to
+    scan into its table."""
     pairs, height, width = shape
     _check_length(data, header_size, pairs * 2 * height * width * 4)
-    # Cast straight from the buffer into the grid, one component at a time
-    # (faster than one transposed assignment).
     planes = np.frombuffer(data, dtype="<f4", offset=header_size)
-    planes = planes.reshape(pairs, 2, height, width)
-    vectors = np.empty((pairs, height, width, 2), dtype=np.float64)
-    vectors[..., 0] = planes[:, 0]
-    vectors[..., 1] = planes[:, 1]
-    return vectors
+    return np.moveaxis(planes.reshape(pairs, 2, height, width), 1, -1)
 
 
 def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]) -> Cells:

@@ -24,9 +24,6 @@ class JointCandidate:
     confidence: float = 1.0
     visible: bool = True
 
-    def xy(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Pose:

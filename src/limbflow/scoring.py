@@ -22,9 +22,10 @@ together and must equal them bit for bit. The order of its contractions
 and sums is therefore part of the scorer's contract, set out in its
 docstring. It walks the integral samples once, in chunks of joints taken
 in stored-channel order, and reads each distinct cell of a chunk once.
-Flow maps are read through ``values_at``, which a dense grid answers by
-indexing and ``LimbStrokes`` by computing only those cells, one call per
-channel of a chunk.
+Each sample reads its nearest cell. Flow maps are read through
+``values_at``, which a ``FlowMapGrid`` answers by binary search in its
+covered-cell table and ``LimbStrokes`` by computing only those cells, one
+call per channel of a chunk.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import FORBIDDEN
-from .encoder import FlowMap
+from .encoder import MOTION_EPSILON, FlowMap
 from .pose import FramePoses, Pose, common_joints, pose_arrays
 from .skeleton import SkeletonTopology
 
@@ -50,8 +51,6 @@ class ScoreConfig:
     alpha: float = 0.5
     integral_samples: int = 20
     distance_scale: float = 32.0
-    bilinear: bool = False
-    epsilon_motion: float = 1e-6
 
     def validate(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -60,39 +59,22 @@ class ScoreConfig:
             raise ValueError("integral_samples must be >= 1")
         if not self.distance_scale > 0:
             raise ValueError("distance_scale must be > 0")
-        if not self.epsilon_motion >= 0:
-            raise ValueError("epsilon_motion must be >= 0")
 
 
 def _lookup_cells(
-    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray, bilinear: bool
-) -> tuple[np.ndarray, np.ndarray, "tuple[np.ndarray, np.ndarray] | None"]:
-    """The cells an (n, 2) array of pixel points reads, one row per tap.
-
-    Returns flat (channel, cell) keys (T, n) of the nearest cell (T = 1)
-    or the four surrounding cell centers (T = 4), clipped to the grid;
-    whether each tap lies inside the grid; and, for bilinear lookup, the
-    points' fractional offsets (fx, fy) in cells.
-    """
+    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest cell of each of an (n, 2) array of pixel points: flat
+    (channel, cell) keys, clipped to the grid, and whether each point lies
+    inside the grid."""
     s = float(flow.grid_stride)
     w, h = flow.width, flow.height
     px, py = pts[:, 0], pts[:, 1]
-    frac = None
-    if bilinear:
-        u, v = px / s, py / s
-        x0 = np.floor(u).astype(np.int64)
-        y0 = np.floor(v).astype(np.int64)
-        frac = ((u - x0)[:, None], (v - y0)[:, None])
-        taps = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)]
-        valid = [(xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) for xi, yi in taps]
-    else:
-        taps = [(np.rint(px / s).astype(np.int64), np.rint(py / s).astype(np.int64))]
-        valid = [(px >= 0) & (px < w * s) & (py >= 0) & (py < h * s)]
-    channel = np.broadcast_to(np.asarray(channel, dtype=np.int64), len(pts))
-    keys = np.stack(
-        [(channel * h + np.clip(yi, 0, h - 1)) * w + np.clip(xi, 0, w - 1) for xi, yi in taps]
-    )
-    return keys, np.stack(valid), frac
+    ix = np.clip(np.rint(px / s).astype(np.int64), 0, w - 1)
+    iy = np.clip(np.rint(py / s).astype(np.int64), 0, h - 1)
+    channel = np.asarray(channel, dtype=np.int64)
+    valid = (px >= 0) & (px < w * s) & (py >= 0) & (py < h * s)
+    return (channel * h + iy) * w + ix, valid
 
 
 def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,38 +108,21 @@ def _read_cells(flow: FlowMap, cells: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _interpolate(
-    vals: np.ndarray, valid: np.ndarray, frac: "tuple[np.ndarray, np.ndarray] | None"
-) -> np.ndarray:
-    """Combine the (T, n, 2) tap values of ``_lookup_cells`` into (n, 2)."""
-    vals[~valid] = 0.0
-    if frac is None:
-        return vals[0]
-    fx, fy = frac
-    return (
-        vals[0] * (1 - fx) * (1 - fy)
-        + vals[1] * fx * (1 - fy)
-        + vals[2] * (1 - fx) * fy
-        + vals[3] * fx * fy
-    )
-
-
-def sample_grid(
-    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray, bilinear: bool = False
-) -> np.ndarray:
+def sample_grid(flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray) -> np.ndarray:
     """Flow vectors at an (n, 2) array of pixel points.
 
-    ``channel`` is one stored channel, or one per point. The default
-    lookup takes the nearest cell, with no interpolation, for
-    reproducibility; ``bilinear`` interpolates over the four surrounding
-    cell centers. Cells outside the grid read as zero vectors. Each
-    distinct (channel, cell) is read once, with one ``values_at`` call per
-    channel, so ``LimbStrokes`` pays only for the read cells that fall
-    inside its strokes' own boxes.
+    ``channel`` is one stored channel, or one per point. Each point reads
+    its nearest cell, with no interpolation, for reproducibility; cells
+    outside the grid read as zero vectors. Each distinct (channel, cell)
+    is read once, with one ``values_at`` call per channel, so
+    ``LimbStrokes`` pays only for the read cells that fall inside its
+    strokes' own boxes.
     """
-    keys, valid, frac = _lookup_cells(flow, channel, pts, bilinear)
+    keys, valid = _lookup_cells(flow, channel, pts)
     cells, inverse = np.unique(keys, return_inverse=True)
-    return _interpolate(_read_cells(flow, cells)[inverse].reshape(keys.shape + (2,)), valid, frac)
+    vals = _read_cells(flow, cells)[inverse]
+    vals[~valid] = 0.0
+    return vals
 
 
 def flow_score(
@@ -173,11 +138,11 @@ def flow_score(
     midpoints of ``integral_samples`` equal sub-intervals; each sampled
     grid vector (from the joint's assigned limb channel) is dotted with
     the normalized displacement direction. Per-joint means are averaged
-    over the common joints. Joints with zero displacement contribute 0
-    but still count toward the average, mirroring the encoder's epsilon
-    rule. The grid must have been encoded with the same (later, earlier)
-    frame roles as the pose arguments; swapping the roles negates the
-    score.
+    over the common joints. Joints that move at most ``MOTION_EPSILON``
+    contribute 0 but still count toward the average, as the encoder draws
+    nothing for such parts. The grid must have been encoded with the same
+    (later, earlier) frame roles as the pose arguments; swapping the roles
+    negates the score.
     """
     common = common_joints(pose_later, pose_earlier)
     if not common:
@@ -189,14 +154,14 @@ def flow_score(
         b = pose_earlier.joint(j)
         dx, dy = a.x - b.x, a.y - b.y
         norm = math.hypot(dx, dy)
-        if norm <= cfg.epsilon_motion:
+        if norm <= MOTION_EPSILON:
             continue
         direction = np.array([dx / norm, dy / norm])
         pts = np.empty((cfg.integral_samples, 2))
         pts[:, 0] = (1.0 - u) * a.x + u * b.x
         pts[:, 1] = (1.0 - u) * a.y + u * b.y
         channel = grid.channel_for(topo.joint_channel[j])
-        vecs = sample_grid(grid, channel, pts, cfg.bilinear)
+        vecs = sample_grid(grid, channel, pts)
         total += float(np.sum(vecs @ direction)) / cfg.integral_samples
     return total / len(common)
 
@@ -318,7 +283,7 @@ def build_association_matrix(
         return AssociationMatrix(scores=scores)
 
     common, d, norm, xy_l, xy_e = _joint_geometry(later, earlier)
-    moving = common & (norm > cfg.epsilon_motion)
+    moving = common & (norm > MOTION_EPSILON)
     pi, qi, ji = np.nonzero(moving)
     a, b = xy_l[pi, ji], xy_e[qi, ji]
     joint_channel = np.array(
@@ -333,7 +298,7 @@ def build_association_matrix(
     step = max(1, _CHUNK_SAMPLES // n_samples)
     # _unique_inverse packs each key above the bits of its place in a chunk.
     key_space = (int(channels.max(initial=0)) + 1) * grid.width * grid.height
-    positions = (4 if cfg.bilinear else 1) * min(step, len(ji)) * n_samples
+    positions = min(step, len(ji)) * n_samples
     if len(ji) and key_space > 1 << (63 - (positions - 1).bit_length()):
         raise ValueError(f"{key_space} flow-map cells are too many to pack with {positions} lookups")
     for lo in range(0, len(ji), step):
@@ -341,11 +306,12 @@ def build_association_matrix(
         px = (1.0 - u) * a[c, 0, None] + u * b[c, 0, None]
         py = (1.0 - u) * a[c, 1, None] + u * b[c, 1, None]
         pts = np.stack([px.ravel(), py.ravel()], axis=1)
-        keys, valid, frac = _lookup_cells(grid, np.repeat(channels[c], n_samples), pts, cfg.bilinear)
+        keys, valid = _lookup_cells(grid, np.repeat(channels[c], n_samples), pts)
         cells, inverse = _unique_inverse(keys)
         del px, py, pts, keys  # not held while the flow map computes the cells
-        vals = np.take(_read_cells(grid, cells), inverse, axis=0)
-        vecs = _interpolate(vals, valid, frac).reshape(-1, n_samples, 2)
+        vecs = np.take(_read_cells(grid, cells), inverse, axis=0)
+        vecs[~valid] = 0.0
+        vecs = vecs.reshape(-1, n_samples, 2)
         projections = (vecs @ directions[c, :, None]).reshape(-1, n_samples)
         per_joint[c] = projections.sum(axis=1) / n_samples
     flow_terms = np.zeros(common.shape, dtype=np.float64)

@@ -17,6 +17,7 @@ import numpy as np
 from limbflow.encoder import (
     LAYOUT_ACCUMULATED,
     LAYOUT_INDIVIDUAL,
+    MOTION_EPSILON,
     EncoderConfig,
     FlowMapGrid,
     LimbStrokes,
@@ -166,7 +167,7 @@ def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
                 by = quad[2].y + f * (quad[3].y - quad[2].y)
                 dx, dy = ax - bx, ay - by
                 norm = math.hypot(dx, dy)
-                if norm <= cfg.epsilon_motion:
+                if norm <= MOTION_EPSILON:
                     continue
                 seg_dx, seg_dy = bx - ax, by - ay
                 len2 = seg_dx * seg_dx + seg_dy * seg_dy

@@ -177,16 +177,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(read_annotations(str(out2)).frames) == 6
 
 
-def test_config_file_epsilon_motion_reaches_the_scorer(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("epsilon_motion = 0.5\n")
-    cfg = RunConfig()
-    cfg.load_file(str(path))
-    tracker = cfg.tracker()
-    assert tracker.encoder.epsilon_motion == 0.5
-    assert tracker.score.epsilon_motion == tracker.encoder.epsilon_motion
-
-
 def test_run_config_defaults_are_the_config_defaults():
     cfg = RunConfig()
     assert cfg.tracker() == TrackerConfig()
@@ -309,20 +299,29 @@ def test_track_rejects_a_nan_nms_radius(tmp_path, capsys):
     assert "nms_radius" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["track", "encode"])
-def test_config_file_nan_epsilon_motion_exits_3(tmp_path, capsys, command):
-    # NaN makes every displacement "static": no stroke is drawn.
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        # The scorer reads the nearest cell only, and one constant is the
+        # motion threshold: neither is a run option.
+        ("track", "bilinear = True"),
+        ("track", "epsilon_motion = 0.5"),
+        ("encode", "epsilon_motion = 0.5"),
+    ],
+)
+def test_config_file_removed_key_exits_3(tmp_path, capsys, command, line):
     ann = _synth_scene(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("epsilon_motion = nan\n")
+    cfg.write_text(line + "\n")
     out = tmp_path / "out"
     args = {
         "track": ["track", "--in", ann, "--out", out],
         "encode": ["encode", "--in", ann, "--t1", "0", "--t2", "1", "--out", out],
     }[command]
+    capsys.readouterr()
     assert run([*args, "--config", cfg]) == 3
     assert not out.exists()
-    assert "epsilon_motion" in capsys.readouterr().err
+    assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
@@ -425,7 +424,7 @@ def test_every_subcommand_keeps_its_options():
     "command, line",
     [
         ("track", "refine = false"),  # a bare string: it used to turn refinement on
-        ("track", "bilinear = false"),
+        ("track", "layout = 1"),
         ("synth", "people = 2.7"),  # an int key used to truncate a float
         ("synth", "frames = True"),
         ("track", "grid_stride = 2.9"),

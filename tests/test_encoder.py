@@ -19,7 +19,6 @@ from limbflow.encoder import (
     grid_shape_for,
     limb_parts,
     limb_strokes,
-    part_unit_vector,
     subdivide_limb,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose
@@ -64,22 +63,36 @@ def test_subdivide_rejects_zero_parts():
         subdivide_limb((0, 0), (1, 1), 0)
 
 
-# ------------------------------------------------------------ unit vector
+# ------------------------------------------------------------ motion epsilon
 
-def test_unit_vector_axis():
-    assert part_unit_vector((2, 0), (0, 0), 1e-6).tolist() == [1, 0]
+def _column_pair(dx, dy):
+    """One person whose joints stand 8 px apart on column x = 0, then move
+    (dx, dy). With 4 parts per limb every anchor offset is a whole number,
+    so each part moves by exactly (dx, dy)."""
+    earlier = Pose(tuple(JointCandidate(0.0, 8.0 * j) for j in range(TOPO.joint_count)))
+    later = translate_pose(earlier, dx, dy)
+    return frame([later], 1, (20, 130)), frame([earlier], 0, (20, 130))
 
 
-def test_unit_vector_degenerate_is_zero():
-    assert part_unit_vector((5, 5), (5, 5), 1e-6).tolist() == [0, 0]
-    # anything at or below eps counts as no motion
-    assert part_unit_vector((5 + 1e-7, 5), (5, 5), 1e-6).tolist() == [0, 0]
+@pytest.mark.parametrize("move", [1e-7, encoder.MOTION_EPSILON])
+def test_a_part_within_the_motion_epsilon_draws_nothing(move):
+    fl, fe = _column_pair(move, 0.0)
+    cfg = EncoderConfig(parts_per_limb=4)
+    assert len(limb_strokes(fl, fe, [(0, 0)], TOPO, cfg).later) == 0
+    assert len(encode_limb_flow(fl, fe, [(0, 0)], TOPO, cfg).cells[0]) == 0
+    # Just past the constant, every part draws.
+    fl, fe = _column_pair(float(np.nextafter(encoder.MOTION_EPSILON, 1.0)), 0.0)
+    assert len(limb_strokes(fl, fe, [(0, 0)], TOPO, cfg).later) == TOPO.limb_count * 4
 
 
-def test_unit_vector_345():
-    v = part_unit_vector((3, 4), (0, 0), 1e-6)
-    assert v == pytest.approx([0.6, 0.8])
-    assert math.hypot(*v) == pytest.approx(1.0)
+def test_a_3_4_move_draws_0_6_0_8():
+    fl, fe = _column_pair(3.0, 4.0)
+    cfg = EncoderConfig(parts_per_limb=4)
+    strokes = limb_strokes(fl, fe, [(0, 0)], TOPO, cfg)
+    assert len(strokes.vectors) == TOPO.limb_count * 4
+    assert np.all(strokes.vectors == [0.6, 0.8])
+    _, means, _ = encode_limb_flow(fl, fe, [(0, 0)], TOPO, cfg).cells
+    assert len(means) and np.allclose(means, [0.6, 0.8], rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ rasterize
@@ -282,7 +295,6 @@ def _moved_pose(rng, pose: Pose, static_share: float) -> Pose:
         EncoderConfig,
         parts_per_limb=st.integers(1, 6),
         stroke_half_width=st.floats(0.5, 3.0),
-        epsilon_motion=st.sampled_from([0.0, 1e-6, 0.5]),
         layout=st.sampled_from(["individual", "accumulated"]),
         grid_stride=st.integers(1, 4),
     ),
@@ -437,8 +449,8 @@ def test_accumulate_opposing_channels_cancel():
 
 
 def test_dense_encode_peak_stays_near_the_result_size():
-    # The means and counts are scattered straight into the grid's arrays, so
-    # encoding allocates about the grid itself, not a second copy of it.
+    # The grid stores only its covered-cell table, so encoding allocates per
+    # covered cell: the dense float64 vector planes (69 MB here) break the bound.
     people = [stick_pose(80 + 110 * k, 150 + 40 * (k % 2), h=120.0) for k in range(5)]
     fe = frame(people, 0, (640, 480))
     fl = frame([translate_pose(p, 9.0, -6.0) for p in people], 1, (640, 480))
@@ -449,9 +461,9 @@ def test_dense_encode_peak_stays_near_the_result_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    result_bytes = grid.vectors.nbytes + grid.counts.nbytes
+    dense_vectors = grid.channel_pairs * grid.height * grid.width * 2 * 8
     assert grid.counts.sum() > 0
-    assert peak < 1.5 * result_bytes
+    assert peak < dense_vectors / 2
 
 
 def test_accumulate_empty_grid():

@@ -746,6 +746,15 @@ def test_values_at_on_a_read_back_builds_no_grid_sized_plane():
         assert _traced_peak(back.values_at, c, iy, ix) < one_plane / 8
 
 
+def test_dense_version_2_read_peak_stays_near_the_file_size():
+    # The version 2 reader scans the file's float32 planes into the table;
+    # a float64 copy of them would double the peak.
+    data = oracle_flowmap_to_bytes(_encoded_640x480_grid())
+    back = flowmap_from_bytes(data)
+    assert back.vectors.tobytes() == oracle_flowmap_from_bytes(data).vectors.tobytes()
+    assert _traced_peak(flowmap_from_bytes, data) < 1.25 * len(data)
+
+
 def test_tmlf_read_peak_stays_near_the_payload():
     # Even when every cell is stored, reading stays within 1.1 times the
     # grid, the bound of the dense version 2 (the read-back's table is a

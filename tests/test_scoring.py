@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from limbflow.encoder import EncoderConfig, encode_limb_flow
+from limbflow.encoder import MOTION_EPSILON, EncoderConfig, FlowMapGrid, encode_limb_flow
 from limbflow.pose import JointCandidate, Pose
 from limbflow.scoring import (
     FORBIDDEN,
@@ -113,13 +113,23 @@ def test_sample_grid_outside_reads_zero():
     assert np.all(sample_grid(grid, 0, pts) == 0)
 
 
-def test_bilinear_sampling_matches_nearest_at_centers():
-    _, _, grid = _encoded_pair()
-    ys, xs = np.nonzero(grid.counts[4])
-    pts = np.stack([xs, ys], axis=1).astype(float)
-    near = sample_grid(grid, 4, pts, bilinear=False)
-    bil = sample_grid(grid, 4, pts, bilinear=True)
-    assert np.abs(near - bil).max() < 1e-12
+@pytest.mark.parametrize(
+    "move, expected",
+    [(1e-7, 0.5), (MOTION_EPSILON, 0.5), (float(np.nextafter(MOTION_EPSILON, 1.0)), 1.0)],
+)
+def test_a_joint_within_the_motion_epsilon_adds_0_but_counts(move, expected):
+    # Two common joints on a flow map of (1, 0) everywhere: joint 1 moves
+    # (5, 0) and reads 1; joint 0 moves ``move`` px from x = 0, so its
+    # displacement is exactly ``move``, and it reads 1 only past the constant.
+    pad = (None,) * (TOPO.joint_count - 2)
+    earlier = Pose((JointCandidate(0.0, 10.0), JointCandidate(20.0, 10.0)) + pad)
+    later = Pose((JointCandidate(move, 10.0), JointCandidate(25.0, 10.0)) + pad)
+    vectors = np.zeros((TOPO.limb_count, 20, 40, 2))
+    vectors[..., 0] = 1.0
+    grid = FlowMapGrid("individual", TOPO.limb_count, 40, 20, vectors, None)
+    cfg = ScoreConfig(alpha=1.0)
+    assert flow_score(later, earlier, grid, TOPO, cfg) == expected
+    assert build_association_matrix([later], [earlier], grid, TOPO, cfg).scores[0, 0] == expected
 
 
 # ------------------------------------------------------------ distance
@@ -221,12 +231,3 @@ def test_matrix_empty_earlier_frame():
     grid = encode_limb_flow(fl, fe, [], TOPO, ENC)
     m = build_association_matrix(fl, fe, grid, TOPO, SC)
     assert m.shape == (1, 0)
-
-
-@pytest.mark.parametrize("epsilon", [math.nan, -1e-6])
-def test_score_config_rejects_a_bad_epsilon_motion(epsilon):
-    # A NaN threshold makes no joint move: every flow term reads 0.
-    with pytest.raises(ValueError, match="epsilon_motion"):
-        ScoreConfig(epsilon_motion=epsilon).validate()
-    with pytest.raises(ValueError, match="epsilon_motion"):
-        EncoderConfig(epsilon_motion=epsilon).validate()

@@ -89,10 +89,9 @@ encoder_configs = st.builds(
     enc=encoder_configs,
     static_share=st.sampled_from([0.0, 0.5, 1.0]),
     empty_pairing=st.booleans(),
-    bilinear=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_strokes_values_equal_the_dense_grid(seed, enc, static_share, empty_pairing, bilinear):
+def test_strokes_values_equal_the_dense_grid(seed, enc, static_share, empty_pairing):
     rng, fl, fe = _scene(seed, static_share)
     pairing = [] if empty_pairing else [(i, i) for i in range(len(fe.poses))]
     strokes = limb_strokes(fl, fe, pairing, TOPO, enc)
@@ -108,9 +107,7 @@ def test_strokes_values_equal_the_dense_grid(seed, enc, static_share, empty_pair
     pts = np.stack([rng.uniform(-6, w + 6, 50), rng.uniform(-6, h + 6, 50)], axis=1)
     pts[:10] = np.round(pts[:10])
     channels = np.array([grid.channel_for(c) for c in rng.integers(0, TOPO.limb_count, 50)])
-    assert np.array_equal(
-        sample_grid(strokes, channels, pts, bilinear), sample_grid(grid, channels, pts, bilinear)
-    )
+    assert np.array_equal(sample_grid(strokes, channels, pts), sample_grid(grid, channels, pts))
 
 
 @given(
@@ -244,8 +241,6 @@ def _oracle_matrix(later, earlier, flow, cfg):
         ScoreConfig,
         alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         integral_samples=st.integers(1, 25),
-        bilinear=st.booleans(),
-        epsilon_motion=st.sampled_from([1e-6, 0.5]),
     ),
 )
 @settings(max_examples=60, deadline=None)
@@ -291,17 +286,16 @@ class _DenseFlowSource(SequenceFlowSource):
     people=st.integers(1, 3),
     motion=st.sampled_from(["crossing", "wander", "occlusion-middle", "static"]),
     enc=encoder_configs,
-    bilinear=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_tracking_is_identical_on_strokes_and_rasterized_grids(seed, people, motion, enc, bilinear):
+def test_tracking_is_identical_on_strokes_and_rasterized_grids(seed, people, motion, enc):
     scene = SceneConfig(
         people=people, frames=5, image_size=(96, 72), motion=motion, speed=6.0,
         jitter_sigma=1.0, dropout_prob=0.1, seed=seed,
     )
     gt = generate_sequence(scene)
     cand = apply_corruption(gt, scene)
-    cfg = TrackerConfig(encoder=enc, score=ScoreConfig(bilinear=bilinear))
+    cfg = TrackerConfig(encoder=enc)
     sparse = track_sequence(cand, cfg, SequenceFlowSource(gt, enc))
     dense = track_sequence(cand, cfg, _DenseFlowSource(gt, enc))
     assert serialize_annotations(sparse) == serialize_annotations(dense)
