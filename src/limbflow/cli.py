@@ -154,6 +154,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if args.t1 == args.t2:
+        raise ValueError(f"--t1 and --t2 name the same frame {args.t1}; a flow map needs two")
     seq = _read_sequence(args.in_path, args.topology)
     later_idx = max(args.t1, args.t2)
     earlier_idx = min(args.t1, args.t2)
@@ -205,6 +207,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     seq = _read_sequence(args.in_path, args.topology)
     if len(seq.frames) < 2:
         raise ValueError("augmentation needs at least 2 frames")

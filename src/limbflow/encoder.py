@@ -18,11 +18,14 @@ takes every cell of each stroke's box, and the ``FlowMapGrid`` it
 returns is the covered-cell table: the keys, means and counts of the
 covered (channel, cell) slots, its only storage. A dense plane is built
 from it only for a caller that reads one, so encoding costs the cells the
-strokes cover, not the grid size. ``values_at`` takes only the
-requested cells that fall inside each stroke's box, so its cost follows
-those (stroke, requested cell) candidates, neither the cells the strokes
-cover nor the stroke groups. The two agree bit for bit wherever both
-exist.
+strokes cover, not the grid size. ``values_at(keys)`` is the one read
+interface of both flow maps: it takes strictly ascending flat keys
+``channel * height * width + iy * width + ix`` of stored channels and
+raises ``ValueError`` for keys out of order, repeated or outside the
+grid. ``LimbStrokes`` takes only the requested cells that fall inside
+each stroke's box, so its cost follows those (stroke, requested cell)
+candidates, neither the cells the strokes cover nor the stroke groups.
+The two agree bit for bit wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -98,6 +101,12 @@ def _stored_channel(layout: str, limb_channel: int) -> int:
     return 0 if layout == LAYOUT_ACCUMULATED else limb_channel
 
 
+def _check_keys(keys: np.ndarray, size: int) -> None:
+    """Raise ``ValueError`` unless ``keys`` ascend strictly within [0, size)."""
+    if len(keys) and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
+        raise ValueError(f"flow-map keys must ascend strictly within [0, {size})")
+
+
 class FlowmapFormatError(ValueError):
     """A flow map that is malformed, or whose declared grid cannot be built."""
 
@@ -171,11 +180,13 @@ class FlowMapGrid:
             raise FlowmapFormatError(f"vectors shape {vectors.shape} does not match {shape + (2,)}")
         if vectors.dtype not in (np.float32, np.float64):
             vectors = vectors.astype(np.float64)
-        vectors = np.ascontiguousarray(vectors).reshape(-1, 2)
+        # One component at a time: a strided view (TMLF v1/v2) is not copied.
         bits = vectors.view(np.uint32 if vectors.dtype == np.float32 else np.uint64)
+        set_bits = bits[..., 0] != 0
+        set_bits |= bits[..., 1] != 0
         if counts is None:
-            keys = np.flatnonzero(bits.any(axis=1))
-            return keys, vectors[keys], None
+            keys = np.flatnonzero(set_bits)
+            return keys, vectors[np.unravel_index(keys, shape)], None
         counts = np.asarray(counts)
         if counts.shape != shape:
             raise FlowmapFormatError(f"counts shape {counts.shape} does not match {shape}")
@@ -183,9 +194,9 @@ class FlowMapGrid:
             raise FlowmapFormatError(f"contributor counts must lie in [0, {_COUNT_MAX}]")
         keys = np.flatnonzero(counts)
         # A set bit outside the counted cells would be lost, so it is an error.
-        if np.count_nonzero(bits) != np.count_nonzero(bits[keys]):
+        if np.count_nonzero(set_bits) != np.count_nonzero(set_bits.reshape(-1)[keys]):
             raise FlowmapFormatError("a vector lies outside the counted cells")
-        return keys, vectors[keys], counts.reshape(-1)[keys].astype(np.int32)
+        return keys, vectors[np.unravel_index(keys, shape)], counts.reshape(-1)[keys].astype(np.int32)
 
     @property
     def vectors(self) -> np.ndarray:
@@ -226,15 +237,15 @@ class FlowMapGrid:
         """Map a topology limb channel to a stored channel index."""
         return _stored_channel(self.layout, limb_channel)
 
-    def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """(m, 2) float64 vectors of one stored channel at in-grid cells,
+    def values_at(self, keys: np.ndarray) -> np.ndarray:
+        """(m, 2) float64 vectors at flat keys (see the module docstring),
         found by binary search in the table's keys."""
-        keys, vectors, _ = self.cells
-        wanted = np.ravel_multi_index((channel, iy, ix), (self.channel_pairs, self.height, self.width))
-        values = np.zeros(wanted.shape + (2,), dtype=np.float64)
-        if len(keys):
-            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-            hit = keys[at] == wanted
+        _check_keys(keys, self.channel_pairs * self.height * self.width)
+        table, vectors, _ = self.cells
+        values = np.zeros((len(keys), 2), dtype=np.float64)
+        if len(table):
+            at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+            hit = table[at] == keys
             values[hit] = vectors[at[hit]]
         return values
 
@@ -361,9 +372,6 @@ class LimbStrokes:
     motion, (N, 2)). Groups whose parts all stand still are left out.
     The arrays hold people x limbs x parts rows, a few kilobytes per
     frame pair, where the dense grid holds channels x height x width.
-
-    Reading cells with ``values_at`` costs only the requested cells that
-    fall inside each of the channel's strokes' own boxes.
     """
 
     layout: str
@@ -378,9 +386,9 @@ class LimbStrokes:
     earlier: np.ndarray
     vectors: np.ndarray
 
-    def channel_for(self, limb_channel: int) -> int:
-        """Map a topology limb channel to a stored channel index."""
-        return _stored_channel(self.layout, limb_channel)
+    # The stored channels are those of a grid with the same layout.
+    channel_pairs = FlowMapGrid.channel_pairs
+    channel_for = FlowMapGrid.channel_for
 
     def _covered(
         self, strokes: np.ndarray, cells: Optional[np.ndarray] = None
@@ -462,30 +470,28 @@ class LimbStrokes:
             self.grid_stride,
         )
 
-    def values_at(self, channel: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """(m, 2) vectors of one stored channel at in-grid cells.
-
-        Equal bit for bit to ``rasterize().values_at(channel, iy, ix)``.
-        Cells may come in any order and repeat. The distinct requested
-        cells are sorted once (sorted distinct input, as the scorer passes,
-        is taken as is), and each row of each box of the channel's strokes
-        finds its requested cells by binary search. The kernel runs once on
-        those flat (stroke, cell) candidates, so the cost follows the
-        requested cells inside each stroke's own box, not the cells of a
-        group's hull box, nor the number of stroke groups.
-        """
-        wanted = np.asarray(iy, dtype=np.int64) * self.width + np.asarray(ix, dtype=np.int64)
-        inverse = None
-        if not np.all(wanted[1:] > wanted[:-1]):  # the scorer asks for sorted distinct cells
-            wanted, inverse = np.unique(wanted, return_inverse=True)
-        values = np.zeros((len(wanted), 2), dtype=np.float64)
-        if self.layout == LAYOUT_ACCUMULATED:
-            strokes = np.arange(len(self.later))
-        else:
-            strokes = np.flatnonzero(np.repeat(self.channels == channel, np.diff(self.bounds)))
-        key, means, _ = self._cell_means(*self._covered(strokes, wanted), len(wanted))
-        values[key % len(wanted)] = means
-        return values if inverse is None else values[inverse]
+    def values_at(self, keys: np.ndarray) -> np.ndarray:
+        """(m, 2) vectors at flat keys (see the module docstring), equal bit
+        for bit to ``rasterize().values_at(keys)``. Each stored channel's
+        keys are read apart: each row of each box of its strokes finds its
+        requested cells by binary search, and the kernel runs once on those
+        (stroke, cell) candidates, so the cost follows the requested cells
+        inside each stroke's own box, not a group's hull box, nor the
+        number of stroke groups."""
+        cells = self.width * self.height
+        _check_keys(keys, self.channel_pairs * cells)
+        values = np.zeros((len(keys), 2), dtype=np.float64)
+        channel = keys // cells
+        starts = np.flatnonzero(np.diff(channel, prepend=-1)).tolist() + [len(keys)]
+        for lo, hi in zip(starts, starts[1:]):
+            if self.layout == LAYOUT_ACCUMULATED:
+                strokes = np.arange(len(self.later))
+            else:
+                strokes = np.flatnonzero(np.repeat(self.channels == channel[lo], np.diff(self.bounds)))
+            wanted = keys[lo:hi] - channel[lo] * cells
+            key, means, _ = self._cell_means(*self._covered(strokes, wanted), hi - lo)
+            values[lo + key % (hi - lo)] = means
+        return values
 
 
 FlowMap = Union[FlowMapGrid, LimbStrokes]

@@ -22,10 +22,11 @@ together and must equal them bit for bit. The order of its contractions
 and sums is therefore part of the scorer's contract, set out in its
 docstring. It walks the integral samples once, in chunks of joints taken
 in stored-channel order, and reads each distinct cell of a chunk once.
-Each sample reads its nearest cell. Flow maps are read through
-``values_at``, which a ``FlowMapGrid`` answers by binary search in its
-covered-cell table and ``LimbStrokes`` by computing only those cells, one
-call per channel of a chunk.
+Each sample reads its nearest cell. A flow map has one read interface,
+``values_at(keys)``, which takes the sorted distinct flat keys
+``channel * height * width + iy * width + ix`` that ``_lookup_cells``
+makes: a ``FlowMapGrid`` answers by binary search in its covered-cell
+table and ``LimbStrokes`` by computing only those cells.
 """
 
 from __future__ import annotations
@@ -94,33 +95,18 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse.reshape(keys.shape)
 
 
-def _read_cells(flow: FlowMap, cells: np.ndarray) -> np.ndarray:
-    """(m, 2) vectors at sorted distinct (channel, cell) keys, with one
-    ``values_at`` call per channel; each call gets its channel's cells
-    sorted and distinct, which ``LimbStrokes.values_at`` takes as is."""
-    w, h = flow.width, flow.height
-    vals = np.empty((len(cells), 2), dtype=np.float64)
-    cell_channel = cells // (w * h)
-    starts = np.flatnonzero(np.diff(cell_channel, prepend=-1)).tolist() + [len(cells)]
-    for lo, hi in zip(starts, starts[1:]):
-        cell = cells[lo:hi] % (w * h)
-        vals[lo:hi] = flow.values_at(int(cell_channel[lo]), cell // w, cell % w)
-    return vals
-
-
 def sample_grid(flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray) -> np.ndarray:
     """Flow vectors at an (n, 2) array of pixel points.
 
     ``channel`` is one stored channel, or one per point. Each point reads
     its nearest cell, with no interpolation, for reproducibility; cells
     outside the grid read as zero vectors. Each distinct (channel, cell)
-    is read once, with one ``values_at`` call per channel, so
-    ``LimbStrokes`` pays only for the read cells that fall inside its
-    strokes' own boxes.
+    is read once, by one ``values_at`` call, so ``LimbStrokes`` pays only
+    for the read cells that fall inside its strokes' own boxes.
     """
     keys, valid = _lookup_cells(flow, channel, pts)
     cells, inverse = np.unique(keys, return_inverse=True)
-    vals = _read_cells(flow, cells)[inverse]
+    vals = flow.values_at(cells)[inverse]
     vals[~valid] = 0.0
     return vals
 
@@ -264,9 +250,8 @@ def build_association_matrix(
     pass over the moving common joints of every pair. The joints are
     taken in stored-channel order, in chunks of ``_CHUNK_SAMPLES``
     integral samples; each distinct cell of a chunk is read from the flow
-    map once, with one ``values_at`` call per channel the chunk spans
-    (the channel order keeps that to one or two), and the chunk's joint
-    terms are reduced before the next chunk is sampled. Raises
+    map once, by one ``values_at`` call, and the chunk's joint terms are
+    reduced before the next chunk is sampled. Raises
     ``ValueError`` if the flow map has too many cells for a chunk's keys
     to pack into 63 bits. Equality depends on the order of that
     arithmetic, which is part of this function's contract: each sample
@@ -309,7 +294,7 @@ def build_association_matrix(
         keys, valid = _lookup_cells(grid, np.repeat(channels[c], n_samples), pts)
         cells, inverse = _unique_inverse(keys)
         del px, py, pts, keys  # not held while the flow map computes the cells
-        vecs = np.take(_read_cells(grid, cells), inverse, axis=0)
+        vecs = np.take(grid.values_at(cells), inverse, axis=0)
         vecs[~valid] = 0.0
         vecs = vecs.reshape(-1, n_samples, 2)
         projections = (vecs @ directions[c, :, None]).reshape(-1, n_samples)

@@ -128,6 +128,16 @@ def test_encode_layout_byte(tmp_path):
     assert len(blob2) == 30 + 20 * n2
 
 
+def test_encode_of_one_frame_with_itself_exits_3(tmp_path, capsys):
+    # --t1 1 --t2 1 wrote an all-zero 14-channel map and exited 0.
+    ann = _synth_scene(tmp_path)
+    out = tmp_path / "map.tmlf"
+    capsys.readouterr()
+    assert run(["encode", "--in", ann, "--t1", "1", "--t2", "1", "--out", out]) == 3
+    assert not out.exists()
+    assert "same frame 1" in capsys.readouterr().err
+
+
 def test_encode_builds_no_dense_grid(tmp_path, capsys):
     # One 1280x720 grid in planes is 14 x 720 x 1280 slots of float64
     # vectors and int32 counts, about 258 MB; encoding and writing it need
@@ -226,6 +236,16 @@ def test_augment_outputs_and_jobs_stability(tmp_path):
         assert len(sample.frames) == 2
         assert sample.frames[0].image_size == (96, 96)
         assert (out_a / entry["file"]).read_bytes() == (out_b / entry["file"]).read_bytes()
+
+
+def test_augment_with_a_negative_sample_count_exits_3(tmp_path, capsys):
+    # --samples -3 printed "wrote -3 samples", wrote an empty manifest and exited 0.
+    ann = _synth_scene(tmp_path)
+    out_dir = tmp_path / "aug"
+    capsys.readouterr()
+    assert run(["augment", "--in", ann, "--out-dir", out_dir, "--samples", "-3"]) == 3
+    assert not out_dir.exists()
+    assert "--samples must be >= 0" in capsys.readouterr().err
 
 
 def test_topology_flag(tmp_path):
