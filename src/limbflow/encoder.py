@@ -22,10 +22,12 @@ strokes cover, not the grid size. ``values_at(keys)`` is the one read
 interface of both flow maps: it takes strictly ascending flat keys
 ``channel * height * width + iy * width + ix`` of stored channels and
 raises ``ValueError`` for keys out of order, repeated or outside the
-grid. ``LimbStrokes`` takes only the requested cells that fall inside
-each stroke's box, so its cost follows those (stroke, requested cell)
-candidates, neither the cells the strokes cover nor the stroke groups.
-The two agree bit for bit wherever both exist.
+grid. ``LimbStrokes`` reads the keys in runs of consecutive stored
+channels, a few thousand keys each, with one kernel call per run, and
+takes only the requested cells that fall inside each stroke's box, so its
+cost follows those (stroke, requested cell) candidates, neither the cells
+the strokes cover nor the stroke groups. The two agree bit for bit
+wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -73,8 +75,8 @@ class EncoderConfig:
     def validate(self) -> None:
         if self.parts_per_limb < 1:
             raise ValueError("parts_per_limb must be >= 1")
-        if not self.stroke_half_width > 0:
-            raise ValueError("stroke_half_width must be > 0")
+        if not (0 < self.stroke_half_width < math.inf):
+            raise ValueError("stroke_half_width must be finite and > 0")
         if self.layout not in (LAYOUT_INDIVIDUAL, LAYOUT_ACCUMULATED):
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.grid_stride < 1:
@@ -97,8 +99,8 @@ class LimbPart:
         return math.hypot(ax - bx, ay - by)
 
 
-def _stored_channel(layout: str, limb_channel: int) -> int:
-    return 0 if layout == LAYOUT_ACCUMULATED else limb_channel
+def _stored_channel(layout: str, limb_channel):
+    return limb_channel * (layout != LAYOUT_ACCUMULATED)
 
 
 def _check_keys(keys: np.ndarray, size: int) -> None:
@@ -233,8 +235,9 @@ class FlowMapGrid:
     def channel_pairs(self) -> int:
         return 1 if self.layout == LAYOUT_ACCUMULATED else self.limb_count
 
-    def channel_for(self, limb_channel: int) -> int:
-        """Map a topology limb channel to a stored channel index."""
+    def channel_for(self, limb_channel):
+        """Map a topology limb channel, or an array of them, to its stored
+        channel index."""
         return _stored_channel(self.layout, limb_channel)
 
     def values_at(self, keys: np.ndarray) -> np.ndarray:
@@ -362,6 +365,15 @@ def _channel_means(
 
 # ------------------------------------------------------------ strokes
 
+# Requested keys per kernel run of ``LimbStrokes.values_at``: channels share
+# a run while they hold at most this many keys together, which saves a pass
+# of numpy calls per channel; a larger channel keeps a run of its own, so
+# its memory does not grow. Measured on one CPU: reading a 4-person 256x192
+# sequence of 30 frames took 73 ms with a run per channel, 37 ms at 4096
+# and 35 ms at 8192 or 16384; 16384 raised the traced peak of a 20-person
+# 960x720 scoring call from 7.9 to 10.0 MiB, 8192 left it as it was.
+_RUN_KEYS = 8192
+
 @dataclass(frozen=True)
 class LimbStrokes:
     """The moving part strokes of one frame pair: a flow map on demand.
@@ -391,24 +403,30 @@ class LimbStrokes:
     channel_for = FlowMapGrid.channel_for
 
     def _covered(
-        self, strokes: np.ndarray, cells: Optional[np.ndarray] = None
+        self,
+        strokes: np.ndarray,
+        keys: Optional[np.ndarray] = None,
+        offsets: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stroke-major (stroke, cell) pairs where one of ``strokes`` covers
         a cell of its own box. The kernel runs on every cell of each box,
-        or, given sorted distinct flat keys ``cells``, on those that fall
-        inside each box, found per box row by binary search; the pairs
-        then hold positions into ``cells``."""
+        or, given sorted distinct flat keys ``keys`` and each stroke's key
+        offset ``offsets`` (its stored channel times the cells per channel),
+        on those that fall inside each box of the stroke's stored channel,
+        found per box row by binary search; the pairs then hold positions
+        into ``keys``."""
         s = float(self.grid_stride)
         later = np.take(self.later, strokes, axis=0)
         earlier = np.take(self.earlier, strokes, axis=0)
         box, first, last = _box_rows(later, earlier, self.half_width, s, self.width, self.height)
-        if cells is None:
+        if keys is None:
             row, at = _expand(first, last - first + 1)
             cell = at
         else:
-            lo = np.searchsorted(cells, first)
-            row, at = _expand(lo, np.searchsorted(cells, last, side="right") - lo)
-            cell = cells[at]
+            offset = offsets[box]
+            lo = np.searchsorted(keys, first + offset)
+            row, at = _expand(lo, np.searchsorted(keys, last + offset, side="right") - lo)
+            cell = keys[at] % (self.width * self.height)
         box = box[row]
         a, b = np.take(later, box, axis=0), np.take(earlier, box, axis=0)
         hit = _covers(a, b, self.half_width, (cell % self.width) * s, (cell // self.width) * s)
@@ -472,24 +490,37 @@ class LimbStrokes:
 
     def values_at(self, keys: np.ndarray) -> np.ndarray:
         """(m, 2) vectors at flat keys (see the module docstring), equal bit
-        for bit to ``rasterize().values_at(keys)``. Each stored channel's
-        keys are read apart: each row of each box of its strokes finds its
-        requested cells by binary search, and the kernel runs once on those
-        (stroke, cell) candidates, so the cost follows the requested cells
-        inside each stroke's own box, not a group's hull box, nor the
-        number of stroke groups."""
+        for bit to ``rasterize().values_at(keys)``.
+
+        The keys are read in runs of consecutive requested stored channels:
+        a run takes channels in turn while they hold at most ``_RUN_KEYS``
+        keys together, so a channel with more is a run of its own. The
+        kernel runs once per run, on the strokes of the run's channels:
+        each row of each box, offset to its stroke's channel, finds its
+        requested cells by binary search among the run's keys, so the cost
+        follows the requested cells inside each stroke's own box, not a
+        group's hull box, nor the number of stroke groups. Within a run,
+        each (channel, cell) still adds its pairs in group, then part
+        order, so the means do not depend on the runs."""
         cells = self.width * self.height
         _check_keys(keys, self.channel_pairs * cells)
         values = np.zeros((len(keys), 2), dtype=np.float64)
+        if not len(keys):
+            return values
         channel = keys // cells
-        starts = np.flatnonzero(np.diff(channel, prepend=-1)).tolist() + [len(keys)]
-        for lo, hi in zip(starts, starts[1:]):
-            if self.layout == LAYOUT_ACCUMULATED:
-                strokes = np.arange(len(self.later))
-            else:
-                strokes = np.flatnonzero(np.repeat(self.channels == channel[lo], np.diff(self.bounds)))
-            wanted = keys[lo:hi] - channel[lo] * cells
-            key, means, _ = self._cell_means(*self._covered(strokes, wanted), hi - lo)
+        starts = (np.flatnonzero(channel[1:] != channel[:-1]) + 1).tolist()
+        runs = [0]
+        for start, end in zip(starts, starts[1:] + [len(keys)]):
+            if end - runs[-1] > _RUN_KEYS:
+                runs.append(start)
+        runs.append(len(keys))
+        stroke_channel = np.repeat(self.channel_for(self.channels), np.diff(self.bounds))
+        for lo, hi in zip(runs, runs[1:]):
+            wanted = np.zeros(self.channel_pairs, dtype=bool)
+            wanted[channel[lo:hi]] = True
+            strokes = np.flatnonzero(wanted[stroke_channel])
+            covered = self._covered(strokes, keys[lo:hi], stroke_channel[strokes] * cells)
+            key, means, _ = self._cell_means(*covered, hi - lo)
             values[lo + key % (hi - lo)] = means
         return values
 

@@ -58,8 +58,8 @@ class ScoreConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.integral_samples < 1:
             raise ValueError("integral_samples must be >= 1")
-        if not self.distance_scale > 0:
-            raise ValueError("distance_scale must be > 0")
+        if not (0 < self.distance_scale < math.inf):
+            raise ValueError("distance_scale must be finite and > 0")
 
 
 def _lookup_cells(

@@ -24,6 +24,7 @@ estimator that has learned the true limb flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -51,8 +52,8 @@ class TrackerConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        if not self.nms_radius >= 0:
-            raise ValueError("nms_radius must be >= 0")
+        if not (0 <= self.nms_radius < math.inf):
+            raise ValueError("nms_radius must be finite and >= 0")
         if not np.isfinite(self.score_threshold):
             raise ValueError("score_threshold must be finite")
         self.score.validate()

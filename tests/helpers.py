@@ -321,9 +321,15 @@ def _mean_over_channels(
     vectors: np.ndarray, contributing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, the mean over the leading (channel) axis of the
-    contributing channels, summed in channel order; and their count."""
+    contributing channels, summed in channel order from +0.0; and their
+    count. Where two NaNs meet, the sum keeps the first one met: numpy's
+    add loops differ in which operand's NaN they keep (a contiguous add of
+    30 slots keeps the first in slots 0-23 and the second in 24-29)."""
     n_chan = contributing.sum(axis=0)
-    sums = np.where(contributing[..., None], vectors, 0.0).sum(axis=0)
+    sums = np.zeros(vectors.shape[1:], dtype=np.float64)
+    for plane, mask in zip(vectors, contributing):
+        added = np.where(np.isnan(sums), sums, sums + plane)
+        sums = np.where(mask[..., None], added, sums)
     means = sums / np.maximum(n_chan, 1)[..., None]
     means[n_chan == 0] = 0.0
     return means, n_chan

@@ -513,3 +513,37 @@ def test_non_finite_scene_and_stride_values_exit_3(tmp_path, capsys, command, fl
     assert run([*args, flag, value]) == 3
     assert not out.exists()
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("track", "stroke_half_width"),  # every stroke covered every cell
+        ("encode", "stroke_half_width"),
+        ("track", "distance_scale"),  # the distance term read 1 for every pair
+        ("track", "nms_radius"),
+    ],
+)
+def test_an_infinite_size_exits_3(tmp_path, capsys, source, command, key):
+    # A 24x24 scene, so that a run which accepts the value stays small.
+    ann = tmp_path / "cand.json"
+    assert run([
+        "synth", "--out", ann, "--preset", "wander", "--people", "2", "--frames", "3",
+        "--image-width", "24", "--image-height", "24",
+    ]) == 0
+    out = tmp_path / "out"
+    args = {
+        "track": ["track", "--in", ann, "--out", out],
+        "encode": ["encode", "--in", ann, "--t1", "0", "--t2", "1", "--out", out],
+    }[command]
+    if source == "flag":
+        args += ["--" + key.replace("_", "-"), "inf"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1e999\n")  # a literal that reads as inf
+        args += ["--config", cfg]
+    capsys.readouterr()
+    assert run(args) == 3
+    assert not out.exists()
+    assert f"{key} must be finite" in capsys.readouterr().err

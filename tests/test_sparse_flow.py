@@ -6,15 +6,17 @@ These properties require the two, and the batched association matrix
 and its per-pair oracle, to agree bit for bit (``np.array_equal``).
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limbflow import encoder
 from limbflow.encoder import EncoderConfig, limb_strokes
 from limbflow.fileio import serialize_annotations
 from limbflow import scoring
@@ -178,6 +180,90 @@ def test_association_matrix_memory_stays_per_channel():
         finally:
             tracemalloc.stop()
         assert peak < 12 << 20, f"seed {seed}: traced peak {peak / 2**20:.2f} MiB"
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    enc=encoder_configs,
+    # Requested keys per channel: none (an unrequested channel between
+    # requested ones), a few, or just below, at or just above the run size.
+    levels=st.lists(
+        st.sampled_from(["none", "one", "few", "below", "at", "above"]), min_size=14, max_size=14
+    ),
+)
+# Runs 0 | 2 | 3 4 | 5 | 6 7 9 | 10 | 11 12 13: channels 3 and 4 hold the
+# run size exactly, and the last run holds three channels.
+@example(
+    seed=7,
+    enc=EncoderConfig(parts_per_limb=3, grid_stride=4),
+    levels=["above", "none", "few", "below", "one", "at", "few",
+            "few", "none", "one", "above", "few", "one", "few"],
+)
+@settings(max_examples=40, deadline=None)
+def test_values_at_equals_rasterize_across_run_boundaries(seed, enc, levels):
+    run = encoder._RUN_KEYS
+    counts = {"none": 0, "one": 1, "few": 37, "below": run - 1, "at": run, "above": run + 1}
+    # Enough cells at stride 4 that a channel can hold more keys than a run.
+    side = 4 * math.isqrt(run) + 8
+    rng, fl, fe = _scene(seed, 0.0, size=(side, side))
+    strokes = limb_strokes(fl, fe, [(i, i) for i in range(len(fe.poses))], TOPO, enc)
+    grid = strokes.rasterize()
+    plane = grid.width * grid.height
+    table = grid.cells[0]
+    keys = []
+    for c, level in enumerate(levels[: grid.channel_pairs]):
+        count = counts[level]
+        # The channel's covered cells first, then any others.
+        covered = table[table // plane == c] % plane
+        pool = np.concatenate([rng.permutation(covered), rng.permutation(plane)])
+        _, first = np.unique(pool, return_index=True)
+        keys.append(c * plane + np.sort(pool[np.sort(first)][:count]))
+    keys = np.concatenate(keys)
+    assert strokes.values_at(keys).tobytes() == grid.values_at(keys).tobytes()
+
+
+def _covers_calls(later, earlier, flow):
+    """``_covers`` calls of one scoring call, and the requested keys per
+    channel of each of its ``_covered`` calls."""
+    calls = []
+    covered = encoder.LimbStrokes._covered
+
+    def record(self, strokes, keys=None, offsets=None):
+        calls.append(np.bincount(keys // (self.width * self.height)))
+        return covered(self, strokes, keys, offsets)
+
+    with mock.patch.object(encoder.LimbStrokes, "_covered", record), mock.patch.object(
+        encoder, "_covers", wraps=encoder._covers
+    ) as kernel:
+        build_association_matrix(later, earlier, flow, TOPO, ScoreConfig())
+    return kernel.call_count, calls
+
+
+def test_small_channels_share_one_kernel_call_and_large_ones_keep_their_own():
+    # The long-seq scene: 4 people wandering in 256x192. Its 10 requested
+    # channels hold about 4,200 keys together and are read by one kernel call.
+    scene = SceneConfig(people=4, frames=2, image_size=(256, 192), motion="wander", seed=0)
+    earlier, later = generate_sequence(scene).frames
+    flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig())
+    kernel_calls, calls = _covers_calls(later, earlier, flow)
+    assert kernel_calls == len(calls) == 1
+    assert np.count_nonzero(calls[0]) == 10
+
+    # The crowd-hd scene of the memory test: channels share a kernel call
+    # only while they hold a run's worth of keys or fewer together, so a
+    # larger channel is read by a call of its own.
+    for seed in range(4):
+        scene = SceneConfig(
+            people=20, frames=2, image_size=(960, 720), motion="crossing",
+            jitter_sigma=2.0, dropout_prob=0.05, seed=seed,
+        )
+        earlier, later = apply_corruption(generate_sequence(scene), scene).frames
+        flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig())
+        kernel_calls, calls = _covers_calls(later, earlier, flow)
+        assert kernel_calls == len(calls)
+        for per_channel in calls:
+            shared = np.count_nonzero(per_channel) > 1
+            assert not shared or per_channel.sum() <= encoder._RUN_KEYS, f"seed {seed}: {per_channel}"
 
 
 @given(
