@@ -1,9 +1,10 @@
 """Optimal bipartite assignment over score matrices with forbidden entries.
 
 Maximum-total-score one-to-one assignment, maximum cardinality first.
-Feasible scores get a per-match bonus large enough that cardinality
-dominates any redistribution of real scores; forbidden entries (the
-sentinel, NaN or inf) get value 0, so matching a row to one means
+A link is forbidden exactly when its score is not finite (``FORBIDDEN``,
+the scorer's -inf, NaN or +inf). Feasible scores get a per-match bonus
+large enough that cardinality dominates any redistribution of real
+scores; forbidden entries get value 0, so matching a row to one means
 leaving it unmatched. The bonus-transformed block is then solved as a
 rectangular min-cost assignment of its smaller side: no padding to a
 (rows + cols) square; a matrix with more rows than columns is solved
@@ -68,10 +69,11 @@ def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
     return col_of_row
 
 
-def hungarian(scores: np.ndarray, forbidden: float = FORBIDDEN) -> list[tuple[int, int]]:
+def hungarian(scores: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-score assignment of rows to columns.
 
-    Entries equal to ``forbidden`` (or NaN/inf) are never assigned. Among
+    Entries that are not finite are never assigned: this is the one rule
+    for a forbidden link, and ``FORBIDDEN`` (-inf) follows it. Among
     all feasible partial assignments the result has maximum cardinality,
     and maximum total score among those. Returns (row, col) pairs sorted
     by row; an empty matrix or an all-forbidden matrix yields [].
@@ -83,7 +85,7 @@ def hungarian(scores: np.ndarray, forbidden: float = FORBIDDEN) -> list[tuple[in
     if n_rows == 0 or n_cols == 0:
         return []
 
-    feasible = np.isfinite(scores) & (scores != forbidden)
+    feasible = np.isfinite(scores)
     if not feasible.any():
         return []
 

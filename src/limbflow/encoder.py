@@ -60,6 +60,8 @@ from .skeleton import SkeletonTopology
 
 LAYOUT_INDIVIDUAL = "individual"
 LAYOUT_ACCUMULATED = "accumulated"
+# The flow-map layouts; a layout's index here is its TMLF layout byte.
+LAYOUTS = (LAYOUT_INDIVIDUAL, LAYOUT_ACCUMULATED)
 
 # Displacements (pixels) of at most this length count as no motion.
 MOTION_EPSILON = 1e-6
@@ -77,7 +79,7 @@ class EncoderConfig:
             raise ValueError("parts_per_limb must be >= 1")
         if not (0 < self.stroke_half_width < math.inf):
             raise ValueError("stroke_half_width must be finite and > 0")
-        if self.layout not in (LAYOUT_INDIVIDUAL, LAYOUT_ACCUMULATED):
+        if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.grid_stride < 1:
             raise ValueError("grid_stride must be >= 1")
@@ -103,10 +105,15 @@ def _stored_channel(layout: str, limb_channel):
     return limb_channel * (layout != LAYOUT_ACCUMULATED)
 
 
-def _check_keys(keys: np.ndarray, size: int) -> None:
-    """Raise ``ValueError`` unless ``keys`` ascend strictly within [0, size)."""
-    if len(keys) and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
-        raise ValueError(f"flow-map keys must ascend strictly within [0, {size})")
+def _channel_pairs(layout: str, limb_count: int) -> int:
+    """Stored channels of a flow map: one per limb channel, or one accumulated."""
+    return 1 if layout == LAYOUT_ACCUMULATED else limb_count
+
+
+def _check_keys(keys: np.ndarray, size: int, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``keys`` ascend strictly within [0, size)."""
+    if len(keys) and not (keys[0] >= 0 and int(keys[-1]) < size and np.all(keys[1:] > keys[:-1])):
+        raise error(f"flow-map keys must ascend strictly within [0, {size})")
 
 
 class FlowmapFormatError(ValueError):
@@ -233,7 +240,7 @@ class FlowMapGrid:
 
     @property
     def channel_pairs(self) -> int:
-        return 1 if self.layout == LAYOUT_ACCUMULATED else self.limb_count
+        return _channel_pairs(self.layout, self.limb_count)
 
     def channel_for(self, limb_channel):
         """Map a topology limb channel, or an array of them, to its stored
@@ -533,23 +540,33 @@ def _limb_anchors(
     frame_earlier: FramePoses,
     pairing: list[tuple[int, int]],
     topo: SkeletonTopology,
-    n: int,
+    cfg: EncoderConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Part anchors of every paired person's encodable limbs.
 
-    A limb is encodable when both endpoint joints are present and visible
-    in both frames. Returns the later-frame person index and limb index
-    of each encodable (pair, limb), pairing-major in limb order, and its
-    anchors in the later and the earlier frame, each (M, n, 2).
+    Raises ``ValueError``, before any anchor is built, for an invalid
+    ``cfg``, frames of two image sizes or a pairing index outside its
+    frame. A limb is encodable when both endpoint joints are present and
+    visible in both frames. Returns the later-frame person index and limb
+    index of each encodable (pair, limb), pairing-major in limb order, and
+    its anchors in the later and the earlier frame, each (M, parts, 2).
     """
+    cfg.validate()
+    if frame_later.image_size != frame_earlier.image_size:
+        raise ValueError("frames must share image_size")
+    for li, ei in pairing:
+        if not (0 <= li < len(frame_later.poses)):
+            raise ValueError(f"pairing index {li} out of range in later frame")
+        if not (0 <= ei < len(frame_earlier.poses)):
+            raise ValueError(f"pairing index {ei} out of range in earlier frame")
     xy_l, ok_l = pose_arrays([frame_later.poses[li] for li, _ in pairing], topo.joint_count)
     xy_e, ok_e = pose_arrays([frame_earlier.poses[ei] for _, ei in pairing], topo.joint_count)
     ja = np.array([limb[0] for limb in topo.limbs], dtype=np.int64)
     jb = np.array([limb[1] for limb in topo.limbs], dtype=np.int64)
     encodable = ok_l[:, ja] & ok_l[:, jb] & ok_e[:, ja] & ok_e[:, jb]
     row, limb = np.nonzero(encodable)
-    anchors_later = _subdivide(xy_l[row, ja[limb]], xy_l[row, jb[limb]], n)
-    anchors_earlier = _subdivide(xy_e[row, ja[limb]], xy_e[row, jb[limb]], n)
+    anchors_later = _subdivide(xy_l[row, ja[limb]], xy_l[row, jb[limb]], cfg.parts_per_limb)
+    anchors_earlier = _subdivide(xy_e[row, ja[limb]], xy_e[row, jb[limb]], cfg.parts_per_limb)
     person = np.array([li for li, _ in pairing], dtype=np.int64)[row]
     return person, limb, anchors_later, anchors_earlier
 
@@ -561,14 +578,9 @@ def limb_parts(
     topo: SkeletonTopology,
     cfg: EncoderConfig,
 ) -> list[LimbPart]:
-    """Enumerate part strokes for every paired person and encodable limb.
-
-    A limb is encodable when both endpoint joints are present and visible
-    in both frames.
-    """
-    person, limb, later, earlier = _limb_anchors(
-        frame_later, frame_earlier, pairing, topo, cfg.parts_per_limb
-    )
+    """Enumerate part strokes for every paired person and encodable limb,
+    with the input checks of ``limb_strokes``."""
+    person, limb, later, earlier = _limb_anchors(frame_later, frame_earlier, pairing, topo, cfg)
     return [
         LimbPart(
             anchor_later=(later[m, k, 0], later[m, k, 1]),
@@ -580,20 +592,6 @@ def limb_parts(
         for m in range(len(limb))
         for k in range(cfg.parts_per_limb)
     ]
-
-
-def _check_encode_inputs(
-    frame_later: FramePoses,
-    frame_earlier: FramePoses,
-    pairing: list[tuple[int, int]],
-) -> None:
-    if frame_later.image_size != frame_earlier.image_size:
-        raise ValueError("frames must share image_size")
-    for li, ei in pairing:
-        if not (0 <= li < len(frame_later.poses)):
-            raise ValueError(f"pairing index {li} out of range in later frame")
-        if not (0 <= ei < len(frame_earlier.poses)):
-            raise ValueError(f"pairing index {ei} out of range in earlier frame")
 
 
 def limb_strokes(
@@ -609,12 +607,10 @@ def limb_strokes(
     correspondences whose motion is drawn; an empty pairing draws
     nothing. Parts that move at most ``MOTION_EPSILON`` are dropped, which
     also keeps static limbs from diluting moving ones at shared cells.
+    Raises ``ValueError`` for the inputs ``_limb_anchors`` rejects, and
+    for a grid whose (channel, cell) keys would overflow int64.
     """
-    cfg.validate()
-    _check_encode_inputs(frame_later, frame_earlier, pairing)
-    _, limb, later, earlier = _limb_anchors(
-        frame_later, frame_earlier, pairing, topo, cfg.parts_per_limb
-    )
+    _, limb, later, earlier = _limb_anchors(frame_later, frame_earlier, pairing, topo, cfg)
     disp = later - earlier
     norms = np.hypot(disp[..., 0], disp[..., 1])
     moving = norms > MOTION_EPSILON  # (M, n)
@@ -622,6 +618,9 @@ def limb_strokes(
     moving = moving[drawn]
     later, earlier, disp, norms = later[drawn], earlier[drawn], disp[drawn], norms[drawn]
     width, height = grid_shape_for(frame_later.image_size, cfg.grid_stride)
+    slots = _channel_pairs(cfg.layout, topo.limb_count) * width * height
+    if slots > np.iinfo(np.int64).max:
+        raise ValueError(f"a flow map of {width} x {height} cells has {slots} slots, too many for int64 keys")
     return LimbStrokes(
         layout=cfg.layout,
         limb_count=topo.limb_count,

@@ -11,7 +11,8 @@ the covered (channel, cell) slots:
 
     magic  "TMLF"          4 bytes
     version                u16  (3)
-    layout                 u8   (0 = individual, 1 = accumulated)
+    layout                 u8   (index into encoder.LAYOUTS:
+                                 0 = individual, 1 = accumulated)
     limb_count             u16  (source channel count)
     width, height          u32, u32  (cells)
     grid_stride            u32  (pixels per cell side, >= 1)
@@ -46,11 +47,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from typing import Optional
 
 import numpy as np
 
-from .encoder import _COUNT_MAX, LAYOUT_ACCUMULATED, LAYOUT_INDIVIDUAL, Cells, FlowmapFormatError, FlowMapGrid
+from .encoder import _COUNT_MAX, LAYOUTS, Cells, FlowmapFormatError, FlowMapGrid, _channel_pairs, _check_keys
 from .pose import FramePoses, JointCandidate, Pose, Sequence
 from .skeleton import SkeletonTopology, resolve_topology
 
@@ -116,8 +118,9 @@ def serialize_annotations(seq) -> str:
 
 
 def write_annotations(seq, path: str) -> None:
+    text = serialize_annotations(seq)  # before the file exists: a failure leaves none
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_annotations(seq))
+        fh.write(text)
 
 
 def _expect(cond: bool, message: str, where: str) -> None:
@@ -141,7 +144,8 @@ def _parse_joint(obj, joint_count: int, where: str) -> tuple[int, JointCandidate
             f"malformed number for {name!r}",
             where,
         )
-        _expect(np.isfinite(value), f"{name!r} must be finite", where)
+        # Compared exactly: an int too large for a float fails, as NaN does.
+        _expect(abs(value) <= sys.float_info.max, f"{name!r} must be finite", where)
     confidence = obj.get("confidence", 1.0)
     _expect(
         isinstance(confidence, (int, float)) and not isinstance(confidence, bool),
@@ -184,8 +188,10 @@ def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = 
             "image_size must be [width, height] of positive integers",
             where,
         )
+        poses_doc = fdoc.get("poses", [])
+        _expect(isinstance(poses_doc, list), "poses must be a list", where)
         poses = []
-        for pi, pdoc in enumerate(fdoc.get("poses", [])):
+        for pi, pdoc in enumerate(poses_doc):
             pwhere = f"{where}.poses[{pi}]"
             _expect(isinstance(pdoc, dict), "pose must be an object", pwhere)
             track_id = pdoc.get("track_id")
@@ -195,8 +201,10 @@ def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = 
                     "track_id must be a non-negative integer",
                     pwhere,
                 )
+            joints_doc = pdoc.get("joints", [])
+            _expect(isinstance(joints_doc, list), "joints must be a list", pwhere)
             joints: list[Optional[JointCandidate]] = [None] * topology.joint_count
-            for ji, jdoc in enumerate(pdoc.get("joints", [])):
+            for ji, jdoc in enumerate(joints_doc):
                 j, cand = _parse_joint(jdoc, topology.joint_count, f"{pwhere}.joints[{ji}]")
                 _expect(joints[j] is None, f"duplicate joint_index {j}", f"{pwhere}.joints[{ji}]")
                 joints[j] = cand
@@ -224,14 +232,15 @@ def read_annotations(path: str, topology: Optional[SkeletonTopology] = None) -> 
 
 
 def flowmap_to_bytes(grid: FlowMapGrid) -> bytes:
-    if grid.layout == LAYOUT_INDIVIDUAL:
-        layout_byte = 0
-    elif grid.layout == LAYOUT_ACCUMULATED:
-        layout_byte = 1
-    else:
+    if grid.layout not in LAYOUTS:
         raise FlowmapFormatError(f"unknown layout {grid.layout!r}")
+    for name, lo, hi in (("limb_count", 0, 2**16 - 1), ("width", 0, 2**32 - 1),
+                         ("height", 0, 2**32 - 1), ("grid_stride", 1, 2**32 - 1)):
+        value = getattr(grid, name)
+        if not lo <= value <= hi:
+            raise FlowmapFormatError(f"{name} {value} is outside the header field's range [{lo}, {hi}]")
     header = _HEADER_V1.pack(
-        TMLF_MAGIC, TMLF_VERSION, layout_byte, grid.limb_count, grid.width, grid.height
+        TMLF_MAGIC, TMLF_VERSION, LAYOUTS.index(grid.layout), grid.limb_count, grid.width, grid.height
     ) + _STRIDE.pack(grid.grid_stride)
     keys, vectors, counts = grid.cells
     tail = ()
@@ -272,13 +281,10 @@ def flowmap_from_bytes(data: bytes) -> FlowMapGrid:
         (grid_stride,) = _STRIDE.unpack_from(data, _HEADER_V1.size)
         if grid_stride < 1:
             raise FlowmapFormatError(f"grid stride {grid_stride} must be >= 1")
-    if layout_byte == 0:
-        layout, pairs = LAYOUT_INDIVIDUAL, limb_count
-    elif layout_byte == 1:
-        layout, pairs = LAYOUT_ACCUMULATED, 1
-    else:
+    if layout_byte >= len(LAYOUTS):
         raise FlowmapFormatError(f"unknown layout byte {layout_byte}")
-    shape = (pairs, height, width)
+    layout = LAYOUTS[layout_byte]
+    shape = (_channel_pairs(layout, limb_count), height, width)
     if version == 3:
         cells = _sparse_cells(data, header_size, shape)
         return FlowMapGrid.from_cells(layout, limb_count, width, height, cells, grid_stride)
@@ -321,9 +327,7 @@ def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]) ->
     # Read as signed: a u64 key of 2**63 or more turns negative, and a u32
     # count above the int32 range does too, so each fails its check below.
     keys = np.frombuffer(data, dtype="<i8", count=n, offset=header_size)
-    ascending = np.all(keys[1:] > keys[:-1])
-    if n and not (ascending and keys[0] >= 0 and int(keys[-1]) < math.prod(shape)):
-        raise FlowmapFormatError("cell keys must be strictly ascending and inside the grid")
+    _check_keys(keys, math.prod(shape), FlowmapFormatError)
     vectors = np.frombuffer(data, dtype="<f4", count=2 * n, offset=header_size + 8 * n)
     if not has_counts:
         if not np.all(vectors.view("<u8")):
@@ -336,8 +340,9 @@ def _sparse_cells(data: bytes, header_size: int, shape: tuple[int, int, int]) ->
 
 
 def write_flowmap(grid: FlowMapGrid, path: str) -> None:
+    data = flowmap_to_bytes(grid)  # before the file exists: a failure leaves none
     with open(path, "wb") as fh:
-        fh.write(flowmap_to_bytes(grid))
+        fh.write(data)
 
 
 def read_flowmap(path: str) -> FlowMapGrid:

@@ -96,7 +96,7 @@ def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> di
     known: list[float] = []
     for frame in gt_frames:
         for pi, pose in enumerate(frame.poses):
-            ca, cb = _joint_items(pose, ha), _joint_items(pose, hb)
+            ca, cb = pose.joint(ha), pose.joint(hb)
             if ca is not None and cb is not None:
                 val = math.hypot(ca.x - cb.x, ca.y - cb.y)
                 lengths[(frame.frame_index, pi)] = val
@@ -118,17 +118,9 @@ def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> di
     return {k: float(v) for k, v in lengths.items()}
 
 
-def _joint_items(pose: Pose, j: int):
-    c = pose.joint(j)
-    if c is None or not c.visible:
-        return None
-    return c
-
-
 def _visible(poses: TySequence[Pose], j: int) -> list[tuple[int, JointCandidate]]:
     """(pose position, joint) for every pose whose joint ``j`` is visible."""
-    joints = ((pi, _joint_items(p, j)) for pi, p in enumerate(poses))
-    return [(pi, c) for pi, c in joints if c is not None]
+    return [(pi, c) for pi, p in enumerate(poses) if (c := p.joint(j)) is not None]
 
 
 def _match(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -36,12 +37,22 @@ class Pose:
     joints: tuple[Optional[JointCandidate], ...]
     track_id: Optional[int] = None
 
+    @cached_property
+    def visible_joints(self) -> tuple[Optional[JointCandidate], ...]:
+        """Each slot's joint if present and visible, else None: the one rule by
+        which NMS, scoring, strokes and metrics count a joint. ``joints``
+        keeps the raw slots for file I/O, augmentation and synthesis; a pose
+        with no invisible joint returns ``joints`` itself, held once."""
+        visible = tuple(c if c is not None and c.visible else None for c in self.joints)
+        return self.joints if visible == self.joints else visible
+
     def joint(self, j: int) -> Optional[JointCandidate]:
-        return self.joints[j]
+        """Joint ``j`` if it is present and visible, else None."""
+        return self.visible_joints[j]
 
     def present_joints(self) -> list[int]:
         """Indices of joints that are present and visible."""
-        return [j for j, c in enumerate(self.joints) if c is not None and c.visible]
+        return [j for j, c in enumerate(self.visible_joints) if c is not None]
 
     @property
     def n_present(self) -> int:
@@ -52,7 +63,7 @@ class Pose:
 
     def centroid(self) -> Optional[tuple[float, float]]:
         """Mean position of present, visible joints; None if empty."""
-        pts = [self.joints[j] for j in self.present_joints()]
+        pts = [c for c in self.visible_joints if c is not None]
         if not pts:
             return None
         return (
@@ -65,12 +76,8 @@ def common_joints(a: Pose, b: Pose) -> list[int]:
     """Ascending indices where both poses have present, visible joints."""
     if len(a.joints) != len(b.joints):
         raise ValueError("poses have different joint counts")
-    out = []
-    for j in range(len(a.joints)):
-        ca, cb = a.joints[j], b.joints[j]
-        if ca is not None and cb is not None and ca.visible and cb.visible:
-            out.append(j)
-    return out
+    pairs = enumerate(zip(a.visible_joints, b.visible_joints))
+    return [j for j, (ca, cb) in pairs if ca is not None and cb is not None]
 
 
 def pose_arrays(
@@ -87,8 +94,8 @@ def pose_arrays(
     for p, pose in enumerate(poses):
         if len(pose.joints) != joint_count:
             raise ValueError("poses have different joint counts")
-        for j, c in enumerate(pose.joints):
-            if c is not None and c.visible:
+        for j, c in enumerate(pose.visible_joints):
+            if c is not None:
                 xy[p, j] = (c.x, c.y)
                 present[p, j] = True
     return xy, present
@@ -108,7 +115,7 @@ class FramePoses:
         bad = []
         for pi, pose in enumerate(self.poses):
             for j in pose.present_joints():
-                c = pose.joints[j]
+                c = pose.joint(j)
                 if not (0 <= c.x < w and 0 <= c.y < h) or not (
                     math.isfinite(c.x) and math.isfinite(c.y)
                 ):

@@ -166,8 +166,6 @@ def distance_score(pose_a: Pose, pose_b: Pose) -> float:
 
 def association_score(s_flow: float, s_dist: float, cfg: ScoreConfig) -> float:
     """Linear combination of the flow similarity and distance similarity."""
-    if s_flow == FORBIDDEN or s_dist == FORBIDDEN:
-        return FORBIDDEN
     if not (math.isfinite(s_flow) and math.isfinite(s_dist)):
         return FORBIDDEN
     return cfg.alpha * s_flow + (1.0 - cfg.alpha) * math.exp(-s_dist / cfg.distance_scale)

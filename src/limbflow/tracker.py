@@ -87,21 +87,18 @@ class TrackedSequence:
 def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int) -> FramePoses:
     """Greedy per-joint-type NMS across all poses of a frame.
 
-    For each joint type, keep the highest-confidence candidate, drop all
-    others within ``radius`` of it, repeat. Ties break by (confidence
-    desc, x asc, y asc, pose position) so the result is deterministic.
-    Suppressed joints are removed from their poses; poses left with no
-    joints are dropped.
+    For each joint type, keep the highest-confidence visible candidate,
+    drop all others within ``radius`` of it, repeat. Ties break by
+    (confidence desc, x asc, y asc, pose position) so the result is
+    deterministic. Suppressed joints are removed from their poses; poses
+    left with no joints are dropped. Invisible joints are not there
+    (``Pose.joint``): they neither suppress a joint nor are suppressed.
     """
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
-    keep: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
+    dropped: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
     for j in range(joint_count):
-        entries = [
-            (pose.joint(j), pi)
-            for pi, pose in enumerate(frame.poses)
-            if pose.joint(j) is not None
-        ]
+        entries = [(c, pi) for pi, pose in enumerate(frame.poses) if (c := pose.joint(j)) is not None]
         entries.sort(key=lambda e: (-e[0].confidence, e[0].x, e[0].y, e[1]))
         kept: list[JointCandidate] = []
         for cand, pi in entries:
@@ -109,13 +106,11 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
                 (cand.x - k.x) ** 2 + (cand.y - k.y) ** 2 > radius * radius for k in kept
             ):
                 kept.append(cand)
-                keep[pi].add(j)
+            else:
+                dropped[pi].add(j)
     new_poses = []
     for pi, pose in enumerate(frame.poses):
-        joints = tuple(
-            c if (c is not None and j in keep[pi]) else None
-            for j, c in enumerate(pose.joints)
-        )
+        joints = tuple(None if j in dropped[pi] else c for j, c in enumerate(pose.joints))
         if any(c is not None for c in joints):
             new_poses.append(replace(pose, joints=joints))
     return replace(frame, poses=tuple(new_poses))
@@ -133,8 +128,7 @@ def _reference_pairing(frame_a: FramePoses, frame_b: FramePoses) -> list[tuple[i
     if all(i is not None for i in ids_a) and all(i is not None for i in ids_b):
         by_id_b = {tid: j for j, tid in enumerate(ids_b)}
         return [(i, by_id_b[tid]) for i, tid in enumerate(ids_a) if tid in by_id_b]
-    d = distance_matrix(list(frame_a.poses), list(frame_b.poses))
-    return hungarian(np.where(np.isfinite(d), -d, -np.inf))
+    return hungarian(-distance_matrix(list(frame_a.poses), list(frame_b.poses)))
 
 
 class SequenceFlowSource:
@@ -206,7 +200,7 @@ def _average_pose(a: Pose, b: Pose, track_id: int, joint_count: int) -> Pose:
     joints: list[Optional[JointCandidate]] = []
     for j in range(joint_count):
         ca, cb = a.joint(j), b.joint(j)
-        if ca is not None and cb is not None and ca.visible and cb.visible:
+        if ca is not None and cb is not None:
             joints.append(
                 JointCandidate(
                     x=(ca.x + cb.x) / 2.0,

@@ -30,7 +30,6 @@ from limbflow.metrics import (
     GroupCounts,
     _average_precision,
     _head_lengths,
-    _joint_items,
     joint_group,
     match_joints_pckh,
 )
@@ -762,12 +761,12 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
         for j in range(topo.joint_count):
             gt_join = [
                 (pi, c) for pi, c in (
-                    (pi, _joint_items(p, j)) for pi, p in enumerate(frame.poses)
+                    (pi, p.joint(j)) for pi, p in enumerate(frame.poses)
                 ) if c is not None
             ]
             pred_join = [
                 (pi, c) for pi, c in (
-                    (pi, _joint_items(p, j)) for pi, p in enumerate(pred.poses)
+                    (pi, p.joint(j)) for pi, p in enumerate(pred.poses)
                 ) if c is not None
             ]
             counts = per_type[j]
@@ -802,7 +801,7 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
         for frame in gt_frames:
             pool = []
             for pi, pose in enumerate(frame.poses):
-                c = _joint_items(pose, j)
+                c = pose.joint(j)
                 if c is not None:
                     pool.append(
                         _GtJoint(

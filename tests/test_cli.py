@@ -547,3 +547,48 @@ def test_an_infinite_size_exits_3(tmp_path, capsys, source, command, key):
     assert run(args) == 3
     assert not out.exists()
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+def _resized_scene(tmp_path, size):
+    """A synthesized 2-frame scene whose frames claim ``size`` pixels."""
+    ann = tmp_path / "cand.json"
+    assert run(["synth", "--out", ann, "--preset", "wander", "--people", "2", "--frames", "2"]) == 0
+    doc = json.loads((tmp_path / "cand.json.gt.json").read_text())
+    for f in doc["frames"]:
+        f["image_size"] = list(size)
+    ann.write_text(json.dumps(doc))
+    return ann
+
+
+@pytest.mark.parametrize("size, message", [
+    ((2**31, 2**31), "too many for int64 keys"),  # exited 0 with a map its reader rejects
+    ((2**40, 2**30), "too many for int64 keys"),  # exited 1 (OverflowError)
+    ((2**33, 4), "width 8589934592 is outside"),  # exited 1 (struct.error), empty file left
+], ids=["2^31x2^31", "2^40x2^30", "2^33x4"])
+def test_encode_of_an_unwritable_map_exits_3_and_writes_nothing(tmp_path, capsys, size, message):
+    ann = _resized_scene(tmp_path, size)
+    out = tmp_path / "map.tmlf"
+    capsys.readouterr()
+    assert run(["encode", "--in", ann, "--t1", "0", "--t2", "1", "--out", out]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("poses",), 5, "$.frames[0]: poses must be a list"),
+    (("poses", 0, "joints"), 7, "$.frames[0].poses[0]: joints must be a list"),
+    (("poses", 0, "joints", 0, "x"), 10**400, "$.frames[0].poses[0].joints[0]: 'x' must be finite"),
+], ids=["poses", "joints", "x"])
+def test_track_on_a_value_of_the_wrong_kind_exits_3(tmp_path, capsys, path, value, where):
+    ann = _synth_scene(tmp_path)
+    doc = json.loads(ann.read_text())
+    node = doc["frames"][0]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    ann.write_text(json.dumps(doc))
+    out = tmp_path / "tracked.json"
+    capsys.readouterr()
+    assert run(["track", "--in", ann, "--out", out]) == 3
+    assert not out.exists()
+    assert where in capsys.readouterr().err

@@ -178,6 +178,27 @@ def test_encode_rejects_bad_pairing():
         encode_limb_flow(fl, fe, [(0, 5)], TOPO, CFG)
 
 
+@pytest.mark.parametrize("layout, size", [
+    ("individual", (2**31, 2**31)),  # 14 * 2**62 slots: the int64 keys wrapped
+    ("individual", (2**40, 2**30)),
+    ("accumulated", (2**32, 2**32)),  # one channel of 2**64 slots
+])
+def test_strokes_reject_a_flow_map_beyond_int64_keys(layout, size):
+    fl, fe = _pair_frames(size=size)
+    with pytest.raises(ValueError, match="int64 keys"):
+        limb_strokes(fl, fe, [(0, 0)], TOPO, EncoderConfig(layout=layout))
+
+
+def test_strokes_take_a_flow_map_of_2_to_the_63_minus_1_slots():
+    accumulated = EncoderConfig(layout="accumulated")
+    width, height = 153092023, 60247241209  # width * height == 2**63 - 1
+    fl, fe = _pair_frames(size=(width, height))
+    assert len(limb_strokes(fl, fe, [(0, 0)], TOPO, accumulated).later) > 0
+    fl, fe = _pair_frames(size=(width, height + 1))
+    with pytest.raises(ValueError, match="int64 keys"):
+        limb_strokes(fl, fe, [(0, 0)], TOPO, accumulated)
+
+
 def test_encode_norm_bound_and_count_one_exact():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -531,6 +552,17 @@ def test_limb_parts_enumeration():
     assert {p.limb_index for p in parts} == set(range(TOPO.limb_count))
     for p in parts:
         assert p.stroke_length() == pytest.approx(6.0)
+
+
+def test_limb_parts_check_the_inputs_limb_strokes_checks():
+    # A pairing index of -1 gave parts of person -1, and parts_per_limb=0 no
+    # parts at all, where limb_strokes raised.
+    fl, fe = _pair_frames(6.0, 0.0)
+    for pairing, cfg in [([(-1, 0)], CFG), ([(0, -1)], CFG), ([(0, 0)], EncoderConfig(parts_per_limb=0))]:
+        with pytest.raises(ValueError):
+            limb_strokes(fl, fe, pairing, TOPO, cfg)
+        with pytest.raises(ValueError):
+            limb_parts(fl, fe, pairing, TOPO, cfg)
 
 
 def test_limb_parts_skip_missing_joints():

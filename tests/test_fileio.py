@@ -140,6 +140,33 @@ def test_duplicate_joint_index_rejected():
         parse_annotations(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("poses",), 5, r"\$\.frames\[0\]: poses must be a list"),
+    (("poses", 0, "joints"), 7, r"\$\.frames\[0\]\.poses\[0\]: joints must be a list"),
+    (("poses", 0, "joints", 0, "x"), 10**400, r"\$\.frames\[0\]\.poses\[0\]\.joints\[0\]: 'x' must be finite"),
+    (("poses", 0, "joints", 0, "y"), -(10**400), r"\.joints\[0\]: 'y' must be finite"),
+], ids=["poses", "joints", "x", "y"])
+def test_parser_rejects_a_value_of_the_wrong_kind(path, value, message):
+    # Each raised TypeError before, from iterating an int or from np.isfinite
+    # on an int too large for a float.
+    doc = json.loads(serialize_annotations(_sequence(1, 1)))
+    node = doc["frames"][0]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(AnnotationError, match=message):
+        parse_annotations(json.dumps(doc))
+
+
+def test_an_unserializable_sequence_leaves_no_file(tmp_path):
+    bad = _sequence(1, 1)
+    bad = replace(bad, frames=(replace(bad.frames[0], frame_index="first"),))
+    path = tmp_path / "ann.json"
+    with pytest.raises(ValueError):
+        write_annotations(bad, str(path))
+    assert not path.exists()
+
+
 def test_file_round_trip(tmp_path):
     seq = _sequence(3, 2)
     path = tmp_path / "ann.json"
@@ -266,6 +293,38 @@ def test_flowmap_file_round_trip(tmp_path):
     write_flowmap(grid, str(path))
     back = read_flowmap(str(path))
     assert np.array_equal(back.vectors, grid.vectors)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("limb_count", 2**16),
+    ("limb_count", -1),
+    ("width", 2**32),
+    ("height", 2**32),
+    ("grid_stride", 2**32),
+    ("grid_stride", 0),
+])
+def test_write_rejects_a_header_field_out_of_range(tmp_path, field, value):
+    # A 2**33-cell-wide map raised struct.error after write_flowmap had
+    # created an empty file.
+    geometry = dict(layout="individual", limb_count=2, width=4, height=3, grid_stride=1)
+    geometry[field] = value
+    empty = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0, np.int32))
+    grid = FlowMapGrid.from_cells(cells=empty, **geometry)
+    with pytest.raises(FlowmapFormatError, match=f"{field} {value} is outside"):
+        flowmap_to_bytes(grid)
+    path = tmp_path / "map.tmlf"
+    with pytest.raises(FlowmapFormatError):
+        write_flowmap(grid, str(path))
+    assert not path.exists()
+
+
+def test_write_takes_the_largest_header_fields():
+    empty = (np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros(0, np.int32))
+    grid = FlowMapGrid.from_cells("accumulated", 2**16 - 1, 2**32 - 1, 2**32 - 1, empty, 2**32 - 1)
+    back = flowmap_from_bytes(flowmap_to_bytes(grid))
+    assert (back.limb_count, back.width, back.height, back.grid_stride) == (
+        2**16 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1,
+    )
 
 
 def test_write_rejects_shape_mismatch():
@@ -617,18 +676,18 @@ def test_v3_well_formed_blob_reads():
 
 
 def test_v3_unsorted_keys_rejected():
-    with pytest.raises(FlowmapFormatError, match="ascending"):
+    with pytest.raises(FlowmapFormatError, match="ascend strictly"):
         flowmap_from_bytes(_v3_blob([5, 0], [[1, 0], [0, 1]], [1, 1]))
 
 
 def test_v3_repeated_keys_rejected():
-    with pytest.raises(FlowmapFormatError, match="ascending"):
+    with pytest.raises(FlowmapFormatError, match="ascend strictly"):
         flowmap_from_bytes(_v3_blob([5, 5], [[1, 0], [0, 1]], [1, 1]))
 
 
 def test_v3_key_outside_the_grid_rejected():
     flowmap_from_bytes(_v3_blob([23], [[1, 0]], [1]))  # the last slot of 2 * 3 * 4
-    with pytest.raises(FlowmapFormatError, match="inside the grid"):
+    with pytest.raises(FlowmapFormatError, match=r"ascend strictly within \[0, 24\)"):
         flowmap_from_bytes(_v3_blob([24], [[1, 0]], [1]))
 
 
