@@ -76,7 +76,8 @@ def hungarian(scores: np.ndarray) -> list[tuple[int, int]]:
     for a forbidden link, and ``FORBIDDEN`` (-inf) follows it. Among
     all feasible partial assignments the result has maximum cardinality,
     and maximum total score among those. Returns (row, col) pairs sorted
-    by row; an empty matrix or an all-forbidden matrix yields [].
+    by row; an empty matrix or an all-forbidden matrix yields []. Scores
+    too large to rank without overflow raise ``ValueError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -93,6 +94,9 @@ def hungarian(scores: np.ndarray) -> list[tuple[int, int]]:
     # Per-match bonus large enough that cardinality dominates any possible
     # redistribution of real scores.
     bonus = (2.0 * s_max + 1.0) * (min(n_rows, n_cols) + 1)
+    # The solver's reduced costs add up to four terms as large as a value.
+    if not np.isfinite(4.0 * (bonus + s_max)):
+        raise ValueError(f"scores of magnitude {s_max:g} are too large to rank")
     value = np.where(feasible, bonus + scores, 0.0)
 
     if n_rows <= n_cols:

@@ -24,13 +24,15 @@ from .pose import FramePoses, JointCandidate, Pose
 
 @dataclass(frozen=True)
 class StrideConfig:
+    """Pair-sampling options, checked when built: a built config is valid."""
+
     max_stride: int = 4
     rng_seed: int = 0
     scale_range: tuple[float, float] = (0.85, 1.15)
     rotation_range: float = 30.0  # degrees, symmetric
     crop_size: tuple[int, int] = (96, 96)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_stride < 1:
             raise ValueError("max_stride must be >= 1")
         if not all(math.isfinite(s) for s in self.scale_range):
@@ -57,7 +59,6 @@ def sample_frame_pair(seq_len: int, cfg: StrideConfig, draw_index: int) -> tuple
     The stride is uniform over feasible strides and the start uniform
     over feasible starts; a deterministic function of (seed, draw_index).
     """
-    cfg.validate()
     if seq_len < 2:
         raise ValueError("no pair available: sequence has fewer than 2 frames")
     rng = _draw_rng(cfg.rng_seed, 0, draw_index)
@@ -147,7 +148,6 @@ def random_person_crop(
     reported, not padded away). The same window is applied to the second
     frame.
     """
-    cfg.validate()
     first, second = frame_pair
     if not first.poses:
         raise ValueError("first frame has no poses to crop around")

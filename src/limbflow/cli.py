@@ -106,14 +106,8 @@ class RunConfig:
             kwargs[f.name] = values if len(keys) > 1 else values[0]
         return component(**kwargs, **nested)
 
-    def encoder(self) -> EncoderConfig:
-        return self._build(EncoderConfig)
-
-    def score(self) -> ScoreConfig:
-        return self._build(ScoreConfig)
-
     def tracker(self) -> TrackerConfig:
-        return self._build(TrackerConfig, score=self.score(), encoder=self.encoder())
+        return self._build(TrackerConfig, score=self._build(ScoreConfig), encoder=self._build(EncoderConfig))
 
     def stride(self) -> augment_mod.StrideConfig:
         return self._build(augment_mod.StrideConfig)
@@ -122,9 +116,9 @@ class RunConfig:
         return self._build(synth.SceneConfig)
 
     def validate(self) -> None:
-        self.tracker().validate()
-        self.stride().validate()
-        self.scene().validate()
+        self.tracker()
+        self.stride()
+        self.scene()
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -162,7 +156,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     frame_later = seq.frame_by_index(later_idx)
     frame_earlier = seq.frame_by_index(earlier_idx)
     pairing = _reference_pairing(frame_later, frame_earlier)
-    grid = encode_limb_flow(frame_later, frame_earlier, pairing, seq.topology, cfg.encoder())
+    grid = encode_limb_flow(frame_later, frame_earlier, pairing, seq.topology, cfg.tracker().encoder)
     fileio.write_flowmap(grid, args.out)
     print(
         f"wrote {args.out}: {grid.layout} layout, {grid.channel_pairs} channels, "
@@ -172,13 +166,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args).tracker()
     seq = _read_sequence(args.in_path, args.topology)
     flow_source = None
     if args.flow_from:
         ref = _read_sequence(args.flow_from, args.topology)
-        flow_source = SequenceFlowSource(ref, cfg.encoder())
-    result = track_sequence(seq, cfg.tracker(), flow_source)
+        flow_source = SequenceFlowSource(ref, cfg.encoder)
+    result = track_sequence(seq, cfg, flow_source)
     fileio.write_annotations(result, args.out)
     if args.log_out:
         log = [asdict(e) for e in result.refinement_log]

@@ -69,12 +69,14 @@ MOTION_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Flow-map encoding options, checked when built: a built config is valid."""
+
     parts_per_limb: int = 20
     stroke_half_width: float = 1.0
     layout: str = LAYOUT_INDIVIDUAL
     grid_stride: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.parts_per_limb < 1:
             raise ValueError("parts_per_limb must be >= 1")
         if not (0 < self.stroke_half_width < math.inf):
@@ -544,14 +546,13 @@ def _limb_anchors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Part anchors of every paired person's encodable limbs.
 
-    Raises ``ValueError``, before any anchor is built, for an invalid
-    ``cfg``, frames of two image sizes or a pairing index outside its
-    frame. A limb is encodable when both endpoint joints are present and
-    visible in both frames. Returns the later-frame person index and limb
-    index of each encodable (pair, limb), pairing-major in limb order, and
-    its anchors in the later and the earlier frame, each (M, parts, 2).
+    Raises ``ValueError``, before any anchor is built, for frames of two
+    image sizes or a pairing index outside its frame. A limb is encodable
+    when both endpoint joints are present and visible in both frames.
+    Returns the later-frame person index and limb index of each encodable
+    (pair, limb), pairing-major in limb order, and its anchors in the later
+    and the earlier frame, each (M, parts, 2).
     """
-    cfg.validate()
     if frame_later.image_size != frame_earlier.image_size:
         raise ValueError("frames must share image_size")
     for li, ei in pairing:
@@ -607,8 +608,8 @@ def limb_strokes(
     correspondences whose motion is drawn; an empty pairing draws
     nothing. Parts that move at most ``MOTION_EPSILON`` are dropped, which
     also keeps static limbs from diluting moving ones at shared cells.
-    Raises ``ValueError`` for the inputs ``_limb_anchors`` rejects, and
-    for a grid whose (channel, cell) keys would overflow int64.
+    Raises ``ValueError`` for the frames and pairing ``_limb_anchors``
+    rejects, and for a grid whose (channel, cell) keys would overflow int64.
     """
     _, limb, later, earlier = _limb_anchors(frame_later, frame_earlier, pairing, topo, cfg)
     disp = later - earlier

@@ -200,15 +200,17 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     """Full report: MOTA per group and total, MOTP, AP per joint, mAP.
 
     ``gt_seq`` and ``pred_seq`` are sequences (tracked or plain) sharing
-    one topology; frames are aligned by ``frame_index``. Ground truth
-    with no frames at all, or with a pose lacking a track id (MOTA's
-    ID-switch term needs ground-truth identities), is rejected, and so is
-    a frame index that repeats in either sequence, or a ``thresh_factor``
-    that is not finite and positive.
+    one topology; frames are aligned by ``frame_index``. A prediction in
+    another topology is rejected, as is ground truth with no frames at
+    all, or with a pose lacking a track id (MOTA's ID-switch term needs
+    ground-truth identities), a frame index that repeats in either
+    sequence, or a ``thresh_factor`` that is not finite and positive.
     """
     if not (math.isfinite(thresh_factor) and thresh_factor > 0):
         raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
     topo: SkeletonTopology = gt_seq.topology
+    if pred_seq.topology != topo:
+        raise ValueError("prediction and ground truth have different topologies")
     gt_frames = list(gt_seq.frames)
     if not gt_frames:
         raise ValueError("ground truth has no frames")

@@ -49,11 +49,13 @@ _CHUNK_SAMPLES = 1 << 16
 
 @dataclass(frozen=True)
 class ScoreConfig:
+    """Association scoring options, checked when built: a built config is valid."""
+
     alpha: float = 0.5
     integral_samples: int = 20
     distance_scale: float = 32.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must be in [0, 1]")
         if self.integral_samples < 1:
@@ -258,7 +260,6 @@ def build_association_matrix(
     joint terms are added in ascending joint order, and lengths and
     exponentials use the scalar ``math`` functions.
     """
-    cfg.validate()
     later = _poses_of(frame_later)
     earlier = _poses_of(frame_earlier)
     scores = np.full((len(later), len(earlier)), FORBIDDEN, dtype=np.float64)

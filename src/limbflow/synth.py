@@ -35,6 +35,8 @@ def _q(x: float) -> float:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """Synthetic scene options, checked when built: a built config is valid."""
+
     people: int = 2
     frames: int = 10
     image_size: tuple[int, int] = (160, 120)
@@ -44,7 +46,7 @@ class SceneConfig:
     dropout_prob: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.people < 1:
             raise ValueError("people must be >= 1")
         if self.frames < 1:
@@ -215,7 +217,6 @@ def generate_sequence(cfg: SceneConfig, topo: SkeletonTopology | None = None) ->
     Every pose carries its person index as track id; all joints are
     visible, in bounds, confidence 1.
     """
-    cfg.validate()
     topo = topo or default_topology()
     w, h = cfg.image_size
     size_rng = _rng(cfg.seed, 0)
@@ -263,7 +264,6 @@ def apply_corruption(seq: Sequence, cfg: SceneConfig) -> Sequence:
     strips track ids, and assigns confidences decaying with the injected
     noise. Deterministic in the seed.
     """
-    cfg.validate()
     rng = _rng(cfg.seed, 101)
     occ_frame, occ_track = occlusion_target(cfg)
     w, h = seq.frames[0].image_size if seq.frames else cfg.image_size

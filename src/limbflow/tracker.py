@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .assignment import FORBIDDEN, hungarian
 from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
 
@@ -45,19 +43,19 @@ from .skeleton import SkeletonTopology
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """Tracking options, checked when built: a built config is valid."""
+
     score_threshold: float = 0.1
     nms_radius: float = 5.0
     refine: bool = True
     score: ScoreConfig = field(default_factory=ScoreConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 <= self.nms_radius < math.inf):
             raise ValueError("nms_radius must be finite and >= 0")
-        if not np.isfinite(self.score_threshold):
+        if not math.isfinite(self.score_threshold):
             raise ValueError("score_threshold must be finite")
-        self.score.validate()
-        self.encoder.validate()
 
 
 @dataclass
@@ -288,7 +286,6 @@ class Tracker:
         cfg: TrackerConfig,
         flow_source: Optional[SequenceFlowSource] = None,
     ):
-        cfg.validate()
         self.topology = topology
         self.cfg = cfg
         if flow_source is None:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,33 @@ def test_single_cell():
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         hungarian(np.zeros(3))
+
+
+def test_scores_too_large_to_rank_raise():
+    # The cardinality bonus overflowed to inf, and the diagonal (total 0)
+    # came back with only a RuntimeWarning; the off-diagonal pair totals 4e307.
+    with pytest.raises(ValueError, match="too large to rank"):
+        hungarian(np.array([[4e307, 2e307], [2e307, -4e307]]))
+
+
+def test_the_largest_accepted_scores_solve_without_overflow():
+    # Just under the limit, for every smaller side k: the bonus is
+    # (2 s + 1)(k + 1) and the solver needs four times bonus + s to be finite.
+    rng = np.random.default_rng(5)
+    top = np.finfo(np.float64).max
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        s = 0.99 * top / (4 * (2 * min(rows, cols) + 3))
+        scores = rng.uniform(-s, s, size=(rows, cols))
+        scores.flat[int(rng.integers(scores.size))] = s * rng.choice([-1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = hungarian(scores)
+        r, c = linear_sum_assignment(scores, maximize=True)
+        assert len(pairs) == len(r)
+        assert assignment_total(scores, pairs) / s == pytest.approx(scores[r, c].sum() / s, abs=1e-9)
+        with pytest.raises(ValueError, match="too large to rank"):
+            hungarian(scores * 1.02)
 
 
 @st.composite

@@ -555,14 +555,13 @@ def test_limb_parts_enumeration():
 
 
 def test_limb_parts_check_the_inputs_limb_strokes_checks():
-    # A pairing index of -1 gave parts of person -1, and parts_per_limb=0 no
-    # parts at all, where limb_strokes raised.
+    # A pairing index of -1 gave parts of person -1, where limb_strokes raised.
     fl, fe = _pair_frames(6.0, 0.0)
-    for pairing, cfg in [([(-1, 0)], CFG), ([(0, -1)], CFG), ([(0, 0)], EncoderConfig(parts_per_limb=0))]:
+    for pairing in [[(-1, 0)], [(0, -1)]]:
         with pytest.raises(ValueError):
-            limb_strokes(fl, fe, pairing, TOPO, cfg)
+            limb_strokes(fl, fe, pairing, TOPO, CFG)
         with pytest.raises(ValueError):
-            limb_parts(fl, fe, pairing, TOPO, cfg)
+            limb_parts(fl, fe, pairing, TOPO, CFG)
 
 
 def test_limb_parts_skip_missing_joints():

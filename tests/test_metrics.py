@@ -333,6 +333,14 @@ def test_gt_without_track_ids_rejected():
         evaluate(seq_of(gt_frames), seq_of(pred_frames))
 
 
+def test_prediction_in_another_topology_rejected():
+    # Identical poses under reversed joint names scored MOTA 100.
+    frames = [frame([gt_person(80, 60, 0)], t) for t in range(2)]
+    reversed_names = replace(TOPO, joint_names=TOPO.joint_names[::-1])
+    with pytest.raises(ValueError, match="different topologies"):
+        evaluate(seq_of(frames), Sequence(frames=tuple(frames), topology=reversed_names))
+
+
 def test_repeated_frame_index_rejected():
     # Unless rejected, the one pred frame is scored once per gt frame of
     # index 0: a plausible-looking report of gt 30, tp 15, fp 15, mAP 0.

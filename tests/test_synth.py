@@ -139,12 +139,3 @@ def test_pipeline_closure_mota_100():
         assert report.total_mota() == pytest.approx(100.0)
         assert report.motp == pytest.approx(100.0)
         assert report.mean_ap == pytest.approx(100.0)
-
-
-def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        SceneConfig(motion="sprint").validate()
-    with pytest.raises(ValueError):
-        SceneConfig(people=0).validate()
-    with pytest.raises(ValueError):
-        SceneConfig(dropout_prob=1.5).validate()
