@@ -29,7 +29,7 @@ from .fileio import (
     write_annotations,
     write_flowmap,
 )
-from .metrics import EvalReport, evaluate, mean_ap, mota, motp
+from .metrics import EvalReport, evaluate
 from .pose import FramePoses, JointCandidate, Pose, Sequence, common_joints
 from .scoring import (
     AssociationMatrix,

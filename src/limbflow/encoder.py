@@ -261,10 +261,6 @@ class FlowMapGrid:
             values[hit] = vectors[at[hit]]
         return values
 
-    def max_norm(self) -> float:
-        vectors = self.cells[1].astype(np.float64)
-        return float(np.sqrt((vectors**2).sum(axis=-1)).max(initial=0.0))
-
 
 def grid_shape_for(image_size: tuple[int, int], grid_stride: int) -> tuple[int, int]:
     """(width_cells, height_cells) covering an image at the given stride."""

@@ -295,23 +295,6 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     )
 
 
-def mota(gt_seq, pred_seq, thresh_factor: float = 0.5) -> tuple[dict[str, Optional[float]], Optional[float]]:
-    """(per-group MOTA, total MOTA), percent."""
-    report = evaluate(gt_seq, pred_seq, thresh_factor)
-    return report.group_mota(), report.total_mota()
-
-
-def motp(gt_seq, pred_seq, thresh_factor: float = 0.5) -> Optional[float]:
-    """Percent; None when nothing matched."""
-    return evaluate(gt_seq, pred_seq, thresh_factor).motp
-
-
-def mean_ap(gt_seq, pred_seq, thresh_factor: float = 0.5) -> tuple[dict[str, Optional[float]], Optional[float]]:
-    """(per-joint AP, mAP), percent."""
-    report = evaluate(gt_seq, pred_seq, thresh_factor)
-    return report.per_joint_ap, report.mean_ap
-
-
 def format_report_table(report: EvalReport) -> str:
     """Fixed-width summary table: MOTA per group, total, mAP, MOTP."""
 

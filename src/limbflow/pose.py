@@ -54,10 +54,6 @@ class Pose:
         """Indices of joints that are present and visible."""
         return [j for j, c in enumerate(self.visible_joints) if c is not None]
 
-    @property
-    def n_present(self) -> int:
-        return len(self.present_joints())
-
     def with_track_id(self, track_id: Optional[int]) -> "Pose":
         return replace(self, track_id=track_id)
 

@@ -4,16 +4,19 @@ A step on frame t runs NMS, then ``match_frames``: poses link to the live
 tracks through a stride-1 flow map over (t, t-1). With refinement on,
 ``refine_middle_frame`` then repairs frame t-1 through a stride-2 map
 over (t, t-2): a track seen at t-2, missed at t-1 and linked straight to
-a pose at t gets the average of those two poses inserted at t-1, and the
-pose at t takes its id if it had none. Both only label poses. The step's
-one bookkeeping pass is the only place where tracks change: a pose
-labelled at t renews its track, every other track gains a miss, each
-unlabelled pose starts a fresh id, and a track with two misses running
-retires for good: it lives just long enough for refinement to catch it.
+a pose at t gets the average of those two poses inserted at t-1. Both
+link through the one association step, ``_associate``: score every pair,
+forbid the pairs the caller rules out, solve, and keep the links scoring
+at least ``score_threshold``. Both only label poses. The step's one
+bookkeeping pass is the only place where tracks change: a pose labelled
+at t renews its track, every other track gains a miss, each unlabelled
+pose starts a fresh id, and a track with two misses running retires for
+good: it lives just long enough for refinement to catch it.
 
 ``push`` returns the frames no later step can change: frame t at once
-with refinement off, frame t-1 with it on; ``finish`` returns the rest.
-A tracker holds at most two input and two output frames.
+with refinement off, frame t-1 with it on; ``finish`` returns the rest
+and ends the sequence. A tracker holds at most two input and two output
+frames.
 
 Flow maps come from a flow source's ``grid(later, earlier)`` over two
 pushed frames. The default draws them from the pushed (NMS'd) frames,
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+import numpy as np
 
 from .assignment import FORBIDDEN, hungarian
 from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
@@ -168,6 +173,26 @@ class _PushedFrames(SequenceFlowSource):
         return frame
 
 
+def _associate(
+    later: list[Pose],
+    earlier: list[Pose],
+    flow: FlowMap,
+    topo: SkeletonTopology,
+    cfg: TrackerConfig,
+    allowed: Optional[np.ndarray] = None,
+) -> list[tuple[int, int]]:
+    """The (later, earlier) links kept over a flow map drawn over (later, earlier).
+
+    A pair whose ``allowed`` entry is False is forbidden. Of the maximum
+    cardinality, then maximum score assignment, the links scoring at
+    least ``score_threshold`` are kept, sorted by later pose.
+    """
+    scores = build_association_matrix(later, earlier, flow, topo, cfg.score).scores
+    if allowed is not None:
+        scores[~allowed] = FORBIDDEN
+    return [(i, j) for i, j in hungarian(scores) if scores[i, j] >= cfg.score_threshold]
+
+
 def match_frames(
     frame: FramePoses,
     tracks: list[Track],
@@ -178,18 +203,13 @@ def match_frames(
     """Label one frame's poses with the ids of the tracks they link to.
 
     The flow map must be drawn over (this frame, previous frame). A pose
-    whose optimal link scores at or above ``score_threshold`` takes the
-    track's id; every other pose comes back unlabelled. The tracks are
-    only read.
+    the association step links to a track takes the track's id; every
+    other pose comes back unlabelled. The tracks are only read.
     """
     accepted: dict[int, int] = {}
-    if tracks and frame.poses and grid is not None:
-        matrix = build_association_matrix(
-            list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
-        )
-        for i, j in hungarian(matrix.scores):
-            if matrix.scores[i, j] >= cfg.score_threshold:
-                accepted[i] = tracks[j].track_id
+    if grid is not None:
+        links = _associate(list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg)
+        accepted = {i: tracks[j].track_id for i, j in links}
     labeled = [pose.with_track_id(accepted.get(i)) for i, pose in enumerate(frame.poses)]
     return replace(frame, poses=tuple(labeled))
 
@@ -229,15 +249,14 @@ def refine_middle_frame(
 ) -> tuple[FramePoses, FramePoses, list[RefinementEntry]]:
     """Restore tracks that skipped the middle frame of a three-frame set.
 
-    For every track id present at t-1 and absent at t, its t-1 pose is
-    associated against the t+1 poses via the stride-2 flow map (drawn
-    over (t+1, t-1)). A link clearing the score threshold is honored when
-    the t+1 pose already carries the same id, or is still unlabeled and no
-    t+1 pose carries the id, in which case it receives the id, so ids stay
-    unique within a frame. The joint-wise average of the two
-    neighbor poses is then inserted at t. Existing poses are never deleted
-    or relabeled, only inserted; a person absent at t+1 as well simply
-    cannot be refined.
+    The ids seen at t-1 and missed at t go through the association step
+    against the t+1 poses, on the stride-2 flow map drawn over (t+1,
+    t-1). Two id rules keep ids unique within a frame: a labelled t+1
+    pose may take only its own id, and an unlabelled one only an id that
+    no t+1 pose holds, which it then receives. Each link inserts the
+    joint-wise average of its t-1 and t+1 poses at t. Existing poses are
+    never deleted or relabeled, only inserted; a person absent at t+1 as
+    well simply cannot be refined.
 
     Returns the updated (middle frame, next frame) plus log entries.
     """
@@ -245,24 +264,17 @@ def refine_middle_frame(
     if not missing:
         return frame_mid, frame_next, []
     prev_by_id = {p.track_id: p for p in frame_prev.poses if p.track_id is not None}
-
-    matrix = build_association_matrix(
-        list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
+    next_poses = list(frame_next.poses)
+    held = {p.track_id for p in next_poses}
+    allowed = np.array(
+        [[tid == p.track_id if p.track_id is not None else tid not in held for tid in missing]
+         for p in next_poses]
     )
-    scores = matrix.scores.copy()
-    held = {p.track_id for p in frame_next.poses if p.track_id is not None}
-    for i, pose in enumerate(frame_next.poses):
-        if pose.track_id is not None:  # a labelled pose may take only its own id
-            scores[i, [tid != pose.track_id for tid in missing]] = FORBIDDEN
-        else:  # an unlabelled one only an id that no pose at t+1 holds
-            scores[i, [tid in held for tid in missing]] = FORBIDDEN
+    links = _associate(next_poses, [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg, allowed)
 
     inserts: list[Pose] = []
     entries: list[RefinementEntry] = []
-    next_poses = list(frame_next.poses)
-    for i, c in hungarian(scores):
-        if scores[i, c] < cfg.score_threshold:
-            continue
+    for i, c in links:
         tid = missing[c]
         next_poses[i] = next_poses[i].with_track_id(tid)  # it had none or this one
         inserts.append(_average_pose(prev_by_id[tid], next_poses[i], tid, topo.joint_count))
@@ -296,9 +308,12 @@ class Tracker:
         self._next_id = 0
         self._inputs: list[FramePoses] = []  # the last two NMS'd input frames
         self._outputs: list[FramePoses] = []  # the last two labelled frames
+        self._finished = False
 
     def push(self, frame: FramePoses) -> list[FramePoses]:
         """Run one step on ``frame``; return the frames that became final."""
+        if self._finished:
+            raise ValueError(f"frame index {frame.frame_index} pushed after finish")
         if self._inputs and frame.frame_index <= self._inputs[-1].frame_index:
             raise ValueError(
                 f"frame index {frame.frame_index} pushed after {self._inputs[-1].frame_index}; "
@@ -323,9 +338,10 @@ class Tracker:
         return self._outputs[-2:-1] if cfg.refine else self._outputs[-1:]
 
     def finish(self) -> list[FramePoses]:
-        """Return the frames that no ``push`` has returned yet."""
+        """Return the frames that no ``push`` has returned yet; no ``push`` may follow."""
         rest = self._outputs[-1:] if self.cfg.refine else []
         self._inputs, self._outputs = [], []
+        self._finished = True
         return rest
 
     def _update_tracks(self, frame: FramePoses) -> FramePoses:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from limbflow.assignment import FORBIDDEN, hungarian
 from limbflow.encoder import (
     LAYOUT_ACCUMULATED,
     LAYOUT_INDIVIDUAL,
@@ -34,8 +35,10 @@ from limbflow.metrics import (
     match_joints_pckh,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
+from limbflow.scoring import build_association_matrix
 from limbflow.skeleton import SkeletonTopology, default_topology
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
+from limbflow.tracker import RefinementEntry, _average_pose, _refinable_ids
 
 TOPO = default_topology()
 
@@ -849,3 +852,58 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
         per_joint_ap=per_joint_ap,
         mean_ap=mean_ap_val,
     )
+
+
+# ---------------------------------------------------------------- tracker
+
+
+def two_step_match_frames(frame, tracks, grid, topo, cfg):
+    """Oracle for ``tracker.match_frames``: the matching step written out
+    on its own, scoring, solving and thresholding without the shared
+    association step."""
+    accepted: dict[int, int] = {}
+    if tracks and frame.poses and grid is not None:
+        matrix = build_association_matrix(
+            list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
+        )
+        for i, j in hungarian(matrix.scores):
+            if matrix.scores[i, j] >= cfg.score_threshold:
+                accepted[i] = tracks[j].track_id
+    labeled = [pose.with_track_id(accepted.get(i)) for i, pose in enumerate(frame.poses)]
+    return replace(frame, poses=tuple(labeled))
+
+
+def two_step_refine_middle_frame(frame_prev, frame_mid, frame_next, grid_stride2, topo, cfg):
+    """Oracle for ``tracker.refine_middle_frame``: the id rules written
+    into a copy of the score matrix row by row, then solved and
+    thresholded on their own."""
+    missing = _refinable_ids(frame_prev, frame_mid, frame_next)
+    if not missing:
+        return frame_mid, frame_next, []
+    prev_by_id = {p.track_id: p for p in frame_prev.poses if p.track_id is not None}
+
+    matrix = build_association_matrix(
+        list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
+    )
+    scores = matrix.scores.copy()
+    held = {p.track_id for p in frame_next.poses if p.track_id is not None}
+    for i, pose in enumerate(frame_next.poses):
+        if pose.track_id is not None:  # a labelled pose may take only its own id
+            scores[i, [tid != pose.track_id for tid in missing]] = FORBIDDEN
+        else:  # an unlabelled one only an id that no pose at t+1 holds
+            scores[i, [tid in held for tid in missing]] = FORBIDDEN
+
+    inserts: list[Pose] = []
+    entries: list[RefinementEntry] = []
+    next_poses = list(frame_next.poses)
+    for i, c in hungarian(scores):
+        if scores[i, c] < cfg.score_threshold:
+            continue
+        tid = missing[c]
+        next_poses[i] = next_poses[i].with_track_id(tid)
+        inserts.append(_average_pose(prev_by_id[tid], next_poses[i], tid, topo.joint_count))
+        entries.append(RefinementEntry(frame_mid.frame_index, tid))
+
+    new_mid = replace(frame_mid, poses=tuple(list(frame_mid.poses) + inserts))
+    new_next = replace(frame_next, poses=tuple(next_poses))
+    return new_mid, new_next, entries

@@ -22,7 +22,7 @@ from limbflow.fileio import (
     parse_annotations,
     serialize_annotations,
 )
-from limbflow.metrics import evaluate, mean_ap, mota, motp
+from limbflow.metrics import evaluate
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.scoring import ScoreConfig, flow_score
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence, occlusion_target
@@ -333,7 +333,7 @@ def test_criterion_7_metric_ledger():
             assert report.mean_ap == pytest.approx(want_map, abs=0.01), name
 
         # self-consistency is exact, not approximate
-        assert mota(gt, gt)[1] == 100.0
+        assert evaluate(gt, gt).total_mota() == 100.0
         print(f"  {len(cases)} ledger cases verified")
 
 

@@ -745,7 +745,7 @@ def test_v3_declared_grid_reads_without_allocating_it(pairs, side):
     assert (back.layout, back.limb_count, back.width, back.height, back.grid_stride) == (
         "individual", pairs, side, side, 1
     )
-    assert (back.channel_pairs, back.max_norm(), back.counts) == (pairs, 0.0, None)
+    assert (back.channel_pairs, len(back.cells[0]), back.counts) == (pairs, 0, None)
     declared = f"cannot allocate the declared grid of {pairs} x {side} x {side} cells"
     with pytest.raises(FlowmapFormatError, match=declared):
         back.vectors

@@ -12,9 +12,6 @@ from limbflow.metrics import (
     format_report_table,
     joint_group,
     match_joints_pckh,
-    mean_ap,
-    mota,
-    motp,
     report_to_dict,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
@@ -84,9 +81,9 @@ def test_pckh_greedy_prefers_confident():
 def test_mota_perfect_is_100():
     frames = [frame([gt_person(80, 60, 0), gt_person(150, 60, 1)], t) for t in range(5)]
     gt = seq_of(frames)
-    per_group, total = mota(gt, gt)
-    assert total == pytest.approx(100.0)
-    assert all(v == pytest.approx(100.0) for v in per_group.values())
+    report = evaluate(gt, gt)
+    assert report.total_mota() == pytest.approx(100.0)
+    assert all(v == pytest.approx(100.0) for v in report.group_mota().values())
 
 
 def test_mota_one_missed_frame_of_ten():
@@ -94,7 +91,7 @@ def test_mota_one_missed_frame_of_ten():
     pred_frames = [
         frame([] if t == 3 else [gt_person(80, 60, 7)], t) for t in range(10)
     ]
-    _, total = mota(seq_of(gt_frames), seq_of(pred_frames))
+    total = evaluate(seq_of(gt_frames), seq_of(pred_frames)).total_mota()
     # FN = 15 joints, GT = 150 joints -> 100 * (1 - 15/150) = 90
     assert total == pytest.approx(90.0)
 
@@ -136,8 +133,8 @@ def test_mota_monotone_in_false_positives():
     worse = [
         frame([gt_person(80, 60, 0), gt_person(170, 110, 3)], t) for t in range(4)
     ]
-    _, total_base = mota(seq_of(gt_frames), seq_of(base))
-    _, total_worse = mota(seq_of(gt_frames), seq_of(worse))
+    total_base = evaluate(seq_of(gt_frames), seq_of(base)).total_mota()
+    total_worse = evaluate(seq_of(gt_frames), seq_of(worse)).total_mota()
     assert total_worse < total_base
 
 
@@ -145,13 +142,13 @@ def test_mota_monotone_in_false_positives():
 
 def test_motp_exact_is_100():
     frames = [frame([gt_person(80, 60, 0)], t) for t in range(3)]
-    assert motp(seq_of(frames), seq_of(frames)) == pytest.approx(100.0)
+    assert evaluate(seq_of(frames), seq_of(frames)).motp == pytest.approx(100.0)
 
 
 def test_motp_at_threshold_is_0():
     gt_frames = [frame([gt_person(80, 60, 0)], 0)]
     pred_frames = [frame([translate_pose(gt_person(80, 60, 0), THRESH, 0)], 0)]
-    assert motp(seq_of(gt_frames), seq_of(pred_frames)) == pytest.approx(0.0, abs=1e-9)
+    assert evaluate(seq_of(gt_frames), seq_of(pred_frames)).motp == pytest.approx(0.0, abs=1e-9)
 
 
 def test_motp_half_and_half():
@@ -160,27 +157,26 @@ def test_motp_half_and_half():
         frame([gt_person(80, 60, 0)], 0),
         frame([translate_pose(gt_person(80, 60, 0), THRESH, 0)], 1),
     ]
-    assert motp(seq_of(gt_frames), seq_of(pred_frames)) == pytest.approx(50.0, abs=1e-9)
+    assert evaluate(seq_of(gt_frames), seq_of(pred_frames)).motp == pytest.approx(50.0, abs=1e-9)
 
 
 def test_motp_absent_without_matches():
     gt_frames = [frame([gt_person(80, 60, 0)], 0)]
-    assert motp(seq_of(gt_frames), seq_of([frame([], 0)])) is None
+    assert evaluate(seq_of(gt_frames), seq_of([frame([], 0)])).motp is None
 
 
 # ------------------------------------------------------------ AP
 
 def test_map_perfect_predictions():
     frames = [frame([gt_person(80, 60, 0), gt_person(150, 90, 1)], t) for t in range(3)]
-    per_joint, mean = mean_ap(seq_of(frames), seq_of(frames))
-    assert mean == pytest.approx(100.0)
-    assert all(v == pytest.approx(100.0) for v in per_joint.values())
+    report = evaluate(seq_of(frames), seq_of(frames))
+    assert report.mean_ap == pytest.approx(100.0)
+    assert all(v == pytest.approx(100.0) for v in report.per_joint_ap.values())
 
 
 def test_map_zero_without_predictions():
     gt_frames = [frame([gt_person(80, 60, 0)], 0)]
-    _, mean = mean_ap(seq_of(gt_frames), seq_of([frame([], 0)]))
-    assert mean == pytest.approx(0.0)
+    assert evaluate(seq_of(gt_frames), seq_of([frame([], 0)])).mean_ap == pytest.approx(0.0)
 
 
 def test_ap_tp_before_fp_scores_100():
@@ -190,7 +186,7 @@ def test_ap_tp_before_fp_scores_100():
     tp = partial_pose(stick_pose(80, 60, confidence=0.9), {0})
     fp = partial_pose(stick_pose(140, 120, confidence=0.8), {0})
     pred = [frame([tp, fp], 0)]
-    per_joint, mean = mean_ap(seq_of(gt_frames), seq_of(pred))
+    per_joint = evaluate(seq_of(gt_frames), seq_of(pred)).per_joint_ap
     assert per_joint["head_top"] == pytest.approx(100.0)
 
 
@@ -199,7 +195,7 @@ def test_ap_fp_first_halves_precision():
     tp = partial_pose(stick_pose(80, 60, confidence=0.7), {0})
     fp = partial_pose(stick_pose(140, 120, confidence=0.9), {0})
     pred = [frame([tp, fp], 0)]
-    per_joint, _ = mean_ap(seq_of(gt_frames), seq_of(pred))
+    per_joint = evaluate(seq_of(gt_frames), seq_of(pred)).per_joint_ap
     # ranked FP, TP: precision at recall 1 is 1/2
     assert per_joint["head_top"] == pytest.approx(50.0)
 
@@ -219,7 +215,7 @@ def test_ap_invariant_under_monotone_confidence_rescale():
             )
             poses.append(Pose(joints=joints, track_id=pose.track_id))
         pred_frames.append(frame(poses, t))
-    _, mean_a = mean_ap(seq_of(gt_frames), seq_of(pred_frames))
+    mean_a = evaluate(seq_of(gt_frames), seq_of(pred_frames)).mean_ap
 
     def rescale(f):
         poses = []
@@ -231,7 +227,7 @@ def test_ap_invariant_under_monotone_confidence_rescale():
             poses.append(Pose(joints=joints, track_id=pose.track_id))
         return replace(f, poses=tuple(poses))
 
-    _, mean_b = mean_ap(seq_of(gt_frames), seq_of([rescale(f) for f in pred_frames]))
+    mean_b = evaluate(seq_of(gt_frames), seq_of([rescale(f) for f in pred_frames])).mean_ap
     assert mean_b == pytest.approx(mean_a, abs=1e-9)
 
 
@@ -254,7 +250,7 @@ def test_self_consistency_any_tracked_sequence():
         ]
         frames.append(frame(poses, t))
     seq = seq_of(frames)
-    assert mota(seq, seq)[1] == pytest.approx(100.0)
+    assert evaluate(seq, seq).total_mota() == pytest.approx(100.0)
 
 
 def test_head_segment_fallback_uses_median(caplog):

@@ -2,17 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limbflow import tracker as tracker_module
 from limbflow.encoder import EncoderConfig, encode_limb_flow
 from limbflow.fileio import serialize_annotations
 from limbflow.metrics import evaluate
 from limbflow.pose import JointCandidate, Pose, Sequence
-from limbflow.scoring import ScoreConfig
+from limbflow.scoring import ScoreConfig, build_association_matrix
 from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import (
     SequenceFlowSource,
+    _associate,
     Tracker,
     TrackerConfig,
     refine_middle_frame,
@@ -20,7 +22,15 @@ from limbflow.tracker import (
     track_sequence,
 )
 
-from helpers import TOPO, crossing_benchmark_config, frame, stick_pose, translate_pose
+from helpers import (
+    TOPO,
+    crossing_benchmark_config,
+    frame,
+    stick_pose,
+    translate_pose,
+    two_step_match_frames,
+    two_step_refine_middle_frame,
+)
 
 CFG = TrackerConfig()
 
@@ -84,7 +94,7 @@ def test_frame_nms_drops_emptied_poses():
     f = frame([a, b], 0)
     out = suppress_duplicate_joints(f, 5.0, 15)
     assert len(out.poses) == 1
-    assert out.poses[0].n_present == 15
+    assert len(out.poses[0].present_joints()) == 15
 
 
 # ------------------------------------------------------------ matching
@@ -149,6 +159,29 @@ def test_match_threshold_blocks_weak_links():
     gt = Sequence((frame([p.with_track_id(0)], 0), frame([far.with_track_id(1)], 1)), TOPO)
     _, (_, out) = _push_all([frame([p], 0), frame([far], 1)], flow_source=SequenceFlowSource(gt, CFG.encoder))
     assert _ids(out) == [1]  # fresh id, no link
+
+
+def test_associate_never_returns_a_forbidden_link():
+    p, q = stick_pose(60, 60), stick_pose(140, 60)
+    later, earlier = [translate_pose(p, 3, 0), translate_pose(q, 3, 0)], [p, q]
+    flow = _grid_for(frame(later, 1), frame(earlier, 0), [(0, 0), (1, 1)])
+    cfg = replace(CFG, score_threshold=-1.0)
+    scores = build_association_matrix(later, earlier, flow, TOPO, cfg.score).scores
+    assert scores[0, 0] == scores.max()
+    assert _associate(later, earlier, flow, TOPO, cfg) == [(0, 0), (1, 1)]
+    allowed = np.array([[False, True], [True, True]])
+    assert _associate(later, earlier, flow, TOPO, cfg, allowed) == [(0, 1), (1, 0)]
+    assert _associate(later[:1], earlier[:1], flow, TOPO, cfg, allowed[:1, :1]) == []
+
+
+def test_associate_keeps_a_link_at_the_threshold_and_drops_one_below():
+    p = stick_pose(60, 60)
+    later, earlier = [translate_pose(p, 3, 0)], [p]
+    flow = _grid_for(frame(later, 1), frame(earlier, 0), [(0, 0)])
+    score = float(build_association_matrix(later, earlier, flow, TOPO, CFG.score).scores[0, 0])
+    assert _associate(later, earlier, flow, TOPO, replace(CFG, score_threshold=score)) == [(0, 0)]
+    above = replace(CFG, score_threshold=float(np.nextafter(score, np.inf)))
+    assert _associate(later, earlier, flow, TOPO, above) == []
 
 
 # ------------------------------------------------------------ refinement
@@ -453,6 +486,61 @@ def test_push_rejects_a_frame_index_that_does_not_increase():
     for index in (3, 2):
         with pytest.raises(ValueError, match=f"frame index {index} pushed after 3; indices must increase"):
             tracker.push(frame([stick_pose(60, 60)], index))
+
+
+def test_push_after_finish_raises():
+    # finish ends the sequence: a later frame, even with index 0, must not
+    # link to the finished sequence's tracks.
+    tracker = Tracker(TOPO, CFG)
+    for t in (10, 11, 12):
+        tracker.push(frame([stick_pose(60, 60)], t))
+    tracker.finish()
+    for index in (0, 13):
+        with pytest.raises(ValueError, match=f"frame index {index} pushed after finish"):
+            tracker.push(frame([stick_pose(60, 60)], index))
+
+
+@given(
+    scene=st.builds(
+        SceneConfig,
+        people=st.integers(1, 4),
+        frames=st.integers(2, 7),
+        image_size=st.just((192, 144)),
+        motion=st.sampled_from(["wander", "crossing", "occlusion-middle"]),
+        speed=st.sampled_from([4.0, 12.0]),
+        jitter_sigma=st.sampled_from([0.0, 1.5]),
+        dropout_prob=st.sampled_from([0.2, 0.5]),
+        seed=st.integers(0, 10_000),
+    ),
+    oracle=st.booleans(),
+    refine=st.booleans(),
+)
+# A scene where a missed id is back at t+1 and an unlabelled pose there
+# could take it.
+@example(
+    scene=SceneConfig(
+        people=4, frames=6, image_size=(192, 144), motion="occlusion-middle",
+        speed=12.0, dropout_prob=0.5, seed=1090,
+    ),
+    oracle=False,
+    refine=True,
+)
+@settings(max_examples=40, deadline=None)
+def test_association_step_tracks_as_the_two_step_oracle(scene, oracle, refine):
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+    cfg = replace(CFG, refine=refine)
+
+    def run():
+        return track_sequence(cand, cfg, SequenceFlowSource(gt, cfg.encoder) if oracle else None)
+
+    out = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracker_module, "match_frames", two_step_match_frames)
+        mp.setattr(tracker_module, "refine_middle_frame", two_step_refine_middle_frame)
+        want = run()
+    assert serialize_annotations(out) == serialize_annotations(want)
+    assert out.refinement_log == want.refinement_log
 
 
 def _scene_and_truth():
