@@ -270,12 +270,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="limbflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, reads_annotations=True):
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--topology", help="topology config file (default: built-in default15)")
+        if reads_annotations:
+            p.add_argument("--topology", help="topology config file (default: built-in default15)")
 
     p = sub.add_parser("synth", help="generate a synthetic scene and its ground truth")
-    common(p)
+    common(p, reads_annotations=False)  # synth draws the default15 skeleton only
     p.add_argument("--out", required=True, help="candidate annotations output path")
     p.add_argument("--gt-out", help="ground-truth sidecar path (default: OUT.gt.json)")
     _add_config_flags(p, ["people", "frames", "image_width", "image_height", "preset", "speed", "jitter_sigma", "dropout_prob", "seed"])

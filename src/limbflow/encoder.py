@@ -25,9 +25,8 @@ raises ``ValueError`` for keys out of order, repeated or outside the
 grid. ``LimbStrokes`` reads the keys in runs of consecutive stored
 channels, a few thousand keys each, with one kernel call per run, and
 takes only the requested cells that fall inside each stroke's box, so its
-cost follows those (stroke, requested cell) candidates, neither the cells
-the strokes cover nor the stroke groups. The two agree bit for bit
-wherever both exist.
+cost follows those (stroke, requested cell) candidates, not the cells the
+strokes cover. The two agree bit for bit wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -40,10 +39,8 @@ Conventions, fixed here and relied on by the scorer:
 * Displacements of at most ``MOTION_EPSILON`` (1e-6 px) have no defined
   direction and contribute nothing: the encoder draws no such part and
   the scorer adds 0 for such a joint.
-* A cell's sum accumulates stroke groups (one per paired person and
-  limb) in enumeration order, and strokes within a group in part order:
-  each group's strokes are summed first, then the group sums are added
-  in turn. Both paths keep this order, since it fixes the last bit of
+* A cell adds its strokes in enumeration order (paired person, then
+  limb, then part), on both paths, since the order fixes the last bit of
   each mean. A mean is computed only at a cell some stroke covers.
 """
 
@@ -101,10 +98,6 @@ class LimbPart:
         ax, ay = self.anchor_later
         bx, by = self.anchor_earlier
         return math.hypot(ax - bx, ay - by)
-
-
-def _stored_channel(layout: str, limb_channel):
-    return limb_channel * (layout != LAYOUT_ACCUMULATED)
 
 
 def _channel_pairs(layout: str, limb_count: int) -> int:
@@ -247,7 +240,7 @@ class FlowMapGrid:
     def channel_for(self, limb_channel):
         """Map a topology limb channel, or an array of them, to its stored
         channel index."""
-        return _stored_channel(self.layout, limb_channel)
+        return limb_channel * (self.layout != LAYOUT_ACCUMULATED)
 
     def values_at(self, keys: np.ndarray) -> np.ndarray:
         """(m, 2) float64 vectors at flat keys (see the module docstring),
@@ -383,12 +376,11 @@ _RUN_KEYS = 8192
 class LimbStrokes:
     """The moving part strokes of one frame pair: a flow map on demand.
 
-    Stroke group k (one paired person's limb, in enumeration order) draws
-    into channel ``channels[k]`` and owns rows ``bounds[k]:bounds[k + 1]``
-    of ``later``, ``earlier`` (anchors, (N, 2)) and ``vectors`` (unit
-    motion, (N, 2)). Groups whose parts all stand still are left out.
-    The arrays hold people x limbs x parts rows, a few kilobytes per
-    frame pair, where the dense grid holds channels x height x width.
+    Stroke k, in enumeration order, draws its unit motion ``vectors[k]``
+    into limb channel ``channels[k]`` between anchors ``later[k]`` and
+    ``earlier[k]``; parts that stand still are left out. The arrays hold
+    at most people x limbs x parts rows, a few kilobytes per frame pair,
+    where the dense grid holds channels x height x width.
     """
 
     layout: str
@@ -397,11 +389,10 @@ class LimbStrokes:
     height: int
     grid_stride: int
     half_width: float
-    channels: np.ndarray  # (K,) int64
-    bounds: np.ndarray  # (K + 1,) int64
-    later: np.ndarray
-    earlier: np.ndarray
-    vectors: np.ndarray
+    channels: np.ndarray  # (N,) int64
+    later: np.ndarray  # (N, 2)
+    earlier: np.ndarray  # (N, 2)
+    vectors: np.ndarray  # (N, 2)
 
     # The stored channels are those of a grid with the same layout.
     channel_pairs = FlowMapGrid.channel_pairs
@@ -413,13 +404,13 @@ class LimbStrokes:
         keys: Optional[np.ndarray] = None,
         offsets: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stroke-major (stroke, cell) pairs where one of ``strokes`` covers
-        a cell of its own box. The kernel runs on every cell of each box,
-        or, given sorted distinct flat keys ``keys`` and each stroke's key
-        offset ``offsets`` (its stored channel times the cells per channel),
-        on those that fall inside each box of the stroke's stored channel,
-        found per box row by binary search; the pairs then hold positions
-        into ``keys``."""
+        """(stroke, cell) pairs, in stroke order, where one of the ascending
+        ``strokes`` covers a cell of its own box. The kernel runs on every
+        cell of each box, or, given sorted distinct flat keys ``keys`` and
+        each stroke's key offset ``offsets`` (its stored channel times the
+        cells per channel), on those that fall inside each box of the
+        stroke's stored channel, found per box row by binary search; the
+        pairs then hold positions into ``keys``."""
         s = float(self.grid_stride)
         later = np.take(self.later, strokes, axis=0)
         earlier = np.take(self.earlier, strokes, axis=0)
@@ -441,33 +432,25 @@ class LimbStrokes:
         self, stroke: np.ndarray, cell: np.ndarray, cells: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stored (channel, cell) keys ``channel * cells + cell``, ascending,
-        with their means and contributor counts, from the stroke-major
-        (stroke, cell) pairs where a stroke covers a cell, cell < cells.
+        with their means and contributor counts, from the (stroke, cell)
+        pairs in stroke order where a stroke covers a cell, cell < cells.
 
-        A channel cell's sum adds each group's covering strokes in part
-        order, then those groups in enumeration order, and is divided by
-        its count. The accumulated layout then takes, per cell, the mean
-        over the contributing channels, as ``accumulate_channels`` does.
+        A channel cell's sum adds its covering strokes in stroke order and
+        is divided by its count. The accumulated layout then takes, per
+        cell, the mean over the contributing channels, as
+        ``accumulate_channels`` does.
         """
-        group = np.searchsorted(self.bounds, stroke, side="right") - 1
-        key = self.channels[group] * cells + cell
-        # The pairs come group-major, so a stable sort by key lines up each
-        # channel cell's pairs by group, then by part.
+        key = self.channels[stroke] * cells + cell
+        # A stable sort by key keeps each channel cell's pairs in stroke order.
         order = np.argsort(key, kind="stable")
-        key, group = key[order], group[order]
-        key_starts = np.ones(len(key), dtype=bool)
-        key_starts[1:] = key[1:] != key[:-1]
-        group_starts = key_starts.copy()
-        group_starts[1:] |= group[1:] != group[:-1]
-        group_sums = _ordered_sums(
-            np.cumsum(group_starts) - 1,
-            np.take(self.vectors, stroke[order], axis=0),
-            int(group_starts.sum()),
-        )
-        per_key = np.cumsum(key_starts) - 1
-        key = key[key_starts]
+        key = key[order]
+        starts = np.ones(len(key), dtype=bool)
+        starts[1:] = key[1:] != key[:-1]
+        per_key = np.cumsum(starts) - 1
+        key = key[starts]
         counts = np.bincount(per_key, minlength=len(key))
-        means = _ordered_sums(per_key[group_starts], group_sums, len(key)) / counts[:, None]
+        sums = _ordered_sums(per_key, np.take(self.vectors, stroke[order], axis=0), len(key))
+        means = sums / counts[:, None]
         if self.layout == LAYOUT_ACCUMULATED:
             return _channel_means(key, means, cells)
         return key, means, counts
@@ -503,10 +486,9 @@ class LimbStrokes:
         kernel runs once per run, on the strokes of the run's channels:
         each row of each box, offset to its stroke's channel, finds its
         requested cells by binary search among the run's keys, so the cost
-        follows the requested cells inside each stroke's own box, not a
-        group's hull box, nor the number of stroke groups. Within a run,
-        each (channel, cell) still adds its pairs in group, then part
-        order, so the means do not depend on the runs."""
+        follows the requested cells inside each stroke's own box. Within a
+        run, each (channel, cell) still adds its strokes in stroke order, so
+        the means do not depend on the runs."""
         cells = self.width * self.height
         _check_keys(keys, self.channel_pairs * cells)
         values = np.zeros((len(keys), 2), dtype=np.float64)
@@ -519,7 +501,7 @@ class LimbStrokes:
             if end - runs[-1] > _RUN_KEYS:
                 runs.append(start)
         runs.append(len(keys))
-        stroke_channel = np.repeat(self.channel_for(self.channels), np.diff(self.bounds))
+        stroke_channel = self.channel_for(self.channels)
         for lo, hi in zip(runs, runs[1:]):
             wanted = np.zeros(self.channel_pairs, dtype=bool)
             wanted[channel[lo:hi]] = True
@@ -611,9 +593,6 @@ def limb_strokes(
     disp = later - earlier
     norms = np.hypot(disp[..., 0], disp[..., 1])
     moving = norms > MOTION_EPSILON  # (M, n)
-    drawn = moving.any(axis=1)
-    moving = moving[drawn]
-    later, earlier, disp, norms = later[drawn], earlier[drawn], disp[drawn], norms[drawn]
     width, height = grid_shape_for(frame_later.image_size, cfg.grid_stride)
     slots = _channel_pairs(cfg.layout, topo.limb_count) * width * height
     if slots > np.iinfo(np.int64).max:
@@ -625,8 +604,7 @@ def limb_strokes(
         height=height,
         grid_stride=cfg.grid_stride,
         half_width=cfg.stroke_half_width,
-        channels=limb[drawn],
-        bounds=np.concatenate([[0], np.cumsum(moving.sum(axis=1))]).astype(np.int64),
+        channels=np.repeat(limb, moving.sum(axis=1)),
         later=later[moving],
         earlier=earlier[moving],
         vectors=disp[moving] / norms[moving][:, None],

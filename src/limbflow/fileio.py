@@ -160,7 +160,8 @@ def _parse_joint(obj, joint_count: int, where: str) -> tuple[int, JointCandidate
 
 def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = None) -> Sequence:
     _expect(isinstance(document, dict), "document must be an object", "$")
-    _expect(document.get("version") == FORMAT_VERSION, f"unsupported version {document.get('version')!r}", "$.version")
+    version = document.get("version")
+    _expect(type(version) is int and version == FORMAT_VERSION, f"unsupported version {version!r}", "$.version")
     topo_name = document.get("topology")
     if topology is None:
         _expect(isinstance(topo_name, str), "topology must be a string", "$.topology")
@@ -184,7 +185,7 @@ def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = 
         prev_index = idx
         size = fdoc.get("image_size")
         _expect(
-            isinstance(size, list) and len(size) == 2 and all(isinstance(v, int) and v > 0 for v in size),
+            isinstance(size, list) and len(size) == 2 and all(type(v) is int and v > 0 for v in size),
             "image_size must be [width, height] of positive integers",
             where,
         )

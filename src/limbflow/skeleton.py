@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -192,24 +193,37 @@ def parse_keyvalue(text: str) -> dict[str, object]:
     return out
 
 
+def _listed(value: object, accept, what: str, size: Optional[int] = None) -> tuple:
+    """``value`` as a tuple if it is a list (of ``size`` entries, if given)
+    whose every entry ``accept`` takes, else ``ValueError`` saying ``what``."""
+    if not (isinstance(value, (list, tuple)) and len(value) == (size or len(value)) and all(map(accept, value))):
+        raise ValueError(f"invalid topology config: {what}, got {value!r}")
+    return tuple(value)
+
+
+def _is_index(value: object) -> bool:
+    return type(value) is int  # not a bool, nor a float such as 1.7 that int() truncates
+
+
 def topology_from_config(text: str, name: str = "custom") -> SkeletonTopology:
     """Build a topology from key-value text.
 
     Required keys: ``joints`` (list of names), ``limbs`` (list of [a, b]
     index pairs), ``head_segment`` ([a, b]). Optional: ``joint_channel``
     (defaults to the first limb incident to each joint) and ``name``.
+    Every index must be an int, not a bool or a float.
     """
     data = parse_keyvalue(text)
     try:
-        joints = tuple(str(j) for j in data["joints"])
-        limbs = tuple((int(a), int(b)) for a, b in data["limbs"])
-        head = data["head_segment"]
-        head_segment = (int(head[0]), int(head[1]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid topology config: {exc}") from exc
+        joints = _listed(data["joints"], lambda j: isinstance(j, str), "joints must be a list of names")
+        pairs = "limbs must be a list of [a, b] int pairs"
+        limbs = tuple(_listed(limb, _is_index, pairs, 2) for limb in _listed(data["limbs"], lambda _: True, pairs))
+        head_segment = _listed(data["head_segment"], _is_index, "head_segment must be [a, b] ints", 2)
+    except KeyError as exc:
+        raise ValueError(f"invalid topology config: missing key {exc}") from exc
 
     if "joint_channel" in data:
-        joint_channel = tuple(int(c) for c in data["joint_channel"])
+        joint_channel = _listed(data["joint_channel"], _is_index, "joint_channel must be a list of ints")
     else:
         channel = []
         for j in range(len(joints)):

@@ -289,7 +289,8 @@ class Tracker:
     """Online tracker: ``push`` frames in order, then ``finish``.
 
     ``tracks`` maps each live track's id to its ``Track``, oldest first;
-    ``refinement_log`` lists every insertion so far.
+    ``refinement_log`` lists every insertion so far. A flow source in
+    another topology than ``topology`` raises ``ValueError``.
     """
 
     def __init__(
@@ -302,6 +303,8 @@ class Tracker:
         self.cfg = cfg
         if flow_source is None:
             flow_source = _PushedFrames(Sequence((), topology), cfg.encoder)
+        if flow_source.topology != topology:
+            raise ValueError("the flow source and the tracked frames have different topologies")
         self.flow_source = flow_source
         self.tracks: dict[int, Track] = {}
         self.refinement_log: list[RefinementEntry] = []

@@ -83,8 +83,8 @@ def raw_strokes_grid(
 ) -> FlowMapGrid:
     """The rasterized individual-layout grid of raw strokes at stride 1.
 
-    ``strokes`` lists (channel, later, earlier, vector) tuples; each
-    stroke is its own group, drawn in list order.
+    ``strokes`` lists (channel, later, earlier, vector) tuples, drawn in
+    list order.
     """
     def rows(k: int) -> np.ndarray:
         return np.array([s[k] for s in strokes], dtype=np.float64).reshape(-1, 2)
@@ -97,7 +97,6 @@ def raw_strokes_grid(
         grid_stride=1,
         half_width=half_width,
         channels=np.array([s[0] for s in strokes], dtype=np.int64),
-        bounds=np.arange(len(strokes) + 1, dtype=np.int64),
         later=rows(1),
         earlier=rows(2),
         vectors=rows(3),
@@ -105,9 +104,9 @@ def raw_strokes_grid(
 
 
 def random_strokes(rng, size, stride: int, half_width: float, layout: str) -> LimbStrokes:
-    """Random stroke groups over an image of ``size`` pixels: groups in any
-    channel order, repeated channels, zero-length segments and segments
-    partly or wholly off the grid."""
+    """Random strokes over an image of ``size`` pixels, drawn in runs that
+    share a channel: runs in any channel order, repeated channels,
+    zero-length segments and segments partly or wholly off the grid."""
     width, height = grid_shape_for(size, stride)
     limb_count = int(rng.integers(1, 5))
     n_groups = int(rng.integers(0, 7))
@@ -129,8 +128,7 @@ def random_strokes(rng, size, stride: int, half_width: float, layout: str) -> Li
         height=height,
         grid_stride=stride,
         half_width=half_width,
-        channels=rng.integers(0, limb_count, n_groups).astype(np.int64),
-        bounds=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        channels=np.repeat(rng.integers(0, limb_count, n_groups), sizes).astype(np.int64),
         later=later,
         earlier=earlier,
         vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),
@@ -192,12 +190,13 @@ def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
 
 # ------------------------------------------ former dense flow-map path
 
-# The library's former ``LimbStrokes.rasterize``: each stroke group's kernel
-# runs on every cell of the group's bounding box into full-grid sum and
-# count buffers, which a full-grid ``finalize`` divides. And the former
-# TMLF writer and reader, which copy the payload several times. Kept
-# verbatim as slow oracles for the per-stroke rasterizer and the one-pass
-# TMLF I/O.
+# The library's former ``LimbStrokes.rasterize``: a kernel runs on every
+# cell of a stroke group's bounding box into full-grid sum and count
+# buffers, which a full-grid ``finalize`` divides; ``group_box_rasterize``
+# hands it one stroke at a time, the library's summation order. And the
+# former TMLF writer and reader, which copy the payload several times.
+# Kept as slow oracles for the per-stroke rasterizer and the one-pass TMLF
+# I/O.
 
 def _stroke_box(
     a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
@@ -305,10 +304,11 @@ class GroupBoxAccumulator:
 
 
 def group_box_rasterize(strokes: LimbStrokes) -> FlowMapGrid:
-    """The dense grid: every cell of every group's bounding box."""
+    """The dense grid: every cell of each stroke's bounding box, one stroke
+    at a time, so each cell adds its strokes in stroke order."""
     acc = GroupBoxAccumulator(strokes.limb_count, strokes.width, strokes.height, strokes.grid_stride)
     for k, channel in enumerate(strokes.channels):
-        rows = slice(strokes.bounds[k], strokes.bounds[k + 1])
+        rows = slice(k, k + 1)
         a, b, vectors = strokes.later[rows], strokes.earlier[rows], strokes.vectors[rows]
         acc.add_strokes(int(channel), a, b, vectors, strokes.half_width)
     grid = acc.finalize(LAYOUT_INDIVIDUAL, strokes.limb_count)

@@ -8,6 +8,7 @@ import pytest
 from limbflow.augment import StrideConfig
 from limbflow.cli import RunConfig, build_parser, main
 from limbflow.fileio import read_annotations
+from limbflow.skeleton import default_topology
 from limbflow.synth import SceneConfig
 from limbflow.tracker import TrackerConfig
 
@@ -266,6 +267,31 @@ def test_topology_flag(tmp_path):
     assert run(["track", "--in", renamed, "--topology", topo_cfg, "--out", tracked]) == 0
 
 
+def test_synth_has_no_topology_flag(tmp_path):
+    # synth draws default15 only; the flag it accepted was never read.
+    assert run(["synth", "--out", tmp_path / "c.json", "--topology", "x"]) == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_a_boolean_version_or_a_float_limb_index_exits_3(tmp_path):
+    ann = tmp_path / "c.json"
+    assert run(["synth", "--out", ann, "--preset", "static", "--frames", "2"]) == 0
+    doc = json.loads(ann.read_text())
+    doc["version"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["track", "--in", bad, "--out", tmp_path / "t.json"]) == 3
+    # default15 but for one limb index written as a float: it used to load
+    # as default15 and evaluate.
+    topo = default_topology()
+    limbs = [list(limb) for limb in topo.limbs]
+    limbs[0][1] = 1.0
+    topo_cfg = tmp_path / "topo.cfg"
+    topo_cfg.write_text(f"joints = {list(topo.joint_names)}\nlimbs = {limbs}\nhead_segment = [0, 2]\n")
+    gt = tmp_path / "c.json.gt.json"
+    assert run(["eval", "--gt", gt, "--pred", gt, "--topology", topo_cfg]) == 3
+
+
 @pytest.mark.parametrize("flag", ["--config", "--topology"])
 def test_a_repeated_config_key_exits_3(tmp_path, capsys, flag):
     # Keeping the last of a repeated key let a duplicated line change a run silently.
@@ -362,7 +388,6 @@ def test_eval_rejects_a_bad_pckh_factor(tmp_path, capsys, factor):
 PARSER_OPTIONS = {
     "synth": [
         ("--config", "config", None, None),
-        ("--topology", "topology", None, None),
         ("--out", "out", None, None),
         ("--gt-out", "gt_out", None, None),
         ("--people", "people", int, None),

@@ -268,6 +268,34 @@ def test_grid_stride_downsamples():
     assert grid_shape_for((201, 160), 4) == (51, 40)
 
 
+def _limb_0_pose(a, b) -> Pose:
+    """A pose with only limb 0's joints (head top and nose), at a and b."""
+    joints = [None] * TOPO.joint_count
+    joints[0], joints[1] = JointCandidate(*a), JointCandidate(*b)
+    return Pose(tuple(joints))
+
+
+def test_a_cell_adds_its_strokes_in_stroke_order():
+    # Cell (0, 15) of channel 0 is covered first by person 0's part 0,
+    # moving (1, 0), then by both parts of person 1, each moving
+    # (1e-15, 10) from x = 0: hypot is exactly 10, so each adds an x of
+    # about 1e-16. In stroke order 1 + 1e-16 + 1e-16 rounds to 1; adding
+    # person 1's strokes first would give 1 + 2e-16, one ulp above 1.
+    earlier = [_limb_0_pose((-10.0, 15.0), (30.0, 15.0)), _limb_0_pose((0.0, 10.0), (0.0, 14.0))]
+    later = [
+        _limb_0_pose((-9.0, 15.0), (31.0, 15.0)),
+        _limb_0_pose((1e-15, 20.0), (1e-15, 24.0)),
+    ]
+    fl, fe = frame(later, 1, (40, 40)), frame(earlier, 0, (40, 40))
+    cfg = EncoderConfig(parts_per_limb=2)
+    grid = encode_limb_flow(fl, fe, [(0, 0), (1, 1)], TOPO, cfg)
+    vectors, counts = brute_encode(fl, fe, [(0, 0), (1, 1)], TOPO, cfg)
+    assert grid.counts[0, 15, 0] == 3
+    assert grid.vectors[0, 15, 0, 0] == 1.0 / 3.0
+    assert np.array_equal(grid.counts, counts)
+    assert grid.vectors.tobytes() == vectors.tobytes()
+
+
 # ----------------------------------------- dense path vs group-box oracle
 
 
@@ -387,8 +415,7 @@ def test_stroke_boxes_keep_cells_on_the_capsule_edge(seed, size, stride, half_wi
         height=height,
         grid_stride=stride,
         half_width=half_width * stride,
-        channels=rng.integers(0, limb_count, len(sizes)).astype(np.int64),
-        bounds=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        channels=np.repeat(rng.integers(0, limb_count, len(sizes)), sizes).astype(np.int64),
         later=later.astype(np.float64) * stride,
         earlier=earlier.astype(np.float64) * stride,
         vectors=np.stack([np.cos(angle), np.sin(angle)], axis=1),

@@ -158,6 +158,24 @@ def test_parser_rejects_a_value_of_the_wrong_kind(path, value, message):
         parse_annotations(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_parser_rejects_a_version_that_is_not_an_int(version):
+    # Both compare equal to 1, so they used to parse.
+    doc = json.loads(serialize_annotations(_sequence(1, 1)))
+    doc["version"] = version
+    with pytest.raises(AnnotationError, match=r"\$\.version: unsupported version"):
+        parse_annotations(json.dumps(doc))
+
+
+@pytest.mark.parametrize("size", [[True, True], [200.0, 160], [200, True]])
+def test_parser_rejects_an_image_size_that_is_not_ints(size):
+    # [true, true] used to parse as the frame size (True, True).
+    doc = json.loads(serialize_annotations(_sequence(1, 1)))
+    doc["frames"][0]["image_size"] = size
+    with pytest.raises(AnnotationError, match="image_size must be"):
+        parse_annotations(json.dumps(doc))
+
+
 def test_an_unserializable_sequence_leaves_no_file(tmp_path):
     bad = _sequence(1, 1)
     bad = replace(bad, frames=(replace(bad.frames[0], frame_index="first"),))

@@ -140,6 +140,31 @@ def test_config_rejects_invalid():
         topology_from_config("limbs = [[0, 1]]\nhead_segment = [0, 1]")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("limbs = [[0, 1], [1, 2]]", "limbs = [[0, 1.7], [1, 2]]"),  # loaded as (0, 1)
+    ("limbs = [[0, 1], [1, 2]]", "limbs = [[0, True], [1, 2]]"),  # loaded as (0, 1)
+    ("limbs = [[0, 1], [1, 2]]", "limbs = [[0, 1, 2], [1, 2]]"),
+    ("limbs = [[0, 1], [1, 2]]", "limbs = 5"),
+    ("head_segment = [0, 1]", "head_segment = [0.0, 1]"),
+    ("head_segment = [0, 1]", "head_segment = [False, 1]"),
+    ("head_segment = [0, 1]", "head_segment = [0, 1, 2]"),
+    ("head_segment = [0, 1]", "head_segment = [0, 1]\njoint_channel = [0, 1.0, 1]"),
+    ("head_segment = [0, 1]", "head_segment = [0, 1]\njoint_channel = [0, True, 1]"),
+    ('joints = ["a", "b", "c"]', "joints = 'abc'"),  # loaded as three joints
+    ('joints = ["a", "b", "c"]', 'joints = ["a", "b", 3]'),
+])
+def test_config_rejects_indices_and_joints_of_the_wrong_type(old, new):
+    text = CONFIG_TEXT.replace(old, new)
+    assert text != CONFIG_TEXT
+    with pytest.raises(ValueError, match="invalid topology config"):
+        topology_from_config(text)
+
+
+def test_config_names_a_missing_key():
+    with pytest.raises(ValueError, match="missing key 'head_segment'"):
+        topology_from_config(CONFIG_TEXT.replace("head_segment = [0, 1]", ""))
+
+
 def test_resolve_topology():
     assert resolve_topology("default15") is default_topology()
     with pytest.raises(KeyError):

@@ -11,6 +11,7 @@ from limbflow.fileio import serialize_annotations
 from limbflow.metrics import evaluate
 from limbflow.pose import JointCandidate, Pose, Sequence
 from limbflow.scoring import ScoreConfig, build_association_matrix
+from limbflow.skeleton import validate_topology
 from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import (
     SequenceFlowSource,
@@ -498,6 +499,22 @@ def test_push_after_finish_raises():
     for index in (0, 13):
         with pytest.raises(ValueError, match=f"frame index {index} pushed after finish"):
             tracker.push(frame([stick_pose(60, 60)], index))
+
+
+def test_a_flow_source_in_another_topology_is_rejected():
+    # TOPO's skeleton with its limbs in reverse order, so channel c is
+    # another limb: scoring used to read the channels of other limbs.
+    last = TOPO.limb_count - 1
+    other = replace(
+        TOPO, name="reordered", limbs=TOPO.limbs[::-1], joint_channel=tuple(last - c for c in TOPO.joint_channel)
+    )
+    assert validate_topology(other) == []
+    gt = Sequence(tuple(frame([stick_pose(60, 60)], t) for t in range(3)), other)
+    with pytest.raises(ValueError, match="different topologies"):
+        Tracker(TOPO, CFG, SequenceFlowSource(gt, CFG.encoder))
+    cand = Sequence(tuple(frame([stick_pose(60, 60)], t) for t in range(3)), TOPO)
+    with pytest.raises(ValueError, match="different topologies"):
+        track_sequence(cand, CFG, SequenceFlowSource(gt, CFG.encoder))
 
 
 @given(
