@@ -82,7 +82,10 @@ class RunConfig:
             raise ValueError(f"unknown config key {key!r}")
         kind = type(_DEFAULTS[key])
         if kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {key!r} must be a float, got an int too large for one") from None
         if type(value) is not kind:  # so a bool is no int, and "false" no bool
             raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
         self.values[key] = value

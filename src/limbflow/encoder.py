@@ -9,11 +9,13 @@ averaged with a single contributor count per cell, which keeps every
 stored vector inside the unit disc.
 
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
-One kernel decides which cell centers a stroke covers, and one reduction
-turns the covered (stroke, cell) pairs into means; the two paths differ
-only in the cells they hand the kernel. A stroke's box holds the cells
-whose centers lie inside the stroke's bounding box widened by the half
-width, clipped to the grid; no other cell can be covered. ``rasterize``
+One kernel decides which cell centers a stroke covers, and one reduction,
+``_group_means``, turns the covered (stroke, cell) pairs into means; the
+two paths differ only in the cells they hand the kernel. The same
+reduction takes the accumulated layout's mean over channels, in
+``rasterize`` and in ``accumulate_channels``. A stroke's box holds the
+cells whose centers lie inside the stroke's bounding box widened by the
+half width, clipped to the grid; no other cell can be covered. ``rasterize``
 takes every cell of each stroke's box, and the ``FlowMapGrid`` it
 returns is the covered-cell table: the keys, means and counts of the
 covered (channel, cell) slots, its only storage. A dense plane is built
@@ -36,7 +38,9 @@ Conventions, fixed here and relied on by the scorer:
 * A cell belongs to a stroke iff its center is strictly closer than
   ``stroke_half_width`` to the anchor segment. Plain distance test, no
   anti-aliasing, for bit-reproducibility across platforms.
-* Displacements of at most ``MOTION_EPSILON`` (1e-6 px) have no defined
+* A displacement's length is ``np.hypot``, in the encoder and the
+  scorer alike (``math.hypot`` differs from it in the last bit).
+  Displacements of at most ``MOTION_EPSILON`` (1e-6 px) have no defined
   direction and contribute nothing: the encoder draws no such part and
   the scorer adds 0 for such a joint.
 * A cell adds its strokes in enumeration order (paired person, then
@@ -97,7 +101,7 @@ class LimbPart:
     def stroke_length(self) -> float:
         ax, ay = self.anchor_later
         bx, by = self.anchor_earlier
-        return math.hypot(ax - bx, ay - by)
+        return float(np.hypot(ax - bx, ay - by))
 
 
 def _channel_pairs(layout: str, limb_count: int) -> int:
@@ -337,28 +341,25 @@ def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return owner, np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
-def _ordered_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """(size, 2) sums of the rows of ``values`` per ``index``, each added in
-    array order (``np.bincount`` adds its weights in turn)."""
-    sums = np.empty((size, 2), dtype=np.float64)
+def _group_means(key: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending distinct values of ``key``, with the mean of each one's
+    rows of the (n, 2) float64 ``vectors`` and its int32 row count.
+
+    A key's sum starts at +0.0 and adds its rows in array order: a stable
+    sort keeps each key's rows in turn, and ``np.bincount`` adds its
+    weights in turn. The sort also runs fast on keys that come in sorted
+    runs, as the (stroke, cell) pairs of the rasterizer do."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    per_key = np.cumsum(starts) - 1
+    key = key[starts]
+    counts = np.bincount(per_key, minlength=len(key))
+    sums = np.empty((len(key), 2), dtype=np.float64)
     for c in range(2):
-        sums[:, c] = np.bincount(index, values[:, c], size)
-    return sums
-
-
-def _channel_means(
-    key: np.ndarray, vectors: np.ndarray, cells: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending cell keys, with the mean over their contributing channels
-    and its int32 count, from the (n, 2) float64 ``vectors`` at ascending
-    (channel, cell) keys ``channel * cells + cell``.
-
-    Each cell's sum starts at +0.0 and adds its channels in channel order,
-    as a sum over every channel plane would: a sum that starts at +0.0 is
-    never -0.0, so adding a +0.0 plane leaves it as it is."""
-    key, column = np.unique(key % cells, return_inverse=True)
-    n_chan = np.bincount(column, minlength=len(key))
-    return key, _ordered_sums(column, vectors, len(key)) / n_chan[:, None], n_chan.astype(np.int32)
+        sums[:, c] = np.bincount(per_key, vectors[order, c], len(key))
+    return key, sums / counts[:, None], counts.astype(np.int32)
 
 
 # ------------------------------------------------------------ strokes
@@ -435,25 +436,16 @@ class LimbStrokes:
         with their means and contributor counts, from the (stroke, cell)
         pairs in stroke order where a stroke covers a cell, cell < cells.
 
-        A channel cell's sum adds its covering strokes in stroke order and
-        is divided by its count. The accumulated layout then takes, per
-        cell, the mean over the contributing channels, as
-        ``accumulate_channels`` does.
+        A channel cell's mean adds its covering strokes in stroke order.
+        The accumulated layout then takes, per cell, the mean over the
+        contributing channels, added in channel order since the channel
+        cell keys ascend, as ``accumulate_channels`` does.
         """
-        key = self.channels[stroke] * cells + cell
-        # A stable sort by key keeps each channel cell's pairs in stroke order.
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.ones(len(key), dtype=bool)
-        starts[1:] = key[1:] != key[:-1]
-        per_key = np.cumsum(starts) - 1
-        key = key[starts]
-        counts = np.bincount(per_key, minlength=len(key))
-        sums = _ordered_sums(per_key, np.take(self.vectors, stroke[order], axis=0), len(key))
-        means = sums / counts[:, None]
+        vectors = np.take(self.vectors, stroke, axis=0)
+        table = _group_means(self.channels[stroke] * cells + cell, vectors)
         if self.layout == LAYOUT_ACCUMULATED:
-            return _channel_means(key, means, cells)
-        return key, means, counts
+            return _group_means(table[0] % cells, table[1])
+        return table
 
     def rasterize(self) -> FlowMapGrid:
         """The grid, at the cost of the cells the strokes cover.
@@ -466,15 +458,9 @@ class LimbStrokes:
         when read.
         """
         stroke, cell = self._covered(np.arange(len(self.later)))
-        key, means, counts = self._cell_means(stroke, cell, self.width * self.height)
-        return FlowMapGrid.from_cells(
-            self.layout,
-            self.limb_count,
-            self.width,
-            self.height,
-            (key, means, counts.astype(np.int32)),
-            self.grid_stride,
-        )
+        table = self._cell_means(stroke, cell, self.width * self.height)
+        geometry = (self.limb_count, self.width, self.height)
+        return FlowMapGrid.from_cells(self.layout, *geometry, table, self.grid_stride)
 
     def values_at(self, keys: np.ndarray) -> np.ndarray:
         """(m, 2) vectors at flat keys (see the module docstring), equal bit
@@ -641,7 +627,7 @@ def accumulate_channels(grid: FlowMapGrid) -> FlowMapGrid:
         # nonzero vectors.
         contributing = np.any(vectors != 0, axis=-1)
         keys, vectors = keys[contributing], vectors[contributing]
-    table = _channel_means(keys, vectors.astype(np.float64), grid.width * grid.height)
+    table = _group_means(keys % (grid.width * grid.height), vectors.astype(np.float64))
     geometry = (grid.limb_count, grid.width, grid.height)
     return FlowMapGrid.from_cells(LAYOUT_ACCUMULATED, *geometry, table, grid.grid_stride)
 

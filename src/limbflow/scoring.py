@@ -141,7 +141,7 @@ def flow_score(
         a = pose_later.joint(j)
         b = pose_earlier.joint(j)
         dx, dy = a.x - b.x, a.y - b.y
-        norm = math.hypot(dx, dy)
+        norm = float(np.hypot(dx, dy))
         if norm <= MOTION_EPSILON:
             continue
         direction = np.array([dx / norm, dy / norm])
@@ -162,7 +162,7 @@ def distance_score(pose_a: Pose, pose_b: Pose) -> float:
     total = 0.0
     for j in common:
         ca, cb = pose_a.joint(j), pose_b.joint(j)
-        total += math.hypot(ca.x - cb.x, ca.y - cb.y)
+        total += float(np.hypot(ca.x - cb.x, ca.y - cb.y))
     return total / len(common)
 
 
@@ -211,8 +211,7 @@ def _joint_geometry(
     common = ok_a[:, None, :] & ok_b[None, :, :]
     d = xy_a[:, None] - xy_b[None, :]
     norm = np.zeros(common.shape, dtype=np.float64)
-    # math.hypot, as the per-pair scores use: np.hypot differs in the last bit.
-    norm[common] = list(map(math.hypot, d[..., 0][common].tolist(), d[..., 1][common].tolist()))
+    norm[common] = np.hypot(d[..., 0], d[..., 1])[common]
     return common, d, norm, xy_a, xy_b
 
 
@@ -257,8 +256,8 @@ def build_association_matrix(
     arithmetic, which is part of this function's contract: each sample
     is dotted with its direction by a batched ``@``, the samples of a
     joint are summed along one contiguous axis as ``np.sum`` does, the
-    joint terms are added in ascending joint order, and lengths and
-    exponentials use the scalar ``math`` functions.
+    joint terms are added in ascending joint order, lengths are
+    ``np.hypot``, as the encoder's are, and exponentials are ``math.exp``.
     """
     later = _poses_of(frame_later)
     earlier = _poses_of(frame_earlier)

@@ -210,8 +210,8 @@ def topology_from_config(text: str, name: str = "custom") -> SkeletonTopology:
 
     Required keys: ``joints`` (list of names), ``limbs`` (list of [a, b]
     index pairs), ``head_segment`` ([a, b]). Optional: ``joint_channel``
-    (defaults to the first limb incident to each joint) and ``name``.
-    Every index must be an int, not a bool or a float.
+    (defaults to the first limb incident to each joint) and ``name`` (a
+    string). Every index must be an int, not a bool or a float.
     """
     data = parse_keyvalue(text)
     try:
@@ -233,8 +233,11 @@ def topology_from_config(text: str, name: str = "custom") -> SkeletonTopology:
             channel.append(incident[0])
         joint_channel = tuple(channel)
 
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ValueError(f"invalid topology config: name must be a string, got {name!r}")
     topo = SkeletonTopology(
-        name=str(data.get("name", name)),
+        name=name,
         joint_names=joints,
         limbs=limbs,
         joint_channel=joint_channel,

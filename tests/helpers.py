@@ -166,7 +166,7 @@ def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
                 bx = quad[2].x + f * (quad[3].x - quad[2].x)
                 by = quad[2].y + f * (quad[3].y - quad[2].y)
                 dx, dy = ax - bx, ay - by
-                norm = math.hypot(dx, dy)
+                norm = np.hypot(dx, dy)  # the encoder's length rule
                 if norm <= MOTION_EPSILON:
                     continue
                 seg_dx, seg_dy = bx - ax, by - ay

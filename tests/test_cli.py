@@ -473,6 +473,8 @@ def test_every_subcommand_keeps_its_options():
         ("synth", "people = 2.7"),  # an int key used to truncate a float
         ("synth", "frames = True"),
         ("track", "grid_stride = 2.9"),
+        # float() of an int this large raised OverflowError: a traceback and exit 1
+        pytest.param("track", "distance_scale = 1" + "0" * 400, id="track-distance_scale-10**400"),
     ],
 )
 def test_config_file_value_of_the_wrong_type_exits_3(tmp_path, capsys, command, line):

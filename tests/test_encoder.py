@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limbflow import encoder
@@ -36,6 +36,7 @@ from helpers import (
     stick_pose,
     translate_pose,
 )
+from test_acceptance import _random_pose_pair
 
 CFG = EncoderConfig()
 
@@ -294,6 +295,50 @@ def test_a_cell_adds_its_strokes_in_stroke_order():
     assert grid.vectors[0, 15, 0, 0] == 1.0 / 3.0
     assert np.array_equal(grid.counts, counts)
     assert grid.vectors.tobytes() == vectors.tobytes()
+
+
+def test_encode_equals_brute_force_bit_for_bit_on_criterion_1_pairs():
+    # Criterion 1's 200 seeded pairs and configs. The encoder and the oracle
+    # share one length rule, np.hypot; with math.hypot in the oracle, 8 of
+    # the 200 grids differed in low bits.
+    for seed in range(200):
+        rng = np.random.default_rng(1000 + seed)
+        fl, fe, pairing = _random_pose_pair(rng)
+        cfg = EncoderConfig(stroke_half_width=float(rng.uniform(0.8, 2.5)))
+        grid = encode_limb_flow(fl, fe, pairing, TOPO, cfg)
+        vectors, counts = brute_encode(fl, fe, pairing, TOPO, cfg)
+        assert np.array_equal(grid.counts, counts), seed
+        assert np.array_equal(grid.vectors, vectors), seed
+
+
+def _loop_group_means(key, vectors):
+    """``_group_means`` by a Python loop over the rows in array order."""
+    sums, counts = {}, {}
+    for k, (x, y) in zip(key.tolist(), vectors.tolist()):
+        sx, sy = sums.get(k, (0.0, 0.0))
+        sums[k] = (sx + x, sy + y)
+        counts[k] = counts.get(k, 0) + 1
+    keys = sorted(sums)
+    means = [(sums[k][0] / counts[k], sums[k][1] / counts[k]) for k in keys]
+    return keys, np.array(means, dtype=np.float64).reshape(-1, 2), [counts[k] for k in keys]
+
+
+_component = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 6), _component, _component), max_size=40))
+@example(rows=[])
+@example(rows=[(3, 1.0, 2.0), (3, 1e-16, -0.5), (3, 1e-16, 0.25)])  # all keys equal
+@example(rows=[(0, -0.0, -0.0), (1, -0.0, 0.0), (1, -0.0, -0.0), (0, 0.0, -0.0)])
+@settings(max_examples=200, deadline=None)
+def test_group_means_equal_a_per_key_loop_bit_for_bit(rows):
+    key = np.array([r[0] for r in rows], dtype=np.int64)
+    vectors = np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 2)
+    got_keys, got_means, got_counts = encoder._group_means(key, vectors)
+    keys, means, counts = _loop_group_means(key, vectors)
+    assert got_keys.dtype == np.int64 and got_keys.tolist() == keys
+    assert got_means.tobytes() == means.tobytes()  # -0.0 and +0.0 differ here
+    assert got_counts.dtype == np.int32 and got_counts.tolist() == counts
 
 
 # ----------------------------------------- dense path vs group-box oracle

@@ -152,6 +152,8 @@ def test_config_rejects_invalid():
     ("head_segment = [0, 1]", "head_segment = [0, 1]\njoint_channel = [0, True, 1]"),
     ('joints = ["a", "b", "c"]', "joints = 'abc'"),  # loaded as three joints
     ('joints = ["a", "b", "c"]', 'joints = ["a", "b", 3]'),
+    ('name = "tiny"', "name = 5"),  # loaded as topology '5'
+    ('name = "tiny"', "name = [1, 2]"),  # loaded as topology '[1, 2]'
 ])
 def test_config_rejects_indices_and_joints_of_the_wrong_type(old, new):
     text = CONFIG_TEXT.replace(old, new)

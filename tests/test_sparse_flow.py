@@ -355,18 +355,25 @@ def test_batched_matrix_equals_per_pair_oracle(seed, enc, static_share, dense, c
 
 def test_batched_matrix_keeps_forbidden_pairs_and_static_joints():
     rng = np.random.default_rng(7)
-    earlier = [_random_pose(rng) for _ in range(3)]
     only = lambda pose, keep: Pose(tuple(c if j in keep else None for j, c in enumerate(pose.joints)))  # noqa: E731
+    joint_0 = lambda x, y: only(Pose((JointCandidate(x, y),) * TOPO.joint_count), {0})  # noqa: E731
+    earlier = [_random_pose(rng) for _ in range(3)] + [joint_0(0.0, 0.0)]
     later = [
         only(earlier[0], set(range(0, 7))),  # static: every common joint stands still
         only(_moved(rng, earlier[1], 0.5), set(range(7, 15))),
         Pose((None,) * TOPO.joint_count),  # shares no joint with anyone
+        # A move whose math.hypot and np.hypot differ in the last bit: the
+        # batched and the per-pair scores must both take np.hypot.
+        joint_0(2.568, 4.156),
     ]
+    assert math.hypot(2.568, 4.156) != np.hypot(2.568, 4.156)
     fl, fe = frame(later, 1), frame(earlier, 0)
     flow = limb_strokes(fl, fe, [(0, 0), (1, 1)], TOPO, EncoderConfig())
     cfg = ScoreConfig()
     got = build_association_matrix(later, earlier, flow, TOPO, cfg).scores
     assert np.array_equal(got, _oracle_matrix(later, earlier, flow, cfg))
+    distances = [[distance_score(a, b) for b in earlier] for a in later]
+    assert np.array_equal(distance_matrix(later, earlier), np.array(distances))
     assert np.all(got[2] == FORBIDDEN)
     assert np.isfinite(got[0, 0])
 
