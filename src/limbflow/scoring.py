@@ -14,7 +14,9 @@ working, where the flow term is identically zero.
 
 Pose pairs with no common joints cannot be scored and receive
 ``assignment.FORBIDDEN`` (-inf), which downstream assignment treats as
-a forbidden link.
+a forbidden link. So do pairs whose mean common-joint distance exceeds
+the motion gate, ``GATE_SCALES * distance_scale`` px, as DeepSORT gates
+before its assignment; ``build_association_matrix`` reads no flow for them.
 
 ``flow_score`` and ``distance_score`` score one pair and are the
 reference; ``build_association_matrix`` scores all pairs of two frames
@@ -45,6 +47,9 @@ from .skeleton import SkeletonTopology
 # is read once per chunk, not once per call; the chunk bounds the memory of
 # a call and the bits of its sort keys.
 _CHUNK_SAMPLES = 1 << 16
+
+# The motion gate in units of ScoreConfig.distance_scale (association_score).
+GATE_SCALES = 2.0
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,12 @@ def distance_score(pose_a: Pose, pose_b: Pose) -> float:
 
 
 def association_score(s_flow: float, s_dist: float, cfg: ScoreConfig) -> float:
-    """Linear combination of the flow similarity and distance similarity."""
+    """Linear combination of the flow similarity and distance similarity;
+    ``FORBIDDEN`` if a term is not finite or the mean joint distance
+    ``s_dist`` exceeds the motion gate (a pair at the gate is scored)."""
     if not (math.isfinite(s_flow) and math.isfinite(s_dist)):
+        return FORBIDDEN
+    if s_dist > GATE_SCALES * cfg.distance_scale:
         return FORBIDDEN
     return cfg.alpha * s_flow + (1.0 - cfg.alpha) * math.exp(-s_dist / cfg.distance_scale)
 
@@ -179,7 +188,7 @@ class AssociationMatrix:
 
     Row i, column j holds the score of linking later-frame pose i to
     earlier-frame pose j, or the forbid sentinel where the pair shares no
-    joints.
+    joints or lies beyond the motion gate.
     """
 
     scores: np.ndarray  # (n_later, n_earlier) float64
@@ -246,7 +255,8 @@ def build_association_matrix(
     Equal bit for bit to ``association_score(flow_score(...),
     distance_score(...))`` per pair; ``flow_score`` and ``distance_score``
     are kept as that reference. All pairs are scored together, in one
-    pass over the moving common joints of every pair. The joints are
+    pass over the moving common joints of every pair within the motion
+    gate; a gated pair's joints are never sampled. The joints are
     taken in stored-channel order, in chunks of ``_CHUNK_SAMPLES``
     integral samples; each distinct cell of a chunk is read from the flow
     map once, by one ``values_at`` call, and the chunk's joint terms are
@@ -266,7 +276,9 @@ def build_association_matrix(
         return AssociationMatrix(scores=scores)
 
     common, d, norm, xy_l, xy_e = _joint_geometry(later, earlier)
-    moving = common & (norm > MOTION_EPSILON)
+    s_dist = _mean_over_common(norm, common)
+    kept = common.any(axis=2) & (s_dist <= GATE_SCALES * cfg.distance_scale)
+    moving = common & (norm > MOTION_EPSILON) & kept[:, :, None]
     pi, qi, ji = np.nonzero(moving)
     a, b = xy_l[pi, ji], xy_e[qi, ji]
     joint_channel = np.array(
@@ -301,7 +313,6 @@ def build_association_matrix(
     flow_terms[moving] = per_joint
 
     s_flow = _mean_over_common(flow_terms, common)
-    s_dist = _mean_over_common(norm, common)
-    for i, j in zip(*np.nonzero(common.any(axis=2))):
+    for i, j in zip(*np.nonzero(kept)):
         scores[i, j] = association_score(float(s_flow[i, j]), float(s_dist[i, j]), cfg)
     return AssociationMatrix(scores=scores)

@@ -6,12 +6,14 @@ tracks through a stride-1 flow map over (t, t-1). With refinement on,
 over (t, t-2): a track seen at t-2, missed at t-1 and linked straight to
 a pose at t gets the average of those two poses inserted at t-1. Both
 link through the one association step, ``_associate``: score every pair,
-forbid the pairs the caller rules out, solve, and keep the links scoring
-at least ``score_threshold``. Both only label poses. The step's one
-bookkeeping pass is the only place where tracks change: a pose labelled
-at t renews its track, every other track gains a miss, each unlabelled
-pose starts a fresh id, and a track with two misses running retires for
-good: it lives just long enough for refinement to catch it.
+forbid the pairs the caller rules out and those scoring below
+``score_threshold``, then solve: the threshold decides which links are
+feasible before the solve, as in DeepSORT. Both only label poses. The
+step's one bookkeeping pass is the only place where tracks change: a
+pose labelled at t renews its track, every other track gains a miss,
+each unlabelled pose starts a fresh id, and a track with two misses
+running retires for good: it lives just long enough for refinement to
+catch it.
 
 ``push`` returns the frames no later step can change: frame t at once
 with refinement off, frame t-1 with it on; ``finish`` returns the rest
@@ -183,14 +185,16 @@ def _associate(
 ) -> list[tuple[int, int]]:
     """The (later, earlier) links kept over a flow map drawn over (later, earlier).
 
-    A pair whose ``allowed`` entry is False is forbidden. Of the maximum
-    cardinality, then maximum score assignment, the links scoring at
-    least ``score_threshold`` are kept, sorted by later pose.
+    A pair whose ``allowed`` entry is False, or that scores below
+    ``score_threshold``, is forbidden before the solve, so no link below
+    the threshold displaces one above it. The links are the maximum
+    cardinality, then maximum score assignment of the rest, by later pose.
     """
     scores = build_association_matrix(later, earlier, flow, topo, cfg.score).scores
+    scores[scores < cfg.score_threshold] = FORBIDDEN
     if allowed is not None:
         scores[~allowed] = FORBIDDEN
-    return [(i, j) for i, j in hungarian(scores) if scores[i, j] >= cfg.score_threshold]
+    return hungarian(scores)
 
 
 def match_frames(

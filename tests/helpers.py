@@ -857,26 +857,35 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
 # ---------------------------------------------------------------- tracker
 
 
+def _forbid_below(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """A copy of ``scores`` with each entry below ``threshold`` forbidden,
+    one entry at a time: the links a threshold-first solve may take."""
+    out = scores.copy()
+    for i, j in itertools.product(range(out.shape[0]), range(out.shape[1])):
+        if out[i, j] < threshold:
+            out[i, j] = FORBIDDEN
+    return out
+
+
 def two_step_match_frames(frame, tracks, grid, topo, cfg):
     """Oracle for ``tracker.match_frames``: the matching step written out
-    on its own, scoring, solving and thresholding without the shared
-    association step."""
+    on its own, without the shared association step. Links below the
+    threshold are forbidden first; every link of the solve is kept."""
     accepted: dict[int, int] = {}
     if tracks and frame.poses and grid is not None:
         matrix = build_association_matrix(
             list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
         )
-        for i, j in hungarian(matrix.scores):
-            if matrix.scores[i, j] >= cfg.score_threshold:
-                accepted[i] = tracks[j].track_id
+        for i, j in hungarian(_forbid_below(matrix.scores, cfg.score_threshold)):
+            accepted[i] = tracks[j].track_id
     labeled = [pose.with_track_id(accepted.get(i)) for i, pose in enumerate(frame.poses)]
     return replace(frame, poses=tuple(labeled))
 
 
 def two_step_refine_middle_frame(frame_prev, frame_mid, frame_next, grid_stride2, topo, cfg):
-    """Oracle for ``tracker.refine_middle_frame``: the id rules written
-    into a copy of the score matrix row by row, then solved and
-    thresholded on their own."""
+    """Oracle for ``tracker.refine_middle_frame``: links below the
+    threshold forbidden first, then the id rules written into the score
+    matrix row by row, then one solve whose every link is kept."""
     missing = _refinable_ids(frame_prev, frame_mid, frame_next)
     if not missing:
         return frame_mid, frame_next, []
@@ -885,7 +894,7 @@ def two_step_refine_middle_frame(frame_prev, frame_mid, frame_next, grid_stride2
     matrix = build_association_matrix(
         list(frame_next.poses), [prev_by_id[tid] for tid in missing], grid_stride2, topo, cfg.score
     )
-    scores = matrix.scores.copy()
+    scores = _forbid_below(matrix.scores, cfg.score_threshold)
     held = {p.track_id for p in frame_next.poses if p.track_id is not None}
     for i, pose in enumerate(frame_next.poses):
         if pose.track_id is not None:  # a labelled pose may take only its own id
@@ -897,8 +906,6 @@ def two_step_refine_middle_frame(frame_prev, frame_mid, frame_next, grid_stride2
     entries: list[RefinementEntry] = []
     next_poses = list(frame_next.poses)
     for i, c in hungarian(scores):
-        if scores[i, c] < cfg.score_threshold:
-            continue
         tid = missing[c]
         next_poses[i] = next_poses[i].with_track_id(tid)
         inserts.append(_average_pose(prev_by_id[tid], next_poses[i], tid, topo.joint_count))

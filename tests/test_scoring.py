@@ -7,6 +7,7 @@ from limbflow.encoder import MOTION_EPSILON, EncoderConfig, FlowMapGrid, encode_
 from limbflow.pose import JointCandidate, Pose
 from limbflow.scoring import (
     FORBIDDEN,
+    GATE_SCALES,
     ScoreConfig,
     association_score,
     build_association_matrix,
@@ -196,8 +197,12 @@ def test_association_bounds():
     rng = np.random.default_rng(4)
     for _ in range(100):
         cfg = ScoreConfig(alpha=float(rng.uniform(0, 1)))
-        s = association_score(float(rng.uniform(-1, 1)), float(rng.uniform(0, 500)), cfg)
-        assert -cfg.alpha - 1e-12 <= s <= 1.0 + 1e-12
+        d = float(rng.uniform(0, 500))
+        s = association_score(float(rng.uniform(-1, 1)), d, cfg)
+        if d > GATE_SCALES * cfg.distance_scale:
+            assert s == FORBIDDEN  # beyond the motion gate
+        else:
+            assert -cfg.alpha - 1e-12 <= s <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------ matrix

@@ -336,6 +336,8 @@ def _oracle_matrix(later, earlier, flow, cfg):
         ScoreConfig,
         alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         integral_samples=st.integers(1, 25),
+        # A 4 px scale gates most pairs of the small scenes at 8 px.
+        distance_scale=st.sampled_from([4.0, 32.0]),
     ),
 )
 @settings(max_examples=60, deadline=None)
@@ -376,6 +378,55 @@ def test_batched_matrix_keeps_forbidden_pairs_and_static_joints():
     assert np.array_equal(distance_matrix(later, earlier), np.array(distances))
     assert np.all(got[2] == FORBIDDEN)
     assert np.isfinite(got[0, 0])
+
+
+def _lattice_pose(cx: float, cy: float) -> Pose:
+    """A stick pose on the 1/8 px lattice, so a translation by a lattice
+    step moves every joint by exactly that step."""
+    return Pose(tuple(JointCandidate(round(c.x * 8) / 8, round(c.y * 8) / 8) for c in stick_pose(cx, cy).joints))
+
+
+class _KeySpy:
+    """A flow map that records the keys of every ``values_at`` call."""
+
+    def __init__(self, flow):
+        self.flow, self.keys = flow, []
+
+    def __getattr__(self, name):
+        return getattr(self.flow, name)
+
+    def values_at(self, keys):
+        self.keys.append(np.array(keys))
+        return self.flow.values_at(keys)
+
+
+def test_batched_matrix_gates_as_the_per_pair_oracle():
+    cfg = ScoreConfig()
+    gate = scoring.GATE_SCALES * cfg.distance_scale
+    earlier = [_lattice_pose(60, 60)]
+    later = [translate_pose(earlier[0], gate, 0.0), translate_pose(earlier[0], gate + 0.125, 0.0)]
+    assert [distance_score(p, earlier[0]) for p in later] == [gate, gate + 0.125]
+    size = (240, 160)
+    fl, fe = frame(later, 1, size), frame(earlier, 0, size)
+    for flow in (limb_strokes(fl, fe, [(0, 0)], TOPO, EncoderConfig()),
+                 limb_strokes(fl, fe, [(1, 0)], TOPO, EncoderConfig())):
+        got = build_association_matrix(later, earlier, flow, TOPO, cfg).scores
+        assert np.array_equal(got, _oracle_matrix(later, earlier, flow, cfg))
+        assert got[0, 0] > 0.5 and got[1, 0] == FORBIDDEN  # the kept pair's flow term was read
+
+
+def test_a_gated_pair_reads_no_flow():
+    earlier = [stick_pose(40, 60), stick_pose(200, 60)]
+    far = [translate_pose(earlier[0], 80.0, 0.0), translate_pose(earlier[1], -80.0, 40.0)]
+    size = (240, 160)
+    flow = limb_strokes(frame(far, 1, size), frame(earlier, 0, size), [(0, 0), (1, 1)], TOPO, EncoderConfig())
+    spy = _KeySpy(flow)
+    got = build_association_matrix(far, earlier, spy, TOPO, ScoreConfig()).scores
+    assert np.all(got == FORBIDDEN)
+    assert sum(k.size for k in spy.keys) == 0
+    near = [translate_pose(earlier[0], 8.0, 0.0)]  # the spy sees the keys of a pair inside the gate
+    build_association_matrix(near, earlier, spy, TOPO, ScoreConfig())
+    assert sum(k.size for k in spy.keys) > 0
 
 
 class _DenseFlowSource(SequenceFlowSource):
