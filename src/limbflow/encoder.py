@@ -524,8 +524,8 @@ def _limb_anchors(
             raise ValueError(f"pairing index {li} out of range in later frame")
         if not (0 <= ei < len(frame_earlier.poses)):
             raise ValueError(f"pairing index {ei} out of range in earlier frame")
-    xy_l, ok_l = pose_arrays([frame_later.poses[li] for li, _ in pairing], topo.joint_count)
-    xy_e, ok_e = pose_arrays([frame_earlier.poses[ei] for _, ei in pairing], topo.joint_count)
+    xy_l, _, ok_l = pose_arrays([frame_later.poses[li] for li, _ in pairing], topo.joint_count)
+    xy_e, _, ok_e = pose_arrays([frame_earlier.poses[ei] for _, ei in pairing], topo.joint_count)
     ja = np.array([limb[0] for limb in topo.limbs], dtype=np.int64)
     jb = np.array([limb[1] for limb in topo.limbs], dtype=np.int64)
     encodable = ok_l[:, ja] & ok_l[:, jb] & ok_e[:, ja] & ok_e[:, jb]

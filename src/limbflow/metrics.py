@@ -14,6 +14,15 @@ joint type ranks all predictions of a sequence by confidence and sweeps
 an interpolated precision-recall curve, in which a prediction is a true
 positive exactly when its own frame's PCKh match took it; mAP averages
 over joint types that have ground truth.
+
+Matching runs on arrays. Each frame's poses become one ``pose_arrays``
+triple, whose values are checked: a visible joint with a non-finite x or
+y, or a confidence outside [0, 1], raises ``ValueError``. One matcher,
+``_match_frame``, serves ``evaluate`` and ``match_joints_pckh``: one
+``lexsort`` ranks a frame's predictions, the pairs in range are sorted
+by (distance, gt position), and only the predictions that compete for a
+gt walk in rank order. The AP ranking is one ``lexsort`` over the whole
+sequence. Every length here, head segments included, is ``np.hypot``.
 """
 
 from __future__ import annotations
@@ -23,9 +32,11 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence as TySequence
+from typing import Optional, Sequence as TySequence
 
-from .pose import FramePoses, JointCandidate, Pose
+import numpy as np
+
+from .pose import FramePoses, Pose, check_joint_values, joint_pairs_within, pose_arrays
 from .skeleton import SkeletonTopology
 
 logger = logging.getLogger(__name__)
@@ -84,70 +95,109 @@ class EvalReport:
         return self.total_counts.mota()
 
 
-def _head_lengths(gt_frames: Iterable[FramePoses], topo: SkeletonTopology) -> dict[tuple[int, int], float]:
-    """Head segment length per (frame_index, gt pose position).
+def _frame_arrays(poses: TySequence[Pose], joint_count: int, where: str) -> tuple[np.ndarray, ...]:
+    """``pose_arrays`` of one frame's poses, with their values checked."""
+    arrays = pose_arrays(poses, joint_count)
+    check_joint_values(*arrays, where)
+    return arrays
+
+
+def _head_lengths(
+    gt_arrays: list[tuple[np.ndarray, ...]], topo: SkeletonTopology
+) -> list[np.ndarray]:
+    """Head segment length of each gt pose, one (G,) array per frame.
 
     Poses missing either head joint, or with one not visible, get the
     sequence median (as for matching, an invisible joint is not there); a
     warning is logged once per evaluation when that fallback triggers.
     """
     ha, hb = topo.head_segment
-    lengths: dict[tuple[int, int], Optional[float]] = {}
-    known: list[float] = []
-    for frame in gt_frames:
-        for pi, pose in enumerate(frame.poses):
-            ca, cb = pose.joint(ha), pose.joint(hb)
-            if ca is not None and cb is not None:
-                val = math.hypot(ca.x - cb.x, ca.y - cb.y)
-                lengths[(frame.frame_index, pi)] = val
-                known.append(val)
-            else:
-                lengths[(frame.frame_index, pi)] = None
-    missing = [k for k, v in lengths.items() if v is None]
-    if missing:
-        if not known:
+    lengths, known = [], []
+    for xy, _, present in gt_arrays:
+        d = xy[:, ha] - xy[:, hb]
+        lengths.append(np.hypot(d[:, 0], d[:, 1]))
+        known.append(present[:, ha] & present[:, hb])
+    known_all = np.concatenate(known)
+    n_missing = int((~known_all).sum())
+    if n_missing:
+        values = np.concatenate(lengths)[known_all]
+        if not len(values):
             raise ValueError("no ground-truth pose has a head segment; cannot scale matches")
-        median = sorted(known)[len(known) // 2]
+        median = np.sort(values)[len(values) // 2]
         logger.warning(
             "%d ground-truth poses lack a head segment; using sequence median %.2f px",
-            len(missing),
+            n_missing,
             median,
         )
-        for k in missing:
-            lengths[k] = median
-    return {k: float(v) for k, v in lengths.items()}
+        lengths = [np.where(k, v, median) for v, k in zip(lengths, known)]
+    return lengths
 
 
-def _visible(poses: TySequence[Pose], j: int) -> list[tuple[int, JointCandidate]]:
-    """(pose position, joint) for every pose whose joint ``j`` is visible."""
-    return [(pi, c) for pi, p in enumerate(poses) if (c := p.joint(j)) is not None]
+def _match_frame(
+    gt: tuple[np.ndarray, ...], pred: tuple[np.ndarray, ...], thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy one-to-one PCKh matching of one frame, every joint type.
 
+    ``gt`` and ``pred`` are the frame's ``pose_arrays``; ``thresholds``
+    holds each gt pose's match radius. Per joint type, predictions are
+    taken in (confidence desc, x, y, pose position) order, and each takes
+    the first nearest still-unmatched gt joint within that gt's radius.
+    Returns ``(q, j, g, dist)`` over the present predictions in that
+    order, joint type first: the pred pose position, its joint type, the
+    gt pose position it took or -1, and the ``np.hypot`` distance to it.
 
-def _match(
-    gts: list[tuple[int, JointCandidate]],
-    preds: list[tuple[int, JointCandidate]],
-    thresholds: dict[int, float],
-) -> list[tuple[int, int, float]]:
-    """Greedy one-to-one matching of one frame's joints of one type.
-
-    Predictions are taken in (confidence desc, x, y, pose position) order;
-    each takes the first nearest still-unmatched gt joint within that gt's
-    radius. Returns (gt pose position, pred pose position, distance) triples.
+    Lengths are taken only for the pairs ``joint_pairs_within`` finds in
+    each gt's box of half side its radius. A masked ``argmin`` gives each
+    prediction its first nearest gt. In a joint type where no two
+    predictions share one, each takes its own; the predictions of the
+    other types are walked in rank order, and one whose first nearest is
+    taken looks at the rest.
     """
-    taken: set[int] = set()
-    matches = []
-    for ppos, pc in sorted(preds, key=lambda e: (-e[1].confidence, e[1].x, e[1].y, e[0])):
-        best = None
-        for gpos, gc in gts:
-            if gpos in taken:
+    pxy, p_conf, p_ok = pred
+    q, j = np.nonzero(p_ok)
+    x, y = pxy[q, j, 0], pxy[q, j, 1]
+    order = np.lexsort((q, y, x, -p_conf[q, j], j))
+    q, j = q[order], j[order]
+    g = np.full(len(q), -1, dtype=np.int64)
+    n_gt = len(thresholds)
+    if not len(q) or not n_gt:
+        return q, j, g, np.zeros(len(q))
+    rank = np.empty(p_ok.shape, dtype=np.int64)
+    rank[q, j] = rows = np.arange(len(q))
+
+    # (pred rank, gt) tables of the pairs in range and their lengths.
+    bq, bg, bj, adx, ady = joint_pairs_within(pred, gt, thresholds)
+    d = np.hypot(adx, ady)
+    within = d <= thresholds[bg]
+    k, cand = rank[bq, bj][within], bg[within]
+    lengths = np.full((len(q), n_gt), np.inf)
+    lengths[k, cand] = d[within]
+    in_range = np.zeros(lengths.shape, dtype=bool)
+    in_range[k, cand] = True
+    first = lengths.argmin(axis=1)
+    # Where every length in range is inf, the lowest gt in range is first.
+    first = np.where(in_range[rows, first], first, in_range.argmax(axis=1))
+    reaches = in_range.any(axis=1)
+    # In a joint type where no two preds share a first nearest, each takes
+    # it; the preds of the other types are walked in rank order.
+    key = j * n_gt + first
+    shared = np.bincount(key[reaches], minlength=p_ok.shape[1] * n_gt) > 1
+    outright = reaches & ~shared.reshape(-1, n_gt).any(axis=1)[j]
+    g[outright] = first[outright]
+
+    taken: set[tuple[int, int]] = set()
+    walk = np.flatnonzero(reaches & ~outright)
+    for r, t, c in zip(walk.tolist(), j[walk].tolist(), first[walk].tolist()):
+        if (t, c) in taken:  # the first nearest still free, in gt order
+            c, best = -1, math.inf
+            for gpos, (length, ok) in enumerate(zip(lengths[r].tolist(), in_range[r].tolist())):
+                if ok and (t, gpos) not in taken and (c < 0 or length < best):
+                    c, best = gpos, length
+            if c < 0:
                 continue
-            d = math.hypot(pc.x - gc.x, pc.y - gc.y)
-            if d <= thresholds[gpos] and (best is None or d < best[1]):
-                best = (gpos, d)
-        if best is not None:
-            taken.add(best[0])
-            matches.append((best[0], ppos, best[1]))
-    return matches
+        taken.add((t, c))
+        g[r] = c
+    return q, j, g, np.where(g >= 0, lengths[rows, np.maximum(g, 0)], 0.0)
 
 
 def match_joints_pckh(
@@ -158,16 +208,24 @@ def match_joints_pckh(
     """Greedy one-to-one matching per joint type within one frame.
 
     ``thresholds`` maps gt pose position to its match radius; each joint
-    type is matched as ``_match`` describes. Returns, per joint type,
-    (gt pose position, pred pose position, distance) triples.
+    type is matched as ``_match_frame`` describes. Returns, per joint type,
+    (gt pose position, pred pose position, distance) triples. Raises
+    ``ValueError`` for a visible joint whose x or y is not finite or whose
+    confidence is outside [0, 1].
     """
     joint_count = len(gt.poses[0].joints) if gt.poses else (
         len(pred.poses[0].joints) if pred.poses else 0
     )
-    return {
-        j: _match(_visible(gt.poses, j), _visible(pred.poses, j), thresholds)
-        for j in range(joint_count)
-    }
+    q, j, g, dist = _match_frame(
+        _frame_arrays(gt.poses, joint_count, f"ground truth frame {gt.frame_index}"),
+        _frame_arrays(pred.poses, joint_count, f"prediction frame {pred.frame_index}"),
+        np.array([thresholds[i] for i in range(len(gt.poses))], dtype=np.float64),
+    )
+    matches: dict[int, list[tuple[int, int, float]]] = {t: [] for t in range(joint_count)}
+    m = g >= 0
+    for t, gpos, ppos, d in zip(j[m].tolist(), g[m].tolist(), q[m].tolist(), dist[m].tolist()):
+        matches[t].append((gpos, ppos, d))
+    return matches
 
 
 def _average_precision(flags: list[bool], n_gt: int) -> float:
@@ -204,7 +262,9 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     another topology is rejected, as is ground truth with no frames at
     all, or with a pose lacking a track id (MOTA's ID-switch term needs
     ground-truth identities), a frame index that repeats in either
-    sequence, or a ``thresh_factor`` that is not finite and positive.
+    sequence, a ``thresh_factor`` that is not finite and positive, or a
+    visible joint of a gt frame or of a pred frame aligned with one whose
+    x or y is not finite or whose confidence is outside [0, 1].
     """
     if not (math.isfinite(thresh_factor) and thresh_factor > 0):
         raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
@@ -225,62 +285,81 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
         if repeated:
             raise ValueError(f"{name} repeats frame index {repeated[0]}")
     pred_poses_at = {f.frame_index: f.poses for f in pred_seq.frames}
-    head = _head_lengths(gt_frames, topo)
+    names, joint_count = topo.joint_names, topo.joint_count
+    pred_poses = [pred_poses_at.get(f.frame_index, ()) for f in gt_frames]
+    gt_arrays = [
+        _frame_arrays(f.poses, joint_count, f"ground truth frame {f.frame_index}")
+        for f in gt_frames
+    ]
+    pred_arrays = [
+        _frame_arrays(poses, joint_count, f"prediction frame {f.frame_index}")
+        for f, poses in zip(gt_frames, pred_poses)
+    ]
+    thresholds = np.maximum(thresh_factor * np.concatenate(_head_lengths(gt_arrays, topo)), 1e-9)
+    gt_start = np.cumsum([0] + [len(f.poses) for f in gt_frames])
+    matched = [
+        _match_frame(gt, pred, thresholds[lo:hi])
+        for gt, pred, lo, hi in zip(gt_arrays, pred_arrays, gt_start, gt_start[1:])
+    ]
+    # Every prediction of the sequence in match order (frame, joint type,
+    # rank), with its pose and its match as positions in the whole sequence.
+    q, j, g, dist = (np.concatenate(column) for column in zip(*matched))
+    frame_pos = np.repeat(np.arange(len(gt_frames)), [len(m[0]) for m in matched])
+    pose = np.cumsum([0] + [len(poses) for poses in pred_poses])[frame_pos] + q
+    took = g >= 0
+    gt_pose = gt_start[frame_pos[took]] + g[took]
 
-    names = topo.joint_names
-    per_type = {j: GroupCounts() for j in range(topo.joint_count)}
-    motp_terms: list[float] = []
+    gt_ids = [p.track_id for f in gt_frames for p in f.poses]
+    pred_ids = [p.track_id for poses in pred_poses for p in poses]
+    idsw = [0] * joint_count
     last_assoc: dict[tuple[Optional[int], int], Optional[int]] = {}
-    # For AP: per joint type, every prediction of the sequence as its rank
-    # key (unique) followed by whether its own frame's match took it.
-    ranked: dict[int, list[tuple]] = {j: [] for j in range(topo.joint_count)}
+    for t, gpos, ppos in zip(j[took].tolist(), gt_pose.tolist(), pose[took].tolist()):
+        key = (gt_ids[gpos], t)
+        prev = last_assoc.get(key)
+        if prev is not None and pred_ids[ppos] != prev:
+            idsw[t] += 1
+        last_assoc[key] = pred_ids[ppos]
+    motp_terms = (1.0 - dist[took] / thresholds[gt_pose]).tolist()
 
-    for frame in gt_frames:
-        pred_poses = pred_poses_at.get(frame.frame_index, ())
-        thresholds = {
-            pi: max(thresh_factor * head[(frame.frame_index, pi)], 1e-9)
-            for pi in range(len(frame.poses))
-        }
-        for j in range(topo.joint_count):
-            gts, preds = _visible(frame.poses, j), _visible(pred_poses, j)
-            matches = _match(gts, preds, thresholds)
-            counts = per_type[j]
-            counts.gt += len(gts)
-            counts.tp += len(matches)
-            counts.fn += len(gts) - len(matches)
-            counts.fp += len(preds) - len(matches)
-            for gpos, ppos, dist in matches:
-                key = (frame.poses[gpos].track_id, j)
-                pred_track = pred_poses[ppos].track_id
-                prev = last_assoc.get(key)
-                if prev is not None and pred_track != prev:
-                    counts.idsw += 1
-                last_assoc[key] = pred_track
-                motp_terms.append(1.0 - dist / thresholds[gpos])
-            taken = {ppos for _, ppos, _ in matches}
-            ranked[j] += [
-                (-c.confidence, frame.frame_index, c.x, c.y, ppos, ppos in taken)
-                for ppos, c in preds
-            ]
-
+    n_gt = np.concatenate([present for _, _, present in gt_arrays]).sum(axis=0)
+    n_pred = np.bincount(j, minlength=joint_count)
+    n_tp = np.bincount(j[took], minlength=joint_count)
+    per_type = {
+        t: GroupCounts(
+            gt=int(n_gt[t]),
+            tp=int(n_tp[t]),
+            fn=int(n_gt[t] - n_tp[t]),
+            fp=int(n_pred[t] - n_tp[t]),
+            idsw=idsw[t],
+        )
+        for t in range(joint_count)
+    }
+    # AP: every prediction ranked by (joint type, -confidence, frame index,
+    # x, y, pose position), flagged by whether its frame's match took it.
+    xy = np.concatenate([a[0] for a in pred_arrays])
+    confidence = np.concatenate([a[1] for a in pred_arrays])
+    frame_index = np.array([f.frame_index for f in gt_frames])[frame_pos]
+    order = np.lexsort(
+        (q, xy[pose, j, 1], xy[pose, j, 0], frame_index, -confidence[pose, j], j)
+    )
+    flags = np.split(took[order], np.cumsum(n_pred)[:-1])
     per_joint_ap: dict[str, Optional[float]] = {}
     ap_values = []
-    for j in range(topo.joint_count):
-        n_gt = per_type[j].gt
-        if n_gt == 0:
-            per_joint_ap[names[j]] = None
-            logger.info("joint type %s has no ground truth; excluded from mAP", names[j])
+    for t in range(joint_count):
+        if n_gt[t] == 0:
+            per_joint_ap[names[t]] = None
+            logger.info("joint type %s has no ground truth; excluded from mAP", names[t])
             continue
-        ap = _average_precision([e[-1] for e in sorted(ranked[j])], n_gt)
-        per_joint_ap[names[j]] = ap
+        ap = _average_precision(flags[t].tolist(), int(n_gt[t]))
+        per_joint_ap[names[t]] = ap
         ap_values.append(ap)
 
     group_counts = {g: GroupCounts() for g in GROUP_ORDER}
     total = GroupCounts()
-    for j in range(topo.joint_count):
-        g = joint_group(names[j])
-        group_counts.setdefault(g, GroupCounts()).add(per_type[j])
-        total.add(per_type[j])
+    for t in range(joint_count):
+        g = joint_group(names[t])
+        group_counts.setdefault(g, GroupCounts()).add(per_type[t])
+        total.add(per_type[t])
 
     motp = (
         100.0 * sum(motp_terms) / len(motp_terms) if motp_terms else None

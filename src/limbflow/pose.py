@@ -78,23 +78,64 @@ def common_joints(a: Pose, b: Pose) -> list[int]:
 
 def pose_arrays(
     poses: "list[Pose] | tuple[Pose, ...]", joint_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, J) array view of poses: joint positions and presence.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, J) array view of poses: joint positions, confidences and presence.
 
-    Returns ``xy`` of shape (P, J, 2), float64, and ``present`` of shape
-    (P, J), true where the joint is present and visible. Absent joints
-    read (0, 0) in ``xy``; consult ``present`` before using them.
+    Returns ``xy`` of shape (P, J, 2) and ``confidence`` of shape (P, J),
+    both float64, and ``present`` of shape (P, J), true where the joint is
+    present and visible. Absent joints read 0 in ``xy`` and
+    ``confidence``; consult ``present`` before using them.
     """
-    xy = np.zeros((len(poses), joint_count, 2), dtype=np.float64)
-    present = np.zeros((len(poses), joint_count), dtype=bool)
-    for p, pose in enumerate(poses):
-        if len(pose.joints) != joint_count:
-            raise ValueError("poses have different joint counts")
-        for j, c in enumerate(pose.visible_joints):
-            if c is not None:
-                xy[p, j] = (c.x, c.y)
-                present[p, j] = True
-    return xy, present
+    rows = [pose.visible_joints for pose in poses]
+    if any(len(row) != joint_count for row in rows):
+        raise ValueError("poses have different joint counts")
+    flat = [c for row in rows for c in row]
+    present = np.array([c is not None for c in flat], dtype=bool).reshape(len(rows), joint_count)
+    absent = (0.0, 0.0, 0.0)
+    values = np.array(
+        [v for c in flat for v in ((c.x, c.y, c.confidence) if c is not None else absent)],
+        dtype=np.float64,
+    ).reshape(len(rows), joint_count, 3)
+    return values[..., :2], values[..., 2], present
+
+
+def check_joint_values(
+    xy: np.ndarray, confidence: np.ndarray, present: np.ndarray, where: str
+) -> None:
+    """Raise ``ValueError`` unless every present joint of ``pose_arrays``
+    has a finite x and y and a confidence in [0, 1]."""
+    # Absent joints read 0, which passes, so one test covers most frames.
+    if not confidence.size or (
+        np.isfinite(xy).all() and 0 <= confidence.min() <= confidence.max() <= 1
+    ):
+        return
+    ok = np.isfinite(xy).all(axis=2) & (confidence >= 0.0) & (confidence <= 1.0)
+    p, j = np.argwhere(present & ~ok)[0]
+    raise ValueError(f"{where} pose {p} joint {j}: x and y must be finite and confidence in [0, 1]")
+
+
+def joint_pairs_within(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], radius: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Every pair of present same-type joints, one from each of two
+    ``pose_arrays``, whose x and y each differ by at most ``radius[pb]``.
+
+    That box holds every pair within distance ``radius[pb]``, so a caller
+    measures only these pairs. Returns ``(pa, pb, j, adx, ady)``: the
+    two pose positions, the joint type and the absolute coordinate
+    differences, in ascending (pa, pb, j) order.
+    """
+    (xy_a, _, ok_a), (xy_b, _, ok_b) = a, b
+    # Absent joints read NaN, which no box holds.
+    xa, ya = (np.where(ok_a, xy_a[..., i], np.nan) for i in (0, 1))
+    xb, yb = (np.where(ok_b, xy_b[..., i], np.nan) for i in (0, 1))
+    r = radius[:, None]
+    diff = np.subtract(xa[:, None], xb[None])  # (Pa, Pb, J), one buffer for x then y
+    inside = np.abs(diff, out=diff) <= r
+    np.subtract(ya[:, None], yb[None], out=diff)
+    inside &= np.abs(diff, out=diff) <= r
+    pa, pb, j = np.nonzero(inside)
+    return pa, pb, j, np.abs(xa[pa, j] - xb[pb, j]), diff[inside]
 
 
 @dataclass(frozen=True)

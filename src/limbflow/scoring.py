@@ -215,8 +215,8 @@ def _joint_geometry(
     joints and 0 elsewhere; and the two (P, J, 2) position arrays.
     """
     joint_count = len(poses_a[0].joints)
-    xy_a, ok_a = pose_arrays(poses_a, joint_count)
-    xy_b, ok_b = pose_arrays(poses_b, joint_count)
+    xy_a, _, ok_a = pose_arrays(poses_a, joint_count)
+    xy_b, _, ok_b = pose_arrays(poses_b, joint_count)
     common = ok_a[:, None, :] & ok_b[None, :, :]
     d = xy_a[:, None] - xy_b[None, :]
     norm = np.zeros(common.shape, dtype=np.float64)

@@ -40,10 +40,19 @@ from .encoder import EncoderConfig, FlowMap, LimbStrokes, limb_strokes
 
 # Tracking never builds a FlowMapGrid, whose dense planes exist only once
 # a caller reads them. encode_limb_flow stays importable from this module
-# because the benchmark's checks (perfbench) encode a pair's grid through
-# it, next to _reference_pairing.
+# only because the benchmark traces it here by name (perfbench/layers.py)
+# and its tests encode through it; its checks encode through
+# cli.encode_limb_flow.
 from .encoder import encode_limb_flow  # noqa: F401
-from .pose import FramePoses, JointCandidate, Pose, Sequence
+from .pose import (
+    FramePoses,
+    JointCandidate,
+    Pose,
+    Sequence,
+    check_joint_values,
+    joint_pairs_within,
+    pose_arrays,
+)
 from .scoring import ScoreConfig, build_association_matrix, distance_matrix
 from .skeleton import SkeletonTopology
 
@@ -96,28 +105,46 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
     drop all others within ``radius`` of it, repeat. Ties break by
     (confidence desc, x asc, y asc, pose position) so the result is
     deterministic. Suppressed joints are removed from their poses; poses
-    left with no joints are dropped. Invisible joints are not there
-    (``Pose.joint``): they neither suppress a joint nor are suppressed.
+    left with no joints are dropped, and a pose that loses no joint is
+    returned as it came. Invisible joints are not there (``Pose.joint``):
+    they neither suppress a joint nor are suppressed.
+
+    The pass runs over the frame's ``pose_arrays``. Two candidates are
+    near unless ``dx ** 2 + dy ** 2 > radius * radius``, squared by
+    ``np.float_power``, the C ``pow`` that Python's ``**`` calls, so each
+    decision is the scalar rule's bit for bit. Only the pairs that
+    ``joint_pairs_within`` finds in a box slightly wider than ``radius``
+    (for ``pow``'s rounding and underflow) are squared. A candidate with
+    no near candidate is kept outright; only the others walk the greedy
+    order. Raises ``ValueError`` for a radius that is not >= 0, or for a
+    visible joint whose x or y is not finite or whose confidence is
+    outside [0, 1].
     """
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
-    dropped: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
-    for j in range(joint_count):
-        entries = [(c, pi) for pi, pose in enumerate(frame.poses) if (c := pose.joint(j)) is not None]
-        entries.sort(key=lambda e: (-e[0].confidence, e[0].x, e[0].y, e[1]))
-        kept: list[JointCandidate] = []
-        for cand, pi in entries:
-            if all(
-                (cand.x - k.x) ** 2 + (cand.y - k.y) ** 2 > radius * radius for k in kept
-            ):
-                kept.append(cand)
-            else:
-                dropped[pi].add(j)
+    arrays = xy, confidence, present = pose_arrays(frame.poses, joint_count)
+    check_joint_values(*arrays, f"frame {frame.frame_index}")
+    box = np.full(len(xy), radius * (1.0 + 1e-9) + 1e-150)
+    a, b, j, adx, ady = joint_pairs_within(arrays, arrays, box)
+    near = (a != b) & ~(np.float_power(adx, 2) + np.float_power(ady, 2) > radius * radius)
+    a, b, j = a[near], b[near], j[near]
+    kept = present.copy()
+    if len(a):
+        neighbours: dict[tuple[int, int], list[int]] = {}
+        for p, q, t in zip(a.tolist(), b.tolist(), j.tolist()):
+            neighbours.setdefault((p, t), []).append(q)
+        cp, cj = np.array(list(neighbours)).T
+        order = np.lexsort((cp, xy[cp, cj, 1], xy[cp, cj, 0], -confidence[cp, cj], cj))
+        kept[cp, cj] = False
+        for p, t in zip(cp[order].tolist(), cj[order].tolist()):
+            kept[p, t] = not any(kept[q, t] for q in neighbours[p, t])
     new_poses = []
-    for pi, pose in enumerate(frame.poses):
-        joints = tuple(None if j in dropped[pi] else c for j, c in enumerate(pose.joints))
-        if any(c is not None for c in joints):
-            new_poses.append(replace(pose, joints=joints))
+    for pose, lost in zip(frame.poses, (present & ~kept).tolist()):
+        if any(lost):
+            joints = tuple(None if gone else c for c, gone in zip(pose.joints, lost))
+            pose = replace(pose, joints=joints)
+        if any(c is not None for c in pose.joints):
+            new_poses.append(pose)
     return replace(frame, poses=tuple(new_poses))
 
 

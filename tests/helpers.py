@@ -30,9 +30,7 @@ from limbflow.metrics import (
     EvalReport,
     GroupCounts,
     _average_precision,
-    _head_lengths,
     joint_group,
-    match_joints_pckh,
 )
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.scoring import build_association_matrix
@@ -708,6 +706,102 @@ def scan_average_precision(flags: list[bool], n_gt: int) -> float:
     return 100.0 * ap
 
 
+def _length(dx: float, dy: float) -> float:
+    """The metrics' one length rule, on scalars."""
+    return float(np.hypot(dx, dy))
+
+
+def oracle_head_lengths(gt_frames, topo: SkeletonTopology) -> dict[tuple[int, int], float]:
+    """Head segment length per (frame_index, gt pose position), pose by
+    pose; poses without both head joints visible get the sequence median."""
+    ha, hb = topo.head_segment
+    lengths: dict[tuple[int, int], Optional[float]] = {}
+    known: list[float] = []
+    for frame in gt_frames:
+        for pi, pose in enumerate(frame.poses):
+            ca, cb = pose.joint(ha), pose.joint(hb)
+            if ca is not None and cb is not None:
+                lengths[(frame.frame_index, pi)] = _length(ca.x - cb.x, ca.y - cb.y)
+                known.append(lengths[(frame.frame_index, pi)])
+            else:
+                lengths[(frame.frame_index, pi)] = None
+    if any(v is None for v in lengths.values()):
+        if not known:
+            raise ValueError("no ground-truth pose has a head segment; cannot scale matches")
+        median = sorted(known)[len(known) // 2]
+        lengths = {k: median if v is None else v for k, v in lengths.items()}
+    return lengths
+
+
+def greedy_match(gts, preds, thresholds) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one matching of one frame's joints of one type, one
+    prediction and one gt at a time: the oracle for the metrics' matcher.
+
+    ``gts`` and ``preds`` are (pose position, joint) pairs. Predictions
+    are taken in (confidence desc, x, y, pose position) order; each takes
+    the first nearest still-unmatched gt joint within that gt's radius.
+    Returns (gt pose position, pred pose position, distance) triples.
+    """
+    taken: set[int] = set()
+    matches = []
+    for ppos, pc in sorted(preds, key=lambda e: (-e[1].confidence, e[1].x, e[1].y, e[0])):
+        best = None
+        for gpos, gc in gts:
+            if gpos in taken:
+                continue
+            d = _length(pc.x - gc.x, pc.y - gc.y)
+            if d <= thresholds[gpos] and (best is None or d < best[1]):
+                best = (gpos, d)
+        if best is not None:
+            taken.add(best[0])
+            matches.append((best[0], ppos, best[1]))
+    return matches
+
+
+def _visible(poses, j: int) -> list[tuple[int, JointCandidate]]:
+    return [(pi, c) for pi, p in enumerate(poses) if (c := p.joint(j)) is not None]
+
+
+def oracle_match_joints_pckh(gt: FramePoses, pred: FramePoses, thresholds) -> dict:
+    """``match_joints_pckh`` through ``greedy_match``, one joint type at a time."""
+    joint_count = len(gt.poses[0].joints) if gt.poses else (
+        len(pred.poses[0].joints) if pred.poses else 0
+    )
+    return {
+        j: greedy_match(_visible(gt.poses, j), _visible(pred.poses, j), thresholds)
+        for j in range(joint_count)
+    }
+
+
+def greedy_nms(frame: FramePoses, radius: float, joint_count: int) -> FramePoses:
+    """Per-joint-type NMS one candidate at a time: the oracle for
+    ``tracker.suppress_duplicate_joints``.
+
+    Per joint type, candidates are taken in (confidence desc, x, y, pose
+    position) order, and one is kept when ``dx ** 2 + dy ** 2 > radius *
+    radius`` holds for every kept one. Suppressed joints become None;
+    poses left with no joints are dropped.
+    """
+    dropped: dict[int, set[int]] = {pi: set() for pi in range(len(frame.poses))}
+    for j in range(joint_count):
+        entries = [(c, pi) for pi, pose in enumerate(frame.poses) if (c := pose.joint(j)) is not None]
+        entries.sort(key=lambda e: (-e[0].confidence, e[0].x, e[0].y, e[1]))
+        kept: list[JointCandidate] = []
+        for cand, pi in entries:
+            if all(
+                (cand.x - k.x) ** 2 + (cand.y - k.y) ** 2 > radius * radius for k in kept
+            ):
+                kept.append(cand)
+            else:
+                dropped[pi].add(j)
+    new_poses = []
+    for pi, pose in enumerate(frame.poses):
+        joints = tuple(None if j in dropped[pi] else c for j, c in enumerate(pose.joints))
+        if any(c is not None for c in joints):
+            new_poses.append(replace(pose, joints=joints))
+    return replace(frame, poses=tuple(new_poses))
+
+
 @dataclass(frozen=True)
 class _GtJoint:
     pose_pos: int
@@ -720,7 +814,7 @@ class _GtJoint:
 def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     """``evaluate`` in two matching passes: the oracle for the one-pass one.
 
-    MOTA and MOTP come from ``match_joints_pckh``; AP ranks every
+    MOTA and MOTP come from ``oracle_match_joints_pckh``; AP ranks every
     prediction of the sequence and runs its own nearest-within-radius
     search against per-frame gt pools, so a true positive here does not
     depend on the library's per-frame match.
@@ -741,7 +835,7 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
                     f"ground truth frame {frame.frame_index} pose {pi} has no track id"
                 )
     pred_by_index = {f.frame_index: f for f in pred_seq.frames}
-    head = _head_lengths(gt_frames, topo)
+    head = oracle_head_lengths(gt_frames, topo)
 
     names = topo.joint_names
     per_type = {j: GroupCounts() for j in range(topo.joint_count)}
@@ -760,7 +854,7 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
             pi: max(thresh_factor * head[(frame.frame_index, pi)], 1e-9)
             for pi in range(len(frame.poses))
         }
-        matches = match_joints_pckh(frame, pred, thresholds)
+        matches = oracle_match_joints_pckh(frame, pred, thresholds)
         for j in range(topo.joint_count):
             gt_join = [
                 (pi, c) for pi, c in (
@@ -822,7 +916,7 @@ def two_pass_evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalRepor
             pool = available.get(fidx, [])
             best = None
             for k, g in enumerate(pool):
-                d = math.hypot(x - g.x, y - g.y)
+                d = _length(x - g.x, y - g.y)
                 if d <= g.threshold and (best is None or d < best[1]):
                     best = (k, d)
             if best is not None:

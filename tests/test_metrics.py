@@ -20,6 +20,7 @@ from limbflow.tracker import TrackedSequence
 from helpers import (
     TOPO,
     frame,
+    oracle_match_joints_pckh,
     partial_pose,
     scan_average_precision,
     stick_pose,
@@ -74,6 +75,18 @@ def test_pckh_greedy_prefers_confident():
     pred = frame([weak, strong], 0)
     matches = match_joints_pckh(gt, pred, {0: THRESH})
     assert matches[0] == [(0, 1, pytest.approx(1.0))]  # higher conf wins
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pckh_takes_a_gt_at_an_infinite_distance_within_an_infinite_radius():
+    # Finite coordinates 2e308 apart are an infinite length apart; the gt
+    # in range must win over a lower gt out of range, as the scalar rule does.
+    gt = frame([Pose(joints=(JointCandidate(0.0, 0.0),)), Pose(joints=(JointCandidate(-1e308, 0.0),))])
+    pred = frame([Pose(joints=(JointCandidate(1e308, 0.0),))])
+    thresholds = {0: 1.0, 1: math.inf}
+    expected = {0: [(1, 0, math.inf)]}
+    assert oracle_match_joints_pckh(gt, pred, thresholds) == expected
+    assert match_joints_pckh(gt, pred, thresholds) == expected
 
 
 # ------------------------------------------------------------ MOTA
@@ -365,7 +378,7 @@ _joint = st.tuples(
 
 
 @st.composite
-def _eval_inputs(draw):
+def _eval_inputs(draw, factors=st.floats(0.05, 2.0)):
     gt_indices = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
     # Pred frames: most of the gt frames, plus frames the gt lacks.
     pred_indices = [i for i in gt_indices if draw(st.integers(0, 3))]
@@ -384,7 +397,7 @@ def _eval_inputs(draw):
 
     gt = seq(gt_indices, st.integers(0, 3))
     pred = seq(pred_indices, st.none() | st.integers(0, 3))
-    return gt, pred, draw(st.floats(0.05, 2.0))
+    return gt, pred, draw(factors)
 
 
 @given(inputs=_eval_inputs())
@@ -398,3 +411,66 @@ def test_evaluate_equals_the_two_pass_oracle(inputs):
             evaluate(gt, pred, thresh_factor)
         return
     assert repr(evaluate(gt, pred, thresh_factor)) == repr(expected)
+
+
+# Factors that put a threshold exactly on the 3 px grid of ``_joint``:
+# head segments there are multiples of 3 px, so a gt joint's threshold
+# often equals the distance to a pred joint.
+@given(inputs=_eval_inputs(st.sampled_from([0.5, 1.0, 4.0 / 3.0, 2.0])))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_equals_the_two_pass_oracle_at_exact_thresholds(inputs):
+    gt, pred, thresh_factor = inputs
+    try:
+        expected = two_pass_evaluate(gt, pred, thresh_factor)
+    except ValueError:
+        return
+    assert report_to_dict(evaluate(gt, pred, thresh_factor)) == report_to_dict(expected)
+
+
+# One frame on a unit grid, so 3-4-5 pairs sit exactly at a threshold of 5.
+_grid_joint = st.one_of(
+    st.none(),
+    st.builds(
+        JointCandidate,
+        x=st.integers(0, 8).map(float),
+        y=st.integers(0, 8).map(float),
+        confidence=st.sampled_from([0.25, 0.5, 1.0]),
+        visible=st.integers(0, 3).map(bool),
+    ),
+)
+_grid_frame = st.lists(
+    st.builds(Pose, joints=st.lists(_grid_joint, min_size=3, max_size=3).map(tuple)), max_size=6
+).map(lambda poses: FramePoses(0, tuple(poses), (10, 10)))
+
+
+@given(
+    gt=_grid_frame,
+    pred=_grid_frame,
+    radii=st.lists(
+        st.sampled_from([1e-9, 1.0, 2.0, 3.0, 5.0]) | st.floats(0.0, 12.0), min_size=6, max_size=6
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_match_joints_pckh_equals_the_greedy_oracle(gt, pred, radii):
+    thresholds = dict(enumerate(radii))
+    assert match_joints_pckh(gt, pred, thresholds) == oracle_match_joints_pckh(gt, pred, thresholds)
+
+
+@pytest.mark.parametrize(
+    "side, joint",
+    [
+        ("ground truth", JointCandidate(float("nan"), 60.0)),
+        ("ground truth", JointCandidate(80.0, float("inf"))),
+        ("prediction", JointCandidate(float("-inf"), 60.0)),
+        ("prediction", JointCandidate(80.0, 60.0, confidence=float("nan"))),
+        ("prediction", JointCandidate(80.0, 60.0, confidence=1.5)),
+    ],
+)
+def test_a_visible_joint_with_a_bad_value_is_rejected(side, joint):
+    # Before, a NaN gt joint scored MOTA 83.33 and an inf one MOTP nan.
+    good = gt_person(80, 60, 0)
+    bad = replace(good, joints=(good.joints[0], joint) + good.joints[2:])
+    gt = seq_of([frame([bad if side == "ground truth" else good], 0)])
+    pred = seq_of([frame([bad if side == "prediction" else good], 0)])
+    with pytest.raises(ValueError, match=f"{side} frame 0 pose 0 joint 1"):
+        evaluate(gt, pred)

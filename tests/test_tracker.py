@@ -9,7 +9,7 @@ from limbflow import tracker as tracker_module
 from limbflow.encoder import EncoderConfig, encode_limb_flow
 from limbflow.fileio import serialize_annotations
 from limbflow.metrics import evaluate
-from limbflow.pose import JointCandidate, Pose, Sequence
+from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.scoring import FORBIDDEN, GATE_SCALES, ScoreConfig, build_association_matrix
 from limbflow.skeleton import validate_topology
 from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
@@ -27,6 +27,7 @@ from helpers import (
     TOPO,
     crossing_benchmark_config,
     frame,
+    greedy_nms,
     partial_pose,
     stick_pose,
     translate_pose,
@@ -88,6 +89,72 @@ def test_nms_rejects_nan_radius():
     # only its first candidate of the frame.
     with pytest.raises(ValueError):
         suppress_duplicate_joints(frame([stick_pose(60, 60)], 0), float("nan"), 15)
+
+
+def test_nms_returns_a_pose_that_loses_nothing_as_it_came():
+    a, b = stick_pose(60, 60, confidence=0.9), stick_pose(60.5, 60, confidence=0.5)
+    far = stick_pose(160, 60)
+    out = suppress_duplicate_joints(frame([a, b, far], 0), 5.0, 15)
+    assert out.poses[0] is a and out.poses[1] is far
+
+
+# Three joint types on a unit grid, so that 3-4-5 pairs sit exactly at a
+# radius of 5 and exact duplicates at every radius; three confidence
+# levels make confidence and position ties common. One slot in four is
+# missing and one in four of the rest invisible. Each listed copy repeats
+# a pose's joints at another confidence, so whole poses can be suppressed.
+_NMS_JOINTS = 3
+_nms_joint = st.one_of(
+    st.none(),
+    st.builds(
+        JointCandidate,
+        x=st.integers(0, 6).map(float),
+        y=st.integers(0, 6).map(float),
+        confidence=st.sampled_from([0.25, 0.5, 1.0]),
+        visible=st.integers(0, 3).map(bool),
+    ),
+    st.builds(JointCandidate, x=st.integers(0, 6).map(float), y=st.integers(0, 6).map(float)),
+)
+
+
+@st.composite
+def _nms_frames(draw):
+    pose = st.builds(
+        Pose, joints=st.lists(_nms_joint, min_size=_NMS_JOINTS, max_size=_NMS_JOINTS).map(tuple)
+    )
+    poses = draw(st.lists(pose, max_size=7))
+    copies = draw(st.lists(st.integers(0, len(poses) - 1), max_size=3)) if poses else []
+    for i in copies:
+        conf = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        poses.append(Pose(tuple(c and replace(c, confidence=conf) for c in poses[i].joints)))
+    return FramePoses(0, tuple(poses), (8, 8))
+
+
+@given(
+    f=_nms_frames(),
+    radius=st.sampled_from([0.0, 1.0, 2.0 ** 0.5, 3.0, 4.0, 5.0]) | st.floats(0.0, 9.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_nms_equals_the_greedy_oracle(f, radius):
+    assert suppress_duplicate_joints(f, radius, _NMS_JOINTS) == greedy_nms(f, radius, _NMS_JOINTS)
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        JointCandidate(float("nan"), 5.0),
+        JointCandidate(5.0, float("inf")),
+        JointCandidate(5.0, 5.0, confidence=float("nan")),
+        JointCandidate(5.0, 5.0, confidence=1.5),
+        JointCandidate(5.0, 5.0, confidence=-0.1),
+    ],
+)
+def test_push_rejects_a_visible_joint_with_a_bad_value(joint):
+    # Before, each of these was tracked like any other joint.
+    bad = Pose(joints=(joint,) + stick_pose(60, 60).joints[1:])
+    with pytest.raises(ValueError, match="frame 1 pose 1 joint 0"):
+        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
+        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
 
 
 def test_frame_nms_drops_emptied_poses():
