@@ -9,11 +9,13 @@ averaged with a single contributor count per cell, which keeps every
 stored vector inside the unit disc.
 
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
-One kernel decides which cell centers a stroke covers, and one reduction,
-``_group_means``, turns the covered (stroke, cell) pairs into means; the
-two paths differ only in the cells they hand the kernel. The same
-reduction takes the accumulated layout's mean over channels, in
-``rasterize`` and in ``accumulate_channels``. A stroke's box holds the
+One kernel, ``_covers``, decides which cell centers a stroke covers: it
+takes each stroke's segment terms once, gathers them per candidate cell
+and tests the candidates in place. One reduction, ``_group_means``, turns
+the covered (stroke, cell) pairs into means; the two paths differ only in
+the cells they hand the kernel. The same reduction takes the accumulated
+layout's mean over channels, in ``rasterize`` and in
+``accumulate_channels``. A stroke's box holds the
 cells whose centers lie inside the stroke's bounding box widened by the
 half width, clipped to the grid; no other cell can be covered. ``rasterize``
 takes every cell of each stroke's box, and the ``FlowMapGrid`` it
@@ -316,21 +318,45 @@ def _box_rows(
 
 
 def _covers(
-    a: np.ndarray, b: np.ndarray, half_width: float, cx: np.ndarray, cy: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    half_width: float,
+    stroke: np.ndarray,
+    cell: np.ndarray,
+    width: int,
+    stride: float,
 ) -> np.ndarray:
-    """Whether segment (a, b) passes strictly closer than ``half_width`` to
-    cell center (cx, cy); elementwise, with a and b (..., 2) broadcasting
-    against cx and cy. A zero-length segment projects to t = 0 by itself."""
+    """Per candidate i, whether segment (a[stroke[i]], b[stroke[i]])
+    passes strictly closer than ``half_width`` to the center of flat cell
+    ``cell[i]`` (iy * width + ix, centered at (ix * stride, iy * stride)).
+
+    The segment terms, d = b - a, its squared length and that length with
+    0 replaced by 1 (so a zero-length segment projects to t = 0 by
+    itself), are taken once per stroke and gathered per candidate. The
+    projection, clip and distance then run in place on the gathered
+    buffers; each candidate takes the same float operations, in the same
+    order, as the elementwise rule t = clip(rel . d / |d|^2, 0, 1),
+    |rel - t d|^2 < half_width^2."""
     d = b - a
-    seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    seg_len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
-    rel_x = cx - a[..., 0]
-    rel_y = cy - a[..., 1]
-    t = (rel_x * d[..., 0] + rel_y * d[..., 1]) / safe_len2
+    iy, ix = np.divmod(cell, width)
+    rel_x, rel_y = ix * stride, iy * stride
+    del ix, iy
+    gathered = np.empty(len(cell), dtype=np.float64)
+    rel_x -= np.take(a[:, 0], stroke, out=gathered)
+    rel_y -= np.take(a[:, 1], stroke, out=gathered)
+    dx, dy = np.take(d[:, 0], stroke), np.take(d[:, 1], stroke)
+    t = rel_x * dx
+    t += np.multiply(rel_y, dy, out=gathered)
+    t /= np.take(safe_len2, stroke, out=gathered)
     np.clip(t, 0.0, 1.0, out=t)
-    qx = rel_x - t * d[..., 0]
-    qy = rel_y - t * d[..., 1]
-    return qx * qx + qy * qy < half_width * half_width
+    rel_x -= np.multiply(t, dx, out=dx)
+    rel_y -= np.multiply(t, dy, out=dy)
+    rel_x *= rel_x
+    rel_y *= rel_y
+    rel_x += rel_y
+    return rel_x < half_width * half_width
 
 
 def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,7 +437,10 @@ class LimbStrokes:
         each stroke's key offset ``offsets`` (its stored channel times the
         cells per channel), on those that fall inside each box of the
         stroke's stored channel, found per box row by binary search; the
-        pairs then hold positions into ``keys``."""
+        pairs then hold positions into ``keys``. Each candidate is a box
+        index and a flat cell: ``_covers`` takes the segment terms of each
+        of ``strokes`` once and tests every candidate in place, so no
+        per-candidate copy of the anchors is made."""
         s = float(self.grid_stride)
         later = np.take(self.later, strokes, axis=0)
         earlier = np.take(self.earlier, strokes, axis=0)
@@ -425,8 +454,7 @@ class LimbStrokes:
             row, at = _expand(lo, np.searchsorted(keys, last + offset, side="right") - lo)
             cell = keys[at] % (self.width * self.height)
         box = box[row]
-        a, b = np.take(later, box, axis=0), np.take(earlier, box, axis=0)
-        hit = _covers(a, b, self.half_width, (cell % self.width) * s, (cell // self.width) * s)
+        hit = _covers(later, earlier, self.half_width, box, cell, self.width, s)
         return strokes[box[hit]], at[hit]
 
     def _cell_means(

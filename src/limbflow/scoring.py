@@ -174,7 +174,12 @@ def distance_score(pose_a: Pose, pose_b: Pose) -> float:
 def association_score(s_flow: float, s_dist: float, cfg: ScoreConfig) -> float:
     """Linear combination of the flow similarity and distance similarity;
     ``FORBIDDEN`` if a term is not finite or the mean joint distance
-    ``s_dist`` exceeds the motion gate (a pair at the gate is scored)."""
+    ``s_dist`` exceeds the motion gate (a pair at the gate is scored). At
+    ``alpha`` 0 the flow term has no weight and ``s_flow`` is not read:
+    within the gate the distance term is at least e**-2, so the sum is
+    the same float for every finite ``s_flow``."""
+    if cfg.alpha == 0.0:
+        s_flow = 0.0
     if not (math.isfinite(s_flow) and math.isfinite(s_dist)):
         return FORBIDDEN
     if s_dist > GATE_SCALES * cfg.distance_scale:
@@ -256,7 +261,8 @@ def build_association_matrix(
     distance_score(...))`` per pair; ``flow_score`` and ``distance_score``
     are kept as that reference. All pairs are scored together, in one
     pass over the moving common joints of every pair within the motion
-    gate; a gated pair's joints are never sampled. The joints are
+    gate; a gated pair's joints are never sampled, and at ``alpha`` 0,
+    where the flow term has no weight, no joint is. The joints are
     taken in stored-channel order, in chunks of ``_CHUNK_SAMPLES``
     integral samples; each distinct cell of a chunk is read from the flow
     map once, by one ``values_at`` call, and the chunk's joint terms are
@@ -278,7 +284,7 @@ def build_association_matrix(
     common, d, norm, xy_l, xy_e = _joint_geometry(later, earlier)
     s_dist = _mean_over_common(norm, common)
     kept = common.any(axis=2) & (s_dist <= GATE_SCALES * cfg.distance_scale)
-    moving = common & (norm > MOTION_EPSILON) & kept[:, :, None]
+    moving = common & (norm > MOTION_EPSILON) & kept[:, :, None] & (cfg.alpha != 0.0)
     pi, qi, ji = np.nonzero(moving)
     a, b = xy_l[pi, ji], xy_e[qi, ji]
     joint_channel = np.array(

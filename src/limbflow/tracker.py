@@ -316,6 +316,24 @@ def refine_middle_frame(
     return new_mid, new_next, entries
 
 
+def _check_invisible_joints(frame: FramePoses) -> None:
+    """Raise ``ValueError`` for a present but invisible joint whose x or y
+    is not finite or whose confidence is outside [0, 1]. NMS checks the
+    visible joints; the tracked frames carry the invisible ones too, and
+    the annotation parser checks every present joint."""
+    for p, pose in enumerate(frame.poses):
+        if pose.visible_joints is pose.joints:  # no invisible joint
+            continue
+        for j, c in enumerate(pose.joints):
+            if c is not None and not c.visible and not (
+                math.isfinite(c.x) and math.isfinite(c.y) and 0.0 <= c.confidence <= 1.0
+            ):
+                raise ValueError(
+                    f"frame {frame.frame_index} pose {p} joint {j}: "
+                    "x and y must be finite and confidence in [0, 1]"
+                )
+
+
 class Tracker:
     """Online tracker: ``push`` frames in order, then ``finish``.
 
@@ -345,7 +363,11 @@ class Tracker:
         self._finished = False
 
     def push(self, frame: FramePoses) -> list[FramePoses]:
-        """Run one step on ``frame``; return the frames that became final."""
+        """Run one step on ``frame``; return the frames that became final.
+
+        Raises ``ValueError`` for a present joint, visible or not, whose x
+        or y is not finite or whose confidence is outside [0, 1], as the
+        annotation parser does, so that tracked frames can be read back."""
         if self._finished:
             raise ValueError(f"frame index {frame.frame_index} pushed after finish")
         if self._inputs and frame.frame_index <= self._inputs[-1].frame_index:
@@ -354,6 +376,7 @@ class Tracker:
                 "indices must increase"
             )
         topo, cfg = self.topology, self.cfg
+        _check_invisible_joints(frame)
         frame = suppress_duplicate_joints(frame, cfg.nms_radius, topo.joint_count)
         earlier = self._inputs
         grid = self.flow_source.grid(frame, earlier[-1]) if earlier else None

@@ -186,6 +186,27 @@ def brute_encode(frame_later, frame_earlier, pairing, topo, cfg: EncoderConfig):
     return vectors, counts
 
 
+def elementwise_covers(
+    a: np.ndarray, b: np.ndarray, half_width: float, cx: np.ndarray, cy: np.ndarray
+) -> np.ndarray:
+    """The library's former cover kernel, kept as the oracle of
+    ``encoder._covers``: whether segment (a, b) passes strictly closer than
+    ``half_width`` to cell center (cx, cy); elementwise, with a and b
+    (..., 2) broadcasting against cx and cy, so every segment term is
+    taken once per candidate. A zero-length segment projects to t = 0 by
+    itself."""
+    d = b - a
+    seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
+    rel_x = cx - a[..., 0]
+    rel_y = cy - a[..., 1]
+    t = (rel_x * d[..., 0] + rel_y * d[..., 1]) / safe_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    qx = rel_x - t * d[..., 0]
+    qy = rel_y - t * d[..., 1]
+    return qx * qx + qy * qy < half_width * half_width
+
+
 # ------------------------------------------ former dense flow-map path
 
 # The library's former ``LimbStrokes.rasterize``: a kernel runs on every

@@ -29,6 +29,7 @@ from limbflow.tracker import _reference_pairing
 from helpers import (
     TOPO,
     brute_encode,
+    elementwise_covers,
     frame,
     group_box_rasterize,
     random_strokes,
@@ -482,8 +483,8 @@ def test_encode_candidates_stay_near_the_covered_cells():
     seen = {"candidates": 0, "covered": 0}
     kernel = encoder._covers
 
-    def counting(a, b, half_width, cx, cy):
-        hit = kernel(a, b, half_width, cx, cy)
+    def counting(*args):
+        hit = kernel(*args)
         seen["candidates"] += hit.size
         seen["covered"] += int(hit.sum())
         return hit
@@ -493,6 +494,62 @@ def test_encode_candidates_stay_near_the_covered_cells():
             encode_limb_flow(later, earlier, _reference_pairing(later, earlier), TOPO, CFG)
     assert seen["covered"] == 176_969
     assert seen["candidates"] <= 190_000
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stride=st.sampled_from([1, 2, 3, 8]),
+    half_width=st.sampled_from([0.5, 1.0, 1.5, 2.0]) | st.floats(0.01, 10.0),
+    large=st.booleans(),
+)
+@example(seed=0, stride=1, half_width=1.0, large=False)
+@example(seed=1, stride=3, half_width=1.5, large=True)
+@settings(max_examples=200, deadline=None)
+def test_covers_decides_every_candidate_as_the_elementwise_rule(seed, stride, half_width, large):
+    # Endpoints on cell centers, axis-aligned or diagonal, and half widths
+    # of whole or half cells put candidate centers at exactly the half
+    # width; some strokes have zero length and some leave the lattice. A
+    # large grid puts the centers up to 2**31 cells from the origin.
+    rng = np.random.default_rng(seed)
+    size = [2**31 - 1, 2**31 - 1] if large else rng.integers(1, 30, 2)
+    width, height = int(size[0]), int(size[1])
+    n, m = int(rng.integers(1, 10)), int(rng.integers(0, 400))
+    base = rng.integers(0, [width, height], (n, 2))
+    later = (base + rng.integers(-3, 4, (n, 2))).astype(np.float64)
+    direction = np.array([(1, 0), (0, 1), (1, 1), (1, -1), (0, 0)])[rng.integers(0, 5, n)]
+    earlier = later + direction * rng.integers(-4, 5, (n, 1))
+    loose = rng.random(n) < 0.25
+    later[loose] += rng.normal(0, 1, (int(loose.sum()), 2))
+    later *= stride
+    earlier *= stride
+    stroke = rng.integers(0, n, m)
+    ix = np.clip(base[stroke, 0] + rng.integers(-6, 7, m), 0, width - 1)
+    iy = np.clip(base[stroke, 1] + rng.integers(-6, 7, m), 0, height - 1)
+    s, hw = float(stride), half_width * stride
+    got = encoder._covers(later, earlier, hw, stroke, iy * width + ix, width, s)
+    want = elementwise_covers(later[stroke], earlier[stroke], hw, ix * s, iy * s)
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+def test_rasterize_peak_stays_small_on_the_flowmap_dump_scenes():
+    # Every frame pair of the flowmap-dump benchmark scenes, seeds 0-2, in
+    # both layouts; the strokes are built before tracing starts. With the
+    # segment terms taken once per candidate the largest peak was 4.59 MiB.
+    peaks = []
+    for seed in range(3):
+        scene = SceneConfig(people=4, motion="crossing", image_size=(640, 480), frames=8, seed=seed)
+        frames = apply_corruption(generate_sequence(scene), scene).frames
+        for later, earlier in zip(frames[1:], frames[:-1]):
+            pairing = _reference_pairing(later, earlier)
+            for layout in ("individual", "accumulated"):
+                strokes = limb_strokes(later, earlier, pairing, TOPO, EncoderConfig(layout=layout))
+                tracemalloc.start()
+                try:
+                    strokes.rasterize()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+    assert max(peaks) < 3.5 * 2**20, max(peaks) / 2**20
 
 
 def test_encode_equals_group_box_oracle_on_a_benchmark_sized_pair():

@@ -326,6 +326,28 @@ def _oracle_matrix(later, earlier, flow, cfg):
     return scores
 
 
+def test_alpha_zero_reads_no_flow():
+    # At alpha 0 the flow term has no weight, so the scorer samples nothing;
+    # within the gate the distance term is at least e**-2, so the scores are
+    # the same floats as with the flow read. Both layouts, and a static pose.
+    scene = SceneConfig(people=4, frames=2, image_size=(256, 192), motion="wander", seed=0)
+    earlier, later = generate_sequence(scene).frames
+    poses_l = list(later.poses) + [earlier.poses[0]]
+    for layout in ("individual", "accumulated"):
+        flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig(layout=layout))
+        for alpha, reads in ((0.0, False), (0.5, True)):
+            cfg = ScoreConfig(alpha=alpha)
+            values_at = encoder.LimbStrokes.values_at
+            with mock.patch.object(
+                encoder.LimbStrokes, "values_at", autospec=True, side_effect=values_at
+            ) as spy:
+                got = build_association_matrix(poses_l, earlier.poses, flow, TOPO, cfg).scores
+            assert spy.called == reads, (layout, alpha)
+            want = _oracle_matrix(poses_l, earlier.poses, flow, cfg)
+            assert got.tobytes() == want.tobytes()
+            assert np.isfinite(got).sum() >= 5
+
+
 @given(
     seed=st.integers(0, 10_000),
     enc=encoder_configs,

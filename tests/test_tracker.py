@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from limbflow import tracker as tracker_module
 from limbflow.encoder import EncoderConfig, encode_limb_flow
-from limbflow.fileio import serialize_annotations
+from limbflow.fileio import parse_annotations, serialize_annotations
 from limbflow.metrics import evaluate
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.scoring import FORBIDDEN, GATE_SCALES, ScoreConfig, build_association_matrix
@@ -155,6 +155,35 @@ def test_push_rejects_a_visible_joint_with_a_bad_value(joint):
     with pytest.raises(ValueError, match="frame 1 pose 1 joint 0"):
         frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
         track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        JointCandidate(float("nan"), 5.0, visible=False),
+        JointCandidate(5.0, float("-inf"), visible=False),
+        JointCandidate(5.0, 5.0, confidence=float("nan"), visible=False),
+        JointCandidate(5.0, 5.0, confidence=1.5, visible=False),
+    ],
+)
+def test_push_rejects_an_invisible_joint_with_a_bad_value(joint):
+    # NMS skips invisible joints, but the tracked frames carry them and the
+    # annotation parser rejects these values. Before, such a joint was
+    # tracked and written out, and the output could not be read back.
+    bad = Pose(joints=stick_pose(60, 60).joints[:3] + (joint,) + stick_pose(60, 60).joints[4:])
+    with pytest.raises(ValueError, match="frame 1 pose 1 joint 3"):
+        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
+        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
+
+
+def test_tracked_invisible_joints_read_back():
+    hidden = JointCandidate(1e300, -0.0, confidence=0.0, visible=False)
+    pose = Pose(joints=(hidden,) + stick_pose(60, 60).joints[1:])
+    seq = Sequence(frames=(frame([pose], 0), frame([translate_pose(pose, 2.0, 1.0)], 1)), topology=TOPO)
+    tracked = track_sequence(seq, CFG)
+    text = serialize_annotations(tracked)
+    assert serialize_annotations(parse_annotations(text)) == text
+    assert parse_annotations(text).frames[0].poses[0].joints[0] == hidden
 
 
 def test_frame_nms_drops_emptied_poses():
