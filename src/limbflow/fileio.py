@@ -128,34 +128,64 @@ def _expect(cond: bool, message: str, where: str) -> None:
         raise AnnotationError(message, where)
 
 
-def _parse_joint(obj, joint_count: int, where: str) -> tuple[int, JointCandidate]:
-    _expect(isinstance(obj, dict), "joint entry must be an object", where)
+class _Rejected(Exception):
+    """A pose or joint entry failed a check: args are (message, the joint
+    entry's position or None for the pose). The caller builds the path, so
+    nothing is formatted while every check passes."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_joint(obj, joint_count: int, entry: int) -> tuple[int, JointCandidate]:
+    if not isinstance(obj, dict):
+        raise _Rejected("joint entry must be an object", entry)
     try:
         j = obj["joint_index"]
         x = obj["x"]
         y = obj["y"]
     except KeyError as exc:
-        raise AnnotationError(f"missing field {exc}", where) from exc
-    _expect(isinstance(j, int) and not isinstance(j, bool), "joint_index must be an integer", where)
-    _expect(0 <= j < joint_count, f"joint index out of range: {j}", where)
+        raise _Rejected(f"missing field {exc}", entry) from exc
+    if not (isinstance(j, int) and not isinstance(j, bool)):
+        raise _Rejected("joint_index must be an integer", entry)
+    if not 0 <= j < joint_count:
+        raise _Rejected(f"joint index out of range: {j}", entry)
     for name, value in (("x", x), ("y", y)):
-        _expect(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"malformed number for {name!r}",
-            where,
-        )
+        if not _is_number(value):
+            raise _Rejected(f"malformed number for {name!r}", entry)
         # Compared exactly: an int too large for a float fails, as NaN does.
-        _expect(abs(value) <= sys.float_info.max, f"{name!r} must be finite", where)
+        if not abs(value) <= sys.float_info.max:
+            raise _Rejected(f"{name!r} must be finite", entry)
     confidence = obj.get("confidence", 1.0)
-    _expect(
-        isinstance(confidence, (int, float)) and not isinstance(confidence, bool),
-        "malformed number for 'confidence'",
-        where,
-    )
-    _expect(0.0 <= confidence <= 1.0, "confidence must be in [0, 1]", where)
+    if not _is_number(confidence):
+        raise _Rejected("malformed number for 'confidence'", entry)
+    if not 0.0 <= confidence <= 1.0:
+        raise _Rejected("confidence must be in [0, 1]", entry)
     visible = obj.get("visible", True)
-    _expect(isinstance(visible, bool), "visible must be a boolean", where)
+    if not isinstance(visible, bool):
+        raise _Rejected("visible must be a boolean", entry)
     return j, JointCandidate(float(x), float(y), float(confidence), visible)
+
+
+def _parse_pose(pdoc, joint_count: int) -> Pose:
+    if not isinstance(pdoc, dict):
+        raise _Rejected("pose must be an object", None)
+    track_id = pdoc.get("track_id")
+    if track_id is not None and not (
+        isinstance(track_id, int) and not isinstance(track_id, bool) and track_id >= 0
+    ):
+        raise _Rejected("track_id must be a non-negative integer", None)
+    joints_doc = pdoc.get("joints", [])
+    if not isinstance(joints_doc, list):
+        raise _Rejected("joints must be a list", None)
+    joints: list[Optional[JointCandidate]] = [None] * joint_count
+    for entry, jdoc in enumerate(joints_doc):
+        j, cand = _parse_joint(jdoc, joint_count, entry)
+        if joints[j] is not None:
+            raise _Rejected(f"duplicate joint_index {j}", entry)
+        joints[j] = cand
+    return Pose(joints=tuple(joints), track_id=track_id)
 
 
 def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = None) -> Sequence:
@@ -193,23 +223,12 @@ def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = 
         _expect(isinstance(poses_doc, list), "poses must be a list", where)
         poses = []
         for pi, pdoc in enumerate(poses_doc):
-            pwhere = f"{where}.poses[{pi}]"
-            _expect(isinstance(pdoc, dict), "pose must be an object", pwhere)
-            track_id = pdoc.get("track_id")
-            if track_id is not None:
-                _expect(
-                    isinstance(track_id, int) and not isinstance(track_id, bool) and track_id >= 0,
-                    "track_id must be a non-negative integer",
-                    pwhere,
-                )
-            joints_doc = pdoc.get("joints", [])
-            _expect(isinstance(joints_doc, list), "joints must be a list", pwhere)
-            joints: list[Optional[JointCandidate]] = [None] * topology.joint_count
-            for ji, jdoc in enumerate(joints_doc):
-                j, cand = _parse_joint(jdoc, topology.joint_count, f"{pwhere}.joints[{ji}]")
-                _expect(joints[j] is None, f"duplicate joint_index {j}", f"{pwhere}.joints[{ji}]")
-                joints[j] = cand
-            poses.append(Pose(joints=tuple(joints), track_id=track_id))
+            try:
+                poses.append(_parse_pose(pdoc, topology.joint_count))
+            except _Rejected as exc:
+                message, entry = exc.args
+                path = f"{where}.poses[{pi}]" + ("" if entry is None else f".joints[{entry}]")
+                raise AnnotationError(message, path) from exc.__cause__
         frames.append(
             FramePoses(frame_index=idx, poses=tuple(poses), image_size=(size[0], size[1]))
         )

@@ -27,7 +27,6 @@ sequence. Every length here, head segments included, is ``np.hypot``.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -38,8 +37,6 @@ import numpy as np
 
 from .pose import FramePoses, Pose, check_joint_values, joint_pairs_within, pose_arrays
 from .skeleton import SkeletonTopology
-
-logger = logging.getLogger(__name__)
 
 GROUP_ORDER = ("Head", "Shou", "Elb", "Wri", "Hip", "Knee", "Ankl")
 
@@ -124,7 +121,11 @@ def _head_lengths(
         if not len(values):
             raise ValueError("no ground-truth pose has a head segment; cannot scale matches")
         median = np.sort(values)[len(values) // 2]
-        logger.warning(
+        # logging is imported only where metrics logs, so that importing
+        # limbflow does not load it (a few ms of a fresh import).
+        import logging
+
+        logging.getLogger(__name__).warning(
             "%d ground-truth poses lack a head segment; using sequence median %.2f px",
             n_missing,
             median,
@@ -348,7 +349,9 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     for t in range(joint_count):
         if n_gt[t] == 0:
             per_joint_ap[names[t]] = None
-            logger.info("joint type %s has no ground truth; excluded from mAP", names[t])
+            import logging
+
+            logging.getLogger(__name__).info("joint type %s has no ground truth; excluded from mAP", names[t])
             continue
         ap = _average_precision(flags[t].tolist(), int(n_gt[t]))
         per_joint_ap[names[t]] = ap

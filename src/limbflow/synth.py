@@ -256,20 +256,49 @@ def occlusion_target(cfg: SceneConfig) -> tuple[int, int]:
     return (cfg.frames // 2, 0)
 
 
+def _detections(
+    joints: tuple[JointCandidate | None, ...],
+    rng: np.random.Generator,
+    sigma: float,
+    size: tuple[int, int],
+) -> tuple[JointCandidate | None, ...]:
+    """One pose's joints as detector output: one (present joints, 2) normal
+    draw of jitter, each axis clipped to the frame, confidence
+    exp(-|noise| / 2 sigma); every joint is exact at confidence 1 when
+    ``sigma`` is 0, with no draw."""
+    if sigma == 0:
+        return tuple(None if c is None else JointCandidate(c.x, c.y, 1.0, c.visible) for c in joints)
+    present = [c for c in joints if c is not None]
+    noise = rng.normal(0.0, sigma, size=(len(present), 2))
+    xs = np.clip(np.array([c.x for c in present]) + noise[:, 0], 0.0, size[0] - 1e-3).tolist()
+    ys = np.clip(np.array([c.y for c in present]) + noise[:, 1], 0.0, size[1] - 1e-3).tolist()
+    detected = iter(
+        JointCandidate(x, y, math.exp(-math.hypot(nx, ny) / (2.0 * sigma)), c.visible)
+        for c, x, y, (nx, ny) in zip(present, xs, ys, noise.tolist())
+    )
+    return tuple(None if c is None else next(detected) for c in joints)
+
+
 def apply_corruption(seq: Sequence, cfg: SceneConfig) -> Sequence:
     """Degrade ground truth into detector-style candidates.
 
-    Adds isotropic jitter, drops poses at ``dropout_prob``, removes the
-    occlusion-middle target at its frame, shuffles per-frame pose order,
-    strips track ids, and assigns confidences decaying with the injected
-    noise. Deterministic in the seed.
+    Adds isotropic jitter, clipped to each frame's own image size, drops
+    poses at ``dropout_prob``, removes the occlusion-middle target at its
+    frame, shuffles per-frame pose order, strips track ids, and assigns
+    confidences decaying with the injected noise.
+
+    Deterministic in the seed, because the generator is drawn in a fixed
+    order. Per frame: for each pose not removed as the occlusion target,
+    one uniform dropout draw (only when ``dropout_prob > 0``), then, if the
+    pose is kept, one normal draw of shape (present joints, 2) (only when
+    ``jitter_sigma > 0``); then one permutation of the kept poses (only
+    when more than one is kept).
     """
     rng = _rng(cfg.seed, 101)
     occ_frame, occ_track = occlusion_target(cfg)
-    w, h = seq.frames[0].image_size if seq.frames else cfg.image_size
 
     frames = []
-    for fi, frame in enumerate(seq.frames):
+    for frame in seq.frames:
         kept: list[Pose] = []
         for pose in frame.poses:
             if (
@@ -280,22 +309,8 @@ def apply_corruption(seq: Sequence, cfg: SceneConfig) -> Sequence:
                 continue
             if cfg.dropout_prob > 0 and float(rng.random()) < cfg.dropout_prob:
                 continue
-            joints = []
-            for c in pose.joints:
-                if c is None:
-                    joints.append(None)
-                    continue
-                if cfg.jitter_sigma > 0:
-                    noise = rng.normal(0.0, cfg.jitter_sigma, size=2)
-                    nx = float(np.clip(c.x + noise[0], 0.0, w - 1e-3))
-                    ny = float(np.clip(c.y + noise[1], 0.0, h - 1e-3))
-                    conf = float(
-                        math.exp(-math.hypot(noise[0], noise[1]) / (2.0 * cfg.jitter_sigma))
-                    )
-                    joints.append(JointCandidate(nx, ny, conf, c.visible))
-                else:
-                    joints.append(JointCandidate(c.x, c.y, 1.0, c.visible))
-            kept.append(Pose(joints=tuple(joints), track_id=None))
+            joints = _detections(pose.joints, rng, cfg.jitter_sigma, frame.image_size)
+            kept.append(Pose(joints=joints, track_id=None))
         order = rng.permutation(len(kept)) if len(kept) > 1 else range(len(kept))
         frames.append(
             FramePoses(

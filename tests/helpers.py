@@ -35,7 +35,7 @@ from limbflow.metrics import (
 from limbflow.pose import FramePoses, JointCandidate, Pose, Sequence
 from limbflow.scoring import build_association_matrix
 from limbflow.skeleton import SkeletonTopology, default_topology
-from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
+from limbflow.synth import SceneConfig, _rng, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import RefinementEntry, _average_pose, _refinable_ids
 
 TOPO = default_topology()
@@ -675,6 +675,53 @@ def limb_aliasing_scene(seed: int):
     shifted = Sequence(frames=tuple(frames), topology=topo)
     assert not any(f.out_of_bounds_joints() for f in shifted.frames)
     return shifted, apply_corruption(shifted, cfg)
+
+
+def per_joint_corruption(seq: Sequence, cfg: SceneConfig) -> Sequence:
+    """Oracle for ``synth.apply_corruption``: the scalar loop, one size-2
+    normal draw and two numpy-scalar clips per present joint, each frame
+    clipped to its own image size."""
+    rng = _rng(cfg.seed, 101)
+    occ_frame, occ_track = occlusion_target(cfg)
+
+    frames = []
+    for frame in seq.frames:
+        w, h = frame.image_size
+        kept: list[Pose] = []
+        for pose in frame.poses:
+            if (
+                cfg.motion == "occlusion-middle"
+                and frame.frame_index == occ_frame
+                and pose.track_id == occ_track
+            ):
+                continue
+            if cfg.dropout_prob > 0 and float(rng.random()) < cfg.dropout_prob:
+                continue
+            joints = []
+            for c in pose.joints:
+                if c is None:
+                    joints.append(None)
+                    continue
+                if cfg.jitter_sigma > 0:
+                    noise = rng.normal(0.0, cfg.jitter_sigma, size=2)
+                    nx = float(np.clip(c.x + noise[0], 0.0, w - 1e-3))
+                    ny = float(np.clip(c.y + noise[1], 0.0, h - 1e-3))
+                    conf = float(
+                        math.exp(-math.hypot(noise[0], noise[1]) / (2.0 * cfg.jitter_sigma))
+                    )
+                    joints.append(JointCandidate(nx, ny, conf, c.visible))
+                else:
+                    joints.append(JointCandidate(c.x, c.y, 1.0, c.visible))
+            kept.append(Pose(joints=tuple(joints), track_id=None))
+        order = rng.permutation(len(kept)) if len(kept) > 1 else range(len(kept))
+        frames.append(
+            FramePoses(
+                frame_index=frame.frame_index,
+                poses=tuple(kept[i] for i in order),
+                image_size=frame.image_size,
+            )
+        )
+    return Sequence(frames=tuple(frames), topology=seq.topology)
 
 
 # ------------------------------------------------- misc oracles

@@ -209,6 +209,76 @@ def test_confidence_out_of_range_rejected():
         parse_annotations(json.dumps(doc))
 
 
+_POSE = "$.frames[1].poses[1]"
+_JOINT = "$.frames[1].poses[1].joints[3]"
+_DELETE = object()
+_NAN = float("nan")
+
+# (id, field of pose 1 of frame 1 or of its joint entry 3 ("" for the
+# entry itself), entry (None for the pose), new value, the error's full text)
+_REJECTIONS = [
+    ("pose-not-object", "", None, [], f"{_POSE}: pose must be an object"),
+    ("track-id-negative", "track_id", None, -1, f"{_POSE}: track_id must be a non-negative integer"),
+    ("track-id-bool", "track_id", None, True, f"{_POSE}: track_id must be a non-negative integer"),
+    ("track-id-float", "track_id", None, 1.0, f"{_POSE}: track_id must be a non-negative integer"),
+    ("track-id-string", "track_id", None, "7", f"{_POSE}: track_id must be a non-negative integer"),
+    ("joints-not-list", "joints", None, {}, f"{_POSE}: joints must be a list"),
+    ("joint-not-object", "", 3, 5, f"{_JOINT}: joint entry must be an object"),
+    ("joint-null", "", 3, None, f"{_JOINT}: joint entry must be an object"),
+    ("no-joint-index", "joint_index", 3, _DELETE, f"{_JOINT}: missing field 'joint_index'"),
+    ("no-x", "x", 3, _DELETE, f"{_JOINT}: missing field 'x'"),
+    ("no-y", "y", 3, _DELETE, f"{_JOINT}: missing field 'y'"),
+    ("joint-index-bool", "joint_index", 3, True, f"{_JOINT}: joint_index must be an integer"),
+    ("joint-index-float", "joint_index", 3, 3.0, f"{_JOINT}: joint_index must be an integer"),
+    ("joint-index-string", "joint_index", 3, "3", f"{_JOINT}: joint_index must be an integer"),
+    ("joint-index-negative", "joint_index", 3, -1, f"{_JOINT}: joint index out of range: -1"),
+    ("joint-index-too-large", "joint_index", 3, 15, f"{_JOINT}: joint index out of range: 15"),
+    ("x-string", "x", 3, "oops", f"{_JOINT}: malformed number for 'x'"),
+    ("x-bool", "x", 3, True, f"{_JOINT}: malformed number for 'x'"),
+    ("y-null", "y", 3, None, f"{_JOINT}: malformed number for 'y'"),
+    ("y-list", "y", 3, [1.0], f"{_JOINT}: malformed number for 'y'"),
+    ("x-nan", "x", 3, _NAN, f"{_JOINT}: 'x' must be finite"),
+    ("x-inf", "x", 3, float("inf"), f"{_JOINT}: 'x' must be finite"),
+    ("y-minus-inf", "y", 3, float("-inf"), f"{_JOINT}: 'y' must be finite"),
+    ("x-huge-int", "x", 3, 10**400, f"{_JOINT}: 'x' must be finite"),
+    ("confidence-string", "confidence", 3, "high", f"{_JOINT}: malformed number for 'confidence'"),
+    ("confidence-bool", "confidence", 3, False, f"{_JOINT}: malformed number for 'confidence'"),
+    ("confidence-above-one", "confidence", 3, 1.5, f"{_JOINT}: confidence must be in [0, 1]"),
+    ("confidence-negative", "confidence", 3, -0.1, f"{_JOINT}: confidence must be in [0, 1]"),
+    ("confidence-nan", "confidence", 3, _NAN, f"{_JOINT}: confidence must be in [0, 1]"),
+    ("visible-int", "visible", 3, 1, f"{_JOINT}: visible must be a boolean"),
+    ("visible-null", "visible", 3, None, f"{_JOINT}: visible must be a boolean"),
+    ("duplicate", "joint_index", 3, 2, f"{_JOINT}: duplicate joint_index 2"),
+    # Several faults in one entry: the first check in order names it.
+    ("index-before-x", "", 3, {"joint_index": 99, "x": "a", "y": 1.0},
+     f"{_JOINT}: joint index out of range: 99"),
+    ("x-before-y", "", 3, {"joint_index": 3, "x": _NAN, "y": "b"}, f"{_JOINT}: 'x' must be finite"),
+    ("confidence-before-visible", "", 3,
+     {"joint_index": 3, "x": 1.0, "y": 1.0, "confidence": 2, "visible": 1},
+     f"{_JOINT}: confidence must be in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, entry, value, text", [case[1:] for case in _REJECTIONS], ids=[case[0] for case in _REJECTIONS]
+)
+def test_pose_and_joint_rejections_keep_their_full_text(field, entry, value, text):
+    doc = json.loads(serialize_annotations(_sequence(2, 2)))
+    poses = doc["frames"][1]["poses"]
+    node, key = (poses, 1) if entry is None else (poses[1]["joints"], entry)
+    if field:
+        node, key = node[key], field
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(AnnotationError) as info:
+        parse_annotations(json.dumps(doc))
+    assert str(info.value) == text
+    assert info.value.where == text.split(": ")[0]
+    assert isinstance(info.value.__cause__, KeyError) == ("missing field" in text)
+
+
 # ------------------------------------------------------------ flow maps
 
 

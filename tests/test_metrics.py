@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import limbflow
 from limbflow.metrics import (
     _average_precision,
     evaluate,
@@ -276,6 +281,15 @@ def test_head_segment_fallback_uses_median(caplog):
         report = evaluate(seq_of(gt_frames), seq_of(gt_frames))
     assert report.total_mota() == pytest.approx(100.0)
     assert any("head segment" in r.message for r in caplog.records)
+
+
+def test_importing_limbflow_does_not_load_logging():
+    # metrics imports logging only in the two places where it logs.
+    src = str(Path(limbflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, limbflow; print(sorted(m for m in sys.modules if m.split('.')[0] == 'logging'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_head_segment_needs_visible_head_joints(caplog):

@@ -1,11 +1,20 @@
+import importlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from limbflow.fileio import serialize_annotations
 from limbflow.metrics import evaluate
+from limbflow.pose import JointCandidate, Pose, Sequence
 from limbflow.synth import PRESETS, SceneConfig, apply_corruption, generate_sequence, occlusion_target
 from limbflow.tracker import TrackerConfig, track_sequence
+
+from helpers import TOPO, frame, per_joint_corruption, stick_pose
 
 
 def test_static_preset_identical_frames():
@@ -139,3 +148,79 @@ def test_pipeline_closure_mota_100():
         assert report.total_mota() == pytest.approx(100.0)
         assert report.motp == pytest.approx(100.0)
         assert report.mean_ap == pytest.approx(100.0)
+
+
+def test_each_frame_is_clipped_to_its_own_size():
+    # Frame 1 is twice as wide as frame 0; its joints lie beyond frame 0's
+    # width, so a clip to frame 0's size would pin them all at x = 159.999.
+    gt = Sequence(
+        frames=(
+            frame([stick_pose(60.0, 40.0, h=40.0)], 0, size=(160, 120)),
+            frame([stick_pose(225.0, 100.0, h=40.0)], 1, size=(320, 240)),
+        ),
+        topology=TOPO,
+    )
+    cand = apply_corruption(gt, SceneConfig(jitter_sigma=1.0, seed=3))
+    for f_gt, f_c in zip(gt.frames, cand.frames):
+        w, h = f_gt.image_size
+        for c_gt, c in zip(f_gt.poses[0].joints, f_c.poses[0].joints):
+            assert 0.0 <= c.x < w and 0.0 <= c.y < h
+            assert math.hypot(c.x - c_gt.x, c.y - c_gt.y) < 8.0
+
+
+def _degrade(seq: Sequence, seed: int, shrink: bool) -> Sequence:
+    """Drop and hide some joints, drop every joint of some poses, and with
+    ``shrink`` halve every odd frame's image size so that clipping binds
+    there."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for f in seq.frames:
+        poses = []
+        for pose in f.poses:
+            kind = rng.integers(0, 4, len(pose.joints))  # 0 missing, 1 invisible
+            if rng.random() < 0.2:
+                kind[:] = 0
+            joints = tuple(
+                None if k == 0 else JointCandidate(c.x, c.y, c.confidence, bool(k != 1))
+                for c, k in zip(pose.joints, kind)
+            )
+            poses.append(Pose(joints=joints, track_id=pose.track_id))
+        size = (f.image_size[0] // 2, f.image_size[1] // 2) if shrink and f.frame_index % 2 else f.image_size
+        frames.append(replace(f, poses=tuple(poses), image_size=size))
+    return Sequence(frames=tuple(frames), topology=seq.topology)
+
+
+@given(
+    preset=st.sampled_from(PRESETS),
+    people=st.integers(1, 4),
+    frames=st.integers(1, 6),
+    jitter_sigma=st.sampled_from([0.0, 0.5, 2.0, 7.5]),
+    dropout_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    degrade=st.none() | st.tuples(st.integers(0, 2**32 - 1), st.booleans()),
+)
+@settings(max_examples=60, deadline=None)
+def test_corruption_matches_the_per_joint_oracle(preset, people, frames, jitter_sigma, dropout_prob, seed, degrade):
+    gt = generate_sequence(
+        SceneConfig(people=people, frames=frames, motion=preset, speed=6, image_size=(224, 160), seed=seed)
+    )
+    if degrade is not None:
+        gt = _degrade(gt, *degrade)
+    cfg = SceneConfig(
+        people=people, frames=frames, motion=preset, speed=6, image_size=(224, 160),
+        jitter_sigma=jitter_sigma, dropout_prob=dropout_prob, seed=seed,
+    )
+    assert serialize_annotations(apply_corruption(gt, cfg)) == serialize_annotations(per_joint_corruption(gt, cfg))
+
+
+def test_benchmark_scenes_match_the_per_joint_oracle(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS.values():
+        for seed in range(10):
+            inputs = workloads.build_inputs(workload, seed)
+            for i, scene in enumerate(inputs.scenes):
+                cfg = SceneConfig(seed=seed * workload.scenes + i, **workload.scene)
+                assert scene.candidates_text == serialize_annotations(per_joint_corruption(scene.gt, cfg)), (
+                    workload.name, seed, i
+                )
