@@ -232,10 +232,7 @@ def document_to_sequence(document: dict, topology: Optional[SkeletonTopology] = 
         frames.append(
             FramePoses(frame_index=idx, poses=tuple(poses), image_size=(size[0], size[1]))
         )
-    try:
-        return Sequence(frames=tuple(frames), topology=topology)
-    except ValueError as exc:
-        raise AnnotationError(str(exc), "$.frames") from exc
+    return Sequence(frames=tuple(frames), topology=topology)
 
 
 def parse_annotations(text: str, topology: Optional[SkeletonTopology] = None) -> Sequence:

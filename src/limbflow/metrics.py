@@ -15,14 +15,13 @@ an interpolated precision-recall curve, in which a prediction is a true
 positive exactly when its own frame's PCKh match took it; mAP averages
 over joint types that have ground truth.
 
-Matching runs on arrays. Each frame's poses become one ``pose_arrays``
-triple, whose values are checked: a visible joint with a non-finite x or
-y, or a confidence outside [0, 1], raises ``ValueError``. One matcher,
-``_match_frame``, serves ``evaluate`` and ``match_joints_pckh``: one
-``lexsort`` ranks a frame's predictions, the pairs in range are sorted
-by (distance, gt position), and only the predictions that compete for a
-gt walk in rank order. The AP ranking is one ``lexsort`` over the whole
-sequence. Every length here, head segments included, is ``np.hypot``.
+Matching runs on arrays: each frame's poses become one ``pose_arrays``
+triple. One matcher, ``_match_frame``, serves ``evaluate`` and
+``match_joints_pckh``: one ``lexsort`` ranks a frame's predictions, the
+pairs in range are sorted by (distance, gt position), and only the
+predictions that compete for a gt walk in rank order. The AP ranking is
+one ``lexsort`` over the whole sequence. Every length here, head
+segments included, is ``np.hypot``.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Optional, Sequence as TySequence
+from typing import Optional
 
 import numpy as np
 
-from .pose import FramePoses, Pose, check_joint_values, joint_pairs_within, pose_arrays
+from .pose import FramePoses, joint_pairs_within, pose_arrays
 from .skeleton import SkeletonTopology
 
 GROUP_ORDER = ("Head", "Shou", "Elb", "Wri", "Hip", "Knee", "Ankl")
@@ -90,13 +89,6 @@ class EvalReport:
 
     def total_mota(self) -> Optional[float]:
         return self.total_counts.mota()
-
-
-def _frame_arrays(poses: TySequence[Pose], joint_count: int, where: str) -> tuple[np.ndarray, ...]:
-    """``pose_arrays`` of one frame's poses, with their values checked."""
-    arrays = pose_arrays(poses, joint_count)
-    check_joint_values(*arrays, where)
-    return arrays
 
 
 def _head_lengths(
@@ -210,16 +202,14 @@ def match_joints_pckh(
 
     ``thresholds`` maps gt pose position to its match radius; each joint
     type is matched as ``_match_frame`` describes. Returns, per joint type,
-    (gt pose position, pred pose position, distance) triples. Raises
-    ``ValueError`` for a visible joint whose x or y is not finite or whose
-    confidence is outside [0, 1].
+    (gt pose position, pred pose position, distance) triples.
     """
     joint_count = len(gt.poses[0].joints) if gt.poses else (
         len(pred.poses[0].joints) if pred.poses else 0
     )
     q, j, g, dist = _match_frame(
-        _frame_arrays(gt.poses, joint_count, f"ground truth frame {gt.frame_index}"),
-        _frame_arrays(pred.poses, joint_count, f"prediction frame {pred.frame_index}"),
+        pose_arrays(gt.poses, joint_count),
+        pose_arrays(pred.poses, joint_count),
         np.array([thresholds[i] for i in range(len(gt.poses))], dtype=np.float64),
     )
     matches: dict[int, list[tuple[int, int, float]]] = {t: [] for t in range(joint_count)}
@@ -263,9 +253,7 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     another topology is rejected, as is ground truth with no frames at
     all, or with a pose lacking a track id (MOTA's ID-switch term needs
     ground-truth identities), a frame index that repeats in either
-    sequence, a ``thresh_factor`` that is not finite and positive, or a
-    visible joint of a gt frame or of a pred frame aligned with one whose
-    x or y is not finite or whose confidence is outside [0, 1].
+    sequence, or a ``thresh_factor`` that is not finite and positive.
     """
     if not (math.isfinite(thresh_factor) and thresh_factor > 0):
         raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
@@ -288,14 +276,8 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     pred_poses_at = {f.frame_index: f.poses for f in pred_seq.frames}
     names, joint_count = topo.joint_names, topo.joint_count
     pred_poses = [pred_poses_at.get(f.frame_index, ()) for f in gt_frames]
-    gt_arrays = [
-        _frame_arrays(f.poses, joint_count, f"ground truth frame {f.frame_index}")
-        for f in gt_frames
-    ]
-    pred_arrays = [
-        _frame_arrays(poses, joint_count, f"prediction frame {f.frame_index}")
-        for f, poses in zip(gt_frames, pred_poses)
-    ]
+    gt_arrays = [pose_arrays(f.poses, joint_count) for f in gt_frames]
+    pred_arrays = [pose_arrays(poses, joint_count) for poses in pred_poses]
     thresholds = np.maximum(thresh_factor * np.concatenate(_head_lengths(gt_arrays, topo)), 1e-9)
     gt_start = np.cumsum([0] + [len(f.poses) for f in gt_frames])
     matched = [

@@ -6,7 +6,7 @@ All types are immutable; tracker stages produce new values via
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Optional
@@ -18,12 +18,24 @@ from .skeleton import SkeletonTopology
 
 @dataclass(frozen=True)
 class JointCandidate:
-    """A single detected joint: pixel position, confidence, visibility."""
+    """A single detected joint: pixel position, confidence, visibility.
+
+    Checked when built, visible or not: x and y must be finite and the
+    confidence in [0, 1], or ``ValueError`` is raised. A built joint is
+    valid, so no stage checks a joint it is given.
+    """
 
     x: float
     y: float
     confidence: float = 1.0
     visible: bool = True
+
+    def __post_init__(self) -> None:
+        # Compared exactly: an int too large for a float fails, as NaN does.
+        if not (abs(self.x) <= sys.float_info.max and abs(self.y) <= sys.float_info.max):
+            raise ValueError(f"joint x and y must be finite, got ({self.x}, {self.y})")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"joint confidence must be in [0, 1], got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -99,21 +111,6 @@ def pose_arrays(
     return values[..., :2], values[..., 2], present
 
 
-def check_joint_values(
-    xy: np.ndarray, confidence: np.ndarray, present: np.ndarray, where: str
-) -> None:
-    """Raise ``ValueError`` unless every present joint of ``pose_arrays``
-    has a finite x and y and a confidence in [0, 1]."""
-    # Absent joints read 0, which passes, so one test covers most frames.
-    if not confidence.size or (
-        np.isfinite(xy).all() and 0 <= confidence.min() <= confidence.max() <= 1
-    ):
-        return
-    ok = np.isfinite(xy).all(axis=2) & (confidence >= 0.0) & (confidence <= 1.0)
-    p, j = np.argwhere(present & ~ok)[0]
-    raise ValueError(f"{where} pose {p} joint {j}: x and y must be finite and confidence in [0, 1]")
-
-
 def joint_pairs_within(
     a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], radius: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -153,9 +150,7 @@ class FramePoses:
         for pi, pose in enumerate(self.poses):
             for j in pose.present_joints():
                 c = pose.joint(j)
-                if not (0 <= c.x < w and 0 <= c.y < h) or not (
-                    math.isfinite(c.x) and math.isfinite(c.y)
-                ):
+                if not (0 <= c.x < w and 0 <= c.y < h):
                     bad.append((pi, j))
         return bad
 

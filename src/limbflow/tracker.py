@@ -49,7 +49,6 @@ from .pose import (
     JointCandidate,
     Pose,
     Sequence,
-    check_joint_values,
     joint_pairs_within,
     pose_arrays,
 )
@@ -116,14 +115,11 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
     ``joint_pairs_within`` finds in a box slightly wider than ``radius``
     (for ``pow``'s rounding and underflow) are squared. A candidate with
     no near candidate is kept outright; only the others walk the greedy
-    order. Raises ``ValueError`` for a radius that is not >= 0, or for a
-    visible joint whose x or y is not finite or whose confidence is
-    outside [0, 1].
+    order. Raises ``ValueError`` for a radius that is not >= 0.
     """
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
     arrays = xy, confidence, present = pose_arrays(frame.poses, joint_count)
-    check_joint_values(*arrays, f"frame {frame.frame_index}")
     box = np.full(len(xy), radius * (1.0 + 1e-9) + 1e-150)
     a, b, j, adx, ady = joint_pairs_within(arrays, arrays, box)
     near = (a != b) & ~(np.float_power(adx, 2) + np.float_power(ady, 2) > radius * radius)
@@ -316,24 +312,6 @@ def refine_middle_frame(
     return new_mid, new_next, entries
 
 
-def _check_invisible_joints(frame: FramePoses) -> None:
-    """Raise ``ValueError`` for a present but invisible joint whose x or y
-    is not finite or whose confidence is outside [0, 1]. NMS checks the
-    visible joints; the tracked frames carry the invisible ones too, and
-    the annotation parser checks every present joint."""
-    for p, pose in enumerate(frame.poses):
-        if pose.visible_joints is pose.joints:  # no invisible joint
-            continue
-        for j, c in enumerate(pose.joints):
-            if c is not None and not c.visible and not (
-                math.isfinite(c.x) and math.isfinite(c.y) and 0.0 <= c.confidence <= 1.0
-            ):
-                raise ValueError(
-                    f"frame {frame.frame_index} pose {p} joint {j}: "
-                    "x and y must be finite and confidence in [0, 1]"
-                )
-
-
 class Tracker:
     """Online tracker: ``push`` frames in order, then ``finish``.
 
@@ -363,11 +341,7 @@ class Tracker:
         self._finished = False
 
     def push(self, frame: FramePoses) -> list[FramePoses]:
-        """Run one step on ``frame``; return the frames that became final.
-
-        Raises ``ValueError`` for a present joint, visible or not, whose x
-        or y is not finite or whose confidence is outside [0, 1], as the
-        annotation parser does, so that tracked frames can be read back."""
+        """Run one step on ``frame``; return the frames that became final."""
         if self._finished:
             raise ValueError(f"frame index {frame.frame_index} pushed after finish")
         if self._inputs and frame.frame_index <= self._inputs[-1].frame_index:
@@ -376,7 +350,6 @@ class Tracker:
                 "indices must increase"
             )
         topo, cfg = self.topology, self.cfg
-        _check_invisible_joints(frame)
         frame = suppress_duplicate_joints(frame, cfg.nms_radius, topo.joint_count)
         earlier = self._inputs
         grid = self.flow_source.grid(frame, earlier[-1]) if earlier else None

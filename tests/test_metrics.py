@@ -468,23 +468,3 @@ _grid_frame = st.lists(
 def test_match_joints_pckh_equals_the_greedy_oracle(gt, pred, radii):
     thresholds = dict(enumerate(radii))
     assert match_joints_pckh(gt, pred, thresholds) == oracle_match_joints_pckh(gt, pred, thresholds)
-
-
-@pytest.mark.parametrize(
-    "side, joint",
-    [
-        ("ground truth", JointCandidate(float("nan"), 60.0)),
-        ("ground truth", JointCandidate(80.0, float("inf"))),
-        ("prediction", JointCandidate(float("-inf"), 60.0)),
-        ("prediction", JointCandidate(80.0, 60.0, confidence=float("nan"))),
-        ("prediction", JointCandidate(80.0, 60.0, confidence=1.5)),
-    ],
-)
-def test_a_visible_joint_with_a_bad_value_is_rejected(side, joint):
-    # Before, a NaN gt joint scored MOTA 83.33 and an inf one MOTP nan.
-    good = gt_person(80, 60, 0)
-    bad = replace(good, joints=(good.joints[0], joint) + good.joints[2:])
-    gt = seq_of([frame([bad if side == "ground truth" else good], 0)])
-    pred = seq_of([frame([bad if side == "prediction" else good], 0)])
-    with pytest.raises(ValueError, match=f"{side} frame 0 pose 0 joint 1"):
-        evaluate(gt, pred)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,25 @@ def test_pose_length_mismatch_rejected():
     q = Pose(joints=p.joints[:10])
     with pytest.raises(ValueError):
         common_joints(p, q)
+
+
+def test_a_joint_checks_its_own_values():
+    # Every stage relies on this rule; none checks a joint it is given.
+    nan, inf = float("nan"), float("inf")
+    bad = [{"x": v} for v in (nan, inf, -inf, 10**400)]
+    bad += [{"y": v} for v in (nan, inf, -inf, 10**400)]
+    bad += [{"confidence": v} for v in (nan, -0.1, 1.5)]
+    good = [{"x": 1e300}, {"y": -1e300}, {"x": -0.0}, {"confidence": 0.0}, {"confidence": 1.0}]
+    for visible in (True, False):
+        base = JointCandidate(5.0, 5.0, 0.5, visible)
+        for change in bad:
+            with pytest.raises(ValueError):
+                JointCandidate(**{"x": 5.0, "y": 5.0, "confidence": 0.5, "visible": visible, **change})
+            with pytest.raises(ValueError):
+                replace(base, **change)
+        for change in good:
+            joint = JointCandidate(**{"x": 5.0, "y": 5.0, "confidence": 0.5, "visible": visible, **change})
+            assert replace(base, **change) == joint
 
 
 def test_centroid():

@@ -139,43 +139,6 @@ def test_nms_equals_the_greedy_oracle(f, radius):
     assert suppress_duplicate_joints(f, radius, _NMS_JOINTS) == greedy_nms(f, radius, _NMS_JOINTS)
 
 
-@pytest.mark.parametrize(
-    "joint",
-    [
-        JointCandidate(float("nan"), 5.0),
-        JointCandidate(5.0, float("inf")),
-        JointCandidate(5.0, 5.0, confidence=float("nan")),
-        JointCandidate(5.0, 5.0, confidence=1.5),
-        JointCandidate(5.0, 5.0, confidence=-0.1),
-    ],
-)
-def test_push_rejects_a_visible_joint_with_a_bad_value(joint):
-    # Before, each of these was tracked like any other joint.
-    bad = Pose(joints=(joint,) + stick_pose(60, 60).joints[1:])
-    with pytest.raises(ValueError, match="frame 1 pose 1 joint 0"):
-        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
-        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
-
-
-@pytest.mark.parametrize(
-    "joint",
-    [
-        JointCandidate(float("nan"), 5.0, visible=False),
-        JointCandidate(5.0, float("-inf"), visible=False),
-        JointCandidate(5.0, 5.0, confidence=float("nan"), visible=False),
-        JointCandidate(5.0, 5.0, confidence=1.5, visible=False),
-    ],
-)
-def test_push_rejects_an_invisible_joint_with_a_bad_value(joint):
-    # NMS skips invisible joints, but the tracked frames carry them and the
-    # annotation parser rejects these values. Before, such a joint was
-    # tracked and written out, and the output could not be read back.
-    bad = Pose(joints=stick_pose(60, 60).joints[:3] + (joint,) + stick_pose(60, 60).joints[4:])
-    with pytest.raises(ValueError, match="frame 1 pose 1 joint 3"):
-        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
-        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
-
-
 def test_tracked_invisible_joints_read_back():
     hidden = JointCandidate(1e300, -0.0, confidence=0.0, visible=False)
     pose = Pose(joints=(hidden,) + stick_pose(60, 60).joints[1:])
