@@ -468,3 +468,24 @@ _grid_frame = st.lists(
 def test_match_joints_pckh_equals_the_greedy_oracle(gt, pred, radii):
     thresholds = dict(enumerate(radii))
     assert match_joints_pckh(gt, pred, thresholds) == oracle_match_joints_pckh(gt, pred, thresholds)
+
+
+@pytest.mark.parametrize(
+    "side, joint",
+    [
+        ("ground truth", {"x": float("nan"), "y": 60.0}),
+        ("ground truth", {"x": 80.0, "y": float("inf")}),
+        ("prediction", {"x": float("-inf"), "y": 60.0}),
+        ("prediction", {"x": 80.0, "y": 60.0, "confidence": float("nan")}),
+        ("prediction", {"x": 80.0, "y": 60.0, "confidence": 1.5}),
+    ],
+)
+def test_a_visible_joint_with_a_bad_value_is_rejected(side, joint):
+    # Before, a NaN gt joint scored MOTA 83.33 and an inf one MOTP nan. Now
+    # such a joint cannot be built, so it never reaches evaluate.
+    good = gt_person(80, 60, 0)
+    with pytest.raises(ValueError, match=r"^joint (x and y must be finite|confidence must be in \[0, 1\])"):
+        bad = replace(good, joints=(good.joints[0], JointCandidate(**joint)) + good.joints[2:])
+        gt = seq_of([frame([bad if side == "ground truth" else good], 0)])
+        pred = seq_of([frame([bad if side == "prediction" else good], 0)])
+        evaluate(gt, pred)

@@ -139,6 +139,49 @@ def test_nms_equals_the_greedy_oracle(f, radius):
     assert suppress_duplicate_joints(f, radius, _NMS_JOINTS) == greedy_nms(f, radius, _NMS_JOINTS)
 
 
+_BAD_VALUE = r"^joint (x and y must be finite|confidence must be in \[0, 1\])"
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        {"x": float("nan"), "y": 5.0},
+        {"x": 5.0, "y": float("inf")},
+        {"x": 5.0, "y": 5.0, "confidence": float("nan")},
+        {"x": 5.0, "y": 5.0, "confidence": 1.5},
+        {"x": 5.0, "y": 5.0, "confidence": -0.1},
+    ],
+)
+def test_push_rejects_a_visible_joint_with_a_bad_value(joint):
+    # Before, each of these was tracked like any other joint. Now such a
+    # joint cannot be built, so it never reaches push.
+    with pytest.raises(ValueError, match=_BAD_VALUE):
+        bad = Pose(joints=(JointCandidate(**joint),) + stick_pose(60, 60).joints[1:])
+        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
+        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        {"x": float("nan"), "y": 5.0, "visible": False},
+        {"x": 5.0, "y": float("-inf"), "visible": False},
+        {"x": 5.0, "y": 5.0, "confidence": float("nan"), "visible": False},
+        {"x": 5.0, "y": 5.0, "confidence": 1.5, "visible": False},
+    ],
+)
+def test_push_rejects_an_invisible_joint_with_a_bad_value(joint):
+    # NMS skips invisible joints, but the tracked frames carry them and the
+    # annotation parser rejects these values. Before, such a joint was
+    # tracked and written out, and the output could not be read back. Now
+    # it cannot be built, so it never reaches push.
+    with pytest.raises(ValueError, match=_BAD_VALUE):
+        joints = stick_pose(60, 60).joints
+        bad = Pose(joints=joints[:3] + (JointCandidate(**joint),) + joints[4:])
+        frames = (frame([stick_pose(20, 20)], 0), frame([stick_pose(20, 20), bad], 1))
+        track_sequence(Sequence(frames=frames, topology=TOPO), CFG)
+
+
 def test_tracked_invisible_joints_read_back():
     hidden = JointCandidate(1e300, -0.0, confidence=0.0, visible=False)
     pose = Pose(joints=(hidden,) + stick_pose(60, 60).joints[1:])
