@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -219,30 +218,20 @@ def match_joints_pckh(
     return matches
 
 
-def _average_precision(flags: list[bool], n_gt: int) -> float:
+def _average_precision(flags: np.ndarray | list[bool], n_gt: int) -> float:
     """All-point interpolated AP (percent) from rank-ordered TP flags."""
-    if n_gt == 0:
+    flags = np.asarray(flags, dtype=bool)
+    if n_gt == 0 or not flags.any():
         return 0.0
-    tp = 0
-    points = []
-    for k, is_tp in enumerate(flags, start=1):
-        if is_tp:
-            tp += 1
-        points.append((tp / n_gt, tp / k))
-    if not points:
-        return 0.0
-    # precision envelope, then area under the recall steps. Recall never
+    # Precision envelope, then area under the recall steps. Recall never
     # falls with rank, so the envelope at a rank is the maximum precision
-    # from that rank on.
-    envelope = list(accumulate(reversed([p for _, p in points]), max))[::-1]
-    ap = 0.0
-    prev_recall = 0.0
-    for (recall, _), peak in zip(points, envelope):
-        if recall <= prev_recall:
-            continue
-        ap += (recall - prev_recall) * peak
-        prev_recall = recall
-    return 100.0 * ap
+    # from that rank on; recall rises, by one true positive, exactly at
+    # the true positives' ranks.
+    tp = np.cumsum(flags)
+    envelope = np.maximum.accumulate((tp / np.arange(1, flags.size + 1))[::-1])[::-1]
+    recall = np.arange(tp[-1] + 1) / n_gt
+    # Added in rank order by a running sum; np.sum would add pairwise.
+    return 100.0 * float(np.cumsum(np.diff(recall) * envelope[flags])[-1])
 
 
 def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
@@ -335,7 +324,7 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
 
             logging.getLogger(__name__).info("joint type %s has no ground truth; excluded from mAP", names[t])
             continue
-        ap = _average_precision(flags[t].tolist(), int(n_gt[t]))
+        ap = _average_precision(flags[t], int(n_gt[t]))
         per_joint_ap[names[t]] = ap
         ap_values.append(ap)
 

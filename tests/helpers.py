@@ -579,6 +579,51 @@ def padded_hungarian(scores: np.ndarray, forbidden: float = float("-inf")) -> li
     return pairs
 
 
+# The library's former rectangular solver: the same Jonker-Volgenant steps
+# as ``assignment._solve_min_cost``, one numpy pass over the columns per
+# Dijkstra step. Kept verbatim as the oracle that the list loop must match
+# column for column.
+
+def numpy_solve_min_cost(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a finite min-cost matrix, rows <= cols."""
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    row_of_col = np.full(n_cols, -1, dtype=np.intp)
+    col_of_row = np.full(n_rows, -1, dtype=np.intp)
+    for start in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        path = np.full(n_cols, -1, dtype=np.intp)
+        scanned = np.zeros(n_cols, dtype=bool)
+        reached = []  # rows entered through a scanned column
+        i, min_val = start, 0.0
+        while True:
+            reduced = min_val + cost[i] - u[i] - v
+            lower = (reduced < shortest) & ~scanned
+            shortest[lower] = reduced[lower]
+            path[lower] = i
+            j = int(np.argmin(np.where(scanned, np.inf, shortest)))
+            min_val = shortest[j]
+            scanned[j] = True
+            i = row_of_col[j]
+            if i < 0:
+                break
+            reached.append(i)
+
+        # Dual update over the scanned tree, then flip the path to free column j.
+        u[start] += min_val
+        reached = np.array(reached, dtype=np.intp)
+        u[reached] += min_val - shortest[col_of_row[reached]]
+        v[scanned] -= min_val - shortest[scanned]
+        while True:
+            i = path[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == start:
+                break
+    return col_of_row
+
+
 def brute_best_permutation(scores: np.ndarray):
     """Best total over full permutations of a square matrix."""
     n = scores.shape[0]

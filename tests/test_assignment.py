@@ -1,6 +1,9 @@
+import importlib
 import math
 import time
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +12,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from limbflow.assignment import FORBIDDEN, assignment_total, hungarian
+from limbflow import assignment, fileio, tracker
+from limbflow.assignment import FORBIDDEN, _solve_min_cost, assignment_total, hungarian
 
-from helpers import brute_force_assignment, padded_hungarian
+from helpers import brute_force_assignment, numpy_solve_min_cost, padded_hungarian
+
+
+def solver_inputs(run) -> list[list[list[float]]]:
+    """Every cost matrix that ``hungarian`` hands its solver while ``run()`` runs."""
+    fed = []
+    solve = assignment._solve_min_cost
+
+    def spy(cost):
+        fed.append(cost)
+        return solve(cost)
+
+    with mock.patch.object(assignment, "_solve_min_cost", spy):
+        run()
+    return fed
+
+
+def assert_solver_matches_numpy_oracle(cost):
+    """The list solver picks the former numpy solver's column for every row."""
+    assert _solve_min_cost(cost) == numpy_solve_min_cost(np.array(cost)).tolist()
 
 
 def test_identity_dominant():
@@ -118,6 +141,10 @@ def test_the_largest_accepted_scores_solve_without_overflow():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pairs = hungarian(scores)
+            # Python floats overflow to inf without a warning, so the
+            # numpy oracle, run under the filter, watches the list solver.
+            for cost in solver_inputs(lambda: hungarian(scores)):
+                assert_solver_matches_numpy_oracle(cost)
         r, c = linear_sum_assignment(scores, maximize=True)
         assert len(pairs) == len(r)
         assert assignment_total(scores, pairs) / s == pytest.approx(scores[r, c].sum() / s, abs=1e-9)
@@ -181,7 +208,7 @@ def test_repeated_calls_agree_on_tie_heavy_inputs():
 
 
 def test_random_100x100_solve_is_fast():
-    # The rectangular solver takes ~10 ms here; the padded pure-Python one
+    # The rectangular solver takes ~7 ms here; the padded pure-Python one
     # took over a second, so the bound catches a regression to it.
     scores = np.random.default_rng(100).uniform(-1, 1, size=(100, 100))
     best = math.inf
@@ -191,3 +218,55 @@ def test_random_100x100_solve_is_fast():
         best = min(best, time.perf_counter() - t0)
     assert len(pairs) == 100
     assert best < 0.25
+
+
+@st.composite
+def min_cost_matrices(draw, max_side=40):
+    """Finite costs with rows <= cols: continuous, or small integers with an
+    all-equal block, so that ties decide the column."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(rows, max_side))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (rows, cols), elements=st.floats(-10, 10)))
+    cost = draw(arrays(np.int64, (rows, cols), elements=st.integers(-2, 2))).astype(np.float64)
+    r0, r1 = sorted(draw(st.integers(0, rows)) for _ in range(2))
+    c0, c1 = sorted(draw(st.integers(0, cols)) for _ in range(2))
+    cost[r0:r1, c0:c1] = draw(st.integers(-2, 2))
+    return cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(min_cost_matrices())
+def test_list_solver_matches_the_numpy_solver(cost):
+    assert_solver_matches_numpy_oracle(cost.tolist())
+
+
+@st.composite
+def tie_heavy_score_matrices(draw, max_side=40):
+    """Small-integer scores with forbidden cells mixed in."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    values = draw(arrays(np.int64, shape, elements=st.integers(-2, 2))).astype(np.float64)
+    return np.where(draw(arrays(np.bool_, shape)), FORBIDDEN, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_matrices() | tie_heavy_score_matrices())
+def test_list_solver_matches_the_numpy_solver_on_bonus_transformed_scores(scores):
+    # Forbidden cells reach the solver as -0.0.
+    for cost in solver_inputs(lambda: hungarian(scores)):
+        assert_solver_matches_numpy_oracle(cost)
+
+
+def test_list_solver_matches_the_numpy_solver_on_benchmark_scenes(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    costs = []
+    for name in ("crowd-hd", "crowd-assoc", "long-seq"):
+        for seed in range(3):
+            inputs = workloads.build_inputs(workloads.WORKLOADS[name], seed)
+            for scene in inputs.scenes:
+                seq = fileio.parse_annotations(scene.candidates_text)
+                costs += solver_inputs(lambda: tracker.track_sequence(seq, inputs.tracker_config))
+    assert len(costs) >= 200  # 30 from crowd-hd, 6 from crowd-assoc, 174 from long-seq
+    for cost in costs:
+        assert_solver_matches_numpy_oracle(cost)

@@ -256,6 +256,15 @@ def test_ap_envelope_equals_the_full_scan(flags, missed):
     assert _average_precision(flags, n_gt) == scan_average_precision(flags, n_gt)
 
 
+def test_ap_envelope_equals_the_full_scan_on_thousands_of_flags():
+    # A pass over one joint type of a crowd ranks 1-2k predictions.
+    rng = np.random.default_rng(2019)
+    for size, hit_rate in [(3000, 0.9), (2500, 0.3)]:
+        flags = (rng.random(size) < hit_rate).tolist()
+        n_gt = sum(flags) + 40
+        assert _average_precision(flags, n_gt) == scan_average_precision(flags, n_gt)
+
+
 # ------------------------------------------------------------ misc
 
 def test_self_consistency_any_tracked_sequence():
