@@ -24,11 +24,12 @@ together and must equal them bit for bit. The order of its contractions
 and sums is therefore part of the scorer's contract, set out in its
 docstring. It walks the integral samples once, in chunks of joints taken
 in stored-channel order, and reads each distinct cell of a chunk once.
-Each sample reads its nearest cell. A flow map has one read interface,
-``values_at(keys)``, which takes the sorted distinct flat keys
-``channel * height * width + iy * width + ix`` that ``_lookup_cells``
-makes: a ``FlowMapGrid`` answers by binary search in its covered-cell
-table and ``LimbStrokes`` by computing only those cells.
+The lookup consumes a chunk's coordinate buffers: a call peaks near 55
+bytes per sample of a full chunk. Each sample reads its nearest cell. A
+flow map has one read interface, ``values_at(keys)``, which takes the
+sorted distinct flat keys ``channel * height * width + iy * width + ix``
+that ``_lookup_cells`` makes: a ``FlowMapGrid`` answers by binary search
+in its covered-cell table and ``LimbStrokes`` by computing only those cells.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from .pose import FramePoses, Pose, common_joints, pose_arrays
 from .skeleton import SkeletonTopology
 
 # Integral samples per chunk of build_association_matrix. A distinct cell
-# is read once per chunk, not once per call; the chunk bounds the memory of
-# a call and the bits of its sort keys.
+# is read once per chunk, not once per call; the chunk bounds the bits of
+# its sort keys and the memory of a call, near 55 bytes per sample at the
+# peak, as the lookup consumes the chunk's coordinate buffers.
 _CHUNK_SAMPLES = 1 << 16
 
 # The motion gate in units of ScoreConfig.distance_scale (association_score).
@@ -70,36 +72,44 @@ class ScoreConfig:
 
 
 def _lookup_cells(
-    flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray
+    flow: FlowMap, channel: "int | np.ndarray", px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The nearest cell of each of an (n, 2) array of pixel points: flat
-    (channel, cell) keys, clipped to the grid, and whether each point lies
-    inside the grid."""
+    """The nearest cell of each pixel point (px, py): flat (channel, cell)
+    keys, clipped to the grid, and whether each point lies inside the grid.
+    Consumes its float64 coordinate buffers, overwriting them with the
+    rounded cell coordinates, and builds the keys in place of their cast."""
     s = float(flow.grid_stride)
     w, h = flow.width, flow.height
-    px, py = pts[:, 0], pts[:, 1]
-    ix = np.clip(np.rint(px / s).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.rint(py / s).astype(np.int64), 0, h - 1)
-    channel = np.asarray(channel, dtype=np.int64)
     valid = (px >= 0) & (px < w * s) & (py >= 0) & (py < h * s)
-    return (channel * h + iy) * w + ix, valid
+    ix, keys = (np.rint(np.divide(p, s, out=p), out=p).astype(np.int64) for p in (px, py))
+    np.clip(ix, 0, w - 1, out=ix)
+    np.clip(keys, 0, h - 1, out=keys)
+    keys += np.asarray(channel, dtype=np.int64) * h
+    keys *= w
+    keys += ix
+    return keys, valid
 
 
 def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, return_inverse=True)`` of non-negative int64 keys,
     by one plain sort in place of an argsort: each key is packed above the
     bits of its flat position, ``key << b | position``, so the sorted packs
-    carry both. The caller makes sure the largest key fits in ``63 - b``
-    bits, b being the bit length of ``keys.size - 1``."""
+    carry both. Overwrites a contiguous input with the packs. The caller
+    makes sure the largest key fits in ``63 - b`` bits, b being the bit
+    length of ``keys.size - 1``."""
     bits = max(keys.size - 1, 0).bit_length()
-    packed = (keys.ravel() << bits) | np.arange(keys.size, dtype=np.int64)
+    packed = keys.reshape(-1)
+    packed <<= bits
+    packed |= np.arange(keys.size, dtype=np.int64)
     packed.sort()
     ordered = packed >> bits
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
+    ordered = ordered[first]  # the distinct keys; the sorted copy is freed
+    packed &= (1 << bits) - 1
     inverse = np.empty(keys.size, dtype=np.intp)
-    inverse[packed & ((1 << bits) - 1)] = np.cumsum(first) - 1
-    return ordered[first], inverse.reshape(keys.shape)
+    inverse[packed] = np.cumsum(first) - 1
+    return ordered, inverse.reshape(keys.shape)
 
 
 def sample_grid(flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray) -> np.ndarray:
@@ -111,7 +121,7 @@ def sample_grid(flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray) -> 
     is read once, by one ``values_at`` call, so ``LimbStrokes`` pays only
     for the read cells that fall inside its strokes' own boxes.
     """
-    keys, valid = _lookup_cells(flow, channel, pts)
+    keys, valid = _lookup_cells(flow, channel, *np.array(pts, dtype=np.float64).T)
     cells, inverse = np.unique(keys, return_inverse=True)
     vals = flow.values_at(cells)[inverse]
     vals[~valid] = 0.0
@@ -266,7 +276,8 @@ def build_association_matrix(
     taken in stored-channel order, in chunks of ``_CHUNK_SAMPLES``
     integral samples; each distinct cell of a chunk is read from the flow
     map once, by one ``values_at`` call, and the chunk's joint terms are
-    reduced before the next chunk is sampled. Raises
+    reduced before the next chunk is sampled. The lookup consumes the
+    chunk's coordinate buffers, so a call peaks near 55 bytes a sample. Raises
     ``ValueError`` if the flow map has too many cells for a chunk's keys
     to pack into 63 bits. Equality depends on the order of that
     arithmetic, which is part of this function's contract: each sample
@@ -287,13 +298,11 @@ def build_association_matrix(
     moving = common & (norm > MOTION_EPSILON) & kept[:, :, None] & (cfg.alpha != 0.0)
     pi, qi, ji = np.nonzero(moving)
     a, b = xy_l[pi, ji], xy_e[qi, ji]
-    joint_channel = np.array(
-        [grid.channel_for(topo.joint_channel[j]) for j in range(common.shape[2])], dtype=np.int64
-    )
-    channels = joint_channel[ji]
+    channels = np.array([grid.channel_for(c) for c in topo.joint_channel], dtype=np.int64)[ji]
     n_samples = cfg.integral_samples
     u = (np.arange(n_samples, dtype=np.float64) + 0.5) / n_samples
     directions = d[moving] / norm[moving][:, None]
+    del d, norm, pi, qi  # not read by the chunk loop
     per_joint = np.empty(len(ji), dtype=np.float64)
     order = np.argsort(channels, kind="stable")  # a chunk then spans one or two channels
     step = max(1, _CHUNK_SAMPLES // n_samples)
@@ -304,17 +313,17 @@ def build_association_matrix(
         raise ValueError(f"{key_space} flow-map cells are too many to pack with {positions} lookups")
     for lo in range(0, len(ji), step):
         c = order[lo : lo + step]
-        px = (1.0 - u) * a[c, 0, None] + u * b[c, 0, None]
-        py = (1.0 - u) * a[c, 1, None] + u * b[c, 1, None]
-        pts = np.stack([px.ravel(), py.ravel()], axis=1)
-        keys, valid = _lookup_cells(grid, np.repeat(channels[c], n_samples), pts)
+        pts = (1.0 - u) * a[c].T[:, :, None]  # px and py, each (joints, samples)
+        pts += u * b[c].T[:, :, None]
+        keys, valid = _lookup_cells(grid, channels[c, None], *pts)
+        del pts
         cells, inverse = _unique_inverse(keys)
-        del px, py, pts, keys  # not held while the flow map computes the cells
+        del keys  # only the inverse and the mask are held while the flow map computes the cells
         vecs = np.take(grid.values_at(cells), inverse, axis=0)
         vecs[~valid] = 0.0
-        vecs = vecs.reshape(-1, n_samples, 2)
-        projections = (vecs @ directions[c, :, None]).reshape(-1, n_samples)
+        projections = (vecs.reshape(-1, n_samples, 2) @ directions[c, :, None]).reshape(-1, n_samples)
         per_joint[c] = projections.sum(axis=1) / n_samples
+        del cells, inverse, vecs, projections  # freed before the next chunk is sampled
     flow_terms = np.zeros(common.shape, dtype=np.float64)
     flow_terms[moving] = per_joint
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -39,6 +40,17 @@ from limbflow.synth import SceneConfig, _rng, apply_corruption, generate_sequenc
 from limbflow.tracker import RefinementEntry, _average_pose, _refinable_ids
 
 TOPO = default_topology()
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes of the largest traced heap while ``fn(*args)`` runs, from a
+    fresh trace; tracing stops even if ``fn`` raises."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- poses
@@ -622,6 +634,38 @@ def numpy_solve_min_cost(cost: np.ndarray) -> np.ndarray:
             if i == start:
                 break
     return col_of_row
+
+
+# The scorer's former cell lookup and key sort, kept verbatim as the oracle
+# of the in-place pair: ``scoring._lookup_cells`` consumes its coordinate
+# buffers and ``scoring._unique_inverse`` packs the keys it is handed.
+
+def oracle_lookup_cells(flow, channel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest cell of each of an (n, 2) array of pixel points: flat
+    (channel, cell) keys, clipped to the grid, and whether each point lies
+    inside the grid."""
+    s = float(flow.grid_stride)
+    w, h = flow.width, flow.height
+    px, py = pts[:, 0], pts[:, 1]
+    ix = np.clip(np.rint(px / s).astype(np.int64), 0, w - 1)
+    iy = np.clip(np.rint(py / s).astype(np.int64), 0, h - 1)
+    channel = np.asarray(channel, dtype=np.int64)
+    valid = (px >= 0) & (px < w * s) & (py >= 0) & (py < h * s)
+    return (channel * h + iy) * w + ix, valid
+
+
+def oracle_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of non-negative int64 keys by
+    one sort of ``key << b | position``; ``keys`` is not written."""
+    bits = max(keys.size - 1, 0).bit_length()
+    packed = (keys.ravel() << bits) | np.arange(keys.size, dtype=np.int64)
+    packed.sort()
+    ordered = packed >> bits
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[packed & ((1 << bits) - 1)] = np.cumsum(first) - 1
+    return ordered[first], inverse.reshape(keys.shape)
 
 
 def brute_best_permutation(scores: np.ndarray):

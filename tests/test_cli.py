@@ -1,6 +1,5 @@
 import json
 import struct
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,8 @@ from limbflow.fileio import read_annotations
 from limbflow.skeleton import default_topology
 from limbflow.synth import SceneConfig
 from limbflow.tracker import TrackerConfig
+
+from helpers import traced_peak
 
 
 def run(args):
@@ -151,15 +152,13 @@ def test_encode_builds_no_dense_grid(tmp_path, capsys):
     ]) == 0
     out = tmp_path / "map.tmlf"
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = run([
+
+    def encode():
+        assert run([
             "encode", "--in", tmp_path / "cand.json.gt.json", "--t1", "0", "--t2", "1", "--out", out,
-        ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+        ]) == 0
+
+    peak = traced_peak(encode)
     assert "individual layout, 14 channels, 1280x720 cells" in capsys.readouterr().out
     n = struct.unpack_from("<Q", out.read_bytes(), 22)[0]
     assert n > 0

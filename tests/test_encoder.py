@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -35,6 +34,7 @@ from helpers import (
     random_strokes,
     raw_strokes_grid,
     stick_pose,
+    traced_peak,
     translate_pose,
 )
 from test_acceptance import _random_pose_pair
@@ -543,12 +543,7 @@ def test_rasterize_peak_stays_small_on_the_flowmap_dump_scenes():
             pairing = _reference_pairing(later, earlier)
             for layout in ("individual", "accumulated"):
                 strokes = limb_strokes(later, earlier, pairing, TOPO, EncoderConfig(layout=layout))
-                tracemalloc.start()
-                try:
-                    strokes.rasterize()
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(strokes.rasterize))
     assert max(peaks) < 3.5 * 2**20, max(peaks) / 2**20
 
 
@@ -604,12 +599,8 @@ def test_dense_encode_peak_stays_near_the_result_size():
     fe = frame(people, 0, (640, 480))
     fl = frame([translate_pose(p, 9.0, -6.0) for p in people], 1, (640, 480))
     pairing = [(k, k) for k in range(5)]
-    tracemalloc.start()
-    try:
-        grid = encode_limb_flow(fl, fe, pairing, TOPO, CFG)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(encode_limb_flow, fl, fe, pairing, TOPO, CFG)
+    grid = encode_limb_flow(fl, fe, pairing, TOPO, CFG)
     dense_vectors = grid.channel_pairs * grid.height * grid.width * 2 * 8
     assert grid.counts.sum() > 0
     assert peak < dense_vectors / 2

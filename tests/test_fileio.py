@@ -1,6 +1,5 @@
 import json
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +32,7 @@ from helpers import (
     random_strokes,
     raw_strokes_grid,
     stick_pose,
+    traced_peak,
     translate_pose,
 )
 
@@ -828,7 +828,7 @@ def test_v3_declared_grid_reads_without_allocating_it(pairs, side):
     # allocates only what the file holds; only its planes cannot be built.
     blob = _v3_blob([], [], pairs=pairs, height=side, width=side)
     assert len(blob) == 30
-    assert _traced_peak(flowmap_from_bytes, blob) < 2**20
+    assert traced_peak(flowmap_from_bytes, blob) < 2**20
     back = flowmap_from_bytes(blob)
     assert (back.layout, back.limb_count, back.width, back.height, back.grid_stride) == (
         "individual", pairs, side, side, 1
@@ -848,15 +848,6 @@ def _payload_grid() -> FlowMapGrid:
     return FlowMapGrid("individual", 14, 128, 96, rng.uniform(-1, 1, (14, 96, 128, 2)), None)
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_tmlf_write_peak_stays_near_the_payload():
     # An encoded 640x480 grid: the writer allocates per covered cell, never
     # per grid slot (the grid here is ~400 times the payload).
@@ -866,7 +857,7 @@ def test_tmlf_write_peak_stays_near_the_payload():
     grid = encode_limb_flow(fl, fe, [(k, k) for k in range(5)], TOPO, EncoderConfig())
     payload = len(flowmap_to_bytes(grid)) - 30
     assert payload == 20 * np.count_nonzero(grid.counts)
-    assert _traced_peak(flowmap_to_bytes, grid) < 3 * payload
+    assert traced_peak(flowmap_to_bytes, grid) < 3 * payload
 
 
 def _encoded_640x480_grid() -> FlowMapGrid:
@@ -880,7 +871,7 @@ def test_accumulate_channels_builds_no_grid_sized_plane():
     grid = _encoded_640x480_grid()
     one_plane = grid.width * grid.height * 16  # one channel's float64 vectors
     assert len(grid.cells[0]) > 10_000
-    assert _traced_peak(accumulate_channels, grid) < one_plane / 2
+    assert traced_peak(accumulate_channels, grid) < one_plane / 2
 
 
 def test_values_at_on_a_read_back_builds_no_grid_sized_plane():
@@ -888,7 +879,7 @@ def test_values_at_on_a_read_back_builds_no_grid_sized_plane():
     one_plane = back.width * back.height * 16
     plane = back.width * back.height
     for c in range(back.channel_pairs):
-        assert _traced_peak(back.values_at, np.arange(c * plane, (c + 1) * plane, 97)) < one_plane / 8
+        assert traced_peak(back.values_at, np.arange(c * plane, (c + 1) * plane, 97)) < one_plane / 8
 
 
 def test_dense_version_2_read_peak_stays_near_the_file_size():
@@ -898,7 +889,7 @@ def test_dense_version_2_read_peak_stays_near_the_file_size():
     data = oracle_flowmap_to_bytes(_encoded_640x480_grid())
     back = flowmap_from_bytes(data)
     assert back.vectors.tobytes() == oracle_flowmap_from_bytes(data).vectors.tobytes()
-    assert _traced_peak(flowmap_from_bytes, data) < 0.5 * len(data)
+    assert traced_peak(flowmap_from_bytes, data) < 0.5 * len(data)
 
 
 def test_tmlf_read_peak_stays_near_the_payload():
@@ -908,4 +899,4 @@ def test_tmlf_read_peak_stays_near_the_payload():
     grid = _payload_grid()
     data = flowmap_to_bytes(grid)
     assert len(data) == 30 + 16 * grid.vectors.size // 2
-    assert _traced_peak(flowmap_from_bytes, data) < 1.1 * grid.vectors.nbytes
+    assert traced_peak(flowmap_from_bytes, data) < 1.1 * grid.vectors.nbytes

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -76,6 +76,22 @@ def test_a_joint_checks_its_own_values():
         for change in good:
             joint = JointCandidate(**{"x": 5.0, "y": 5.0, "confidence": 0.5, "visible": visible, **change})
             assert replace(base, **change) == joint
+
+
+def test_a_joint_is_a_frozen_value():
+    # Built by a hand-written __init__; the dataclass methods are unchanged.
+    joint = JointCandidate(1.5, -2.0, visible=False)
+    assert repr(joint) == "JointCandidate(x=1.5, y=-2.0, confidence=1.0, visible=False)"
+    assert joint == JointCandidate(x=1.5, y=-2.0, confidence=1.0, visible=False)
+    assert hash(joint) == hash(JointCandidate(1.5, -2.0, 1.0, False))
+    assert joint != JointCandidate(1.5, -2.0)
+    assert replace(joint, visible=True) == JointCandidate(1.5, -2.0)
+    with pytest.raises(FrozenInstanceError):
+        joint.x = 0.0
+    with pytest.raises(ValueError, match=r"joint x and y must be finite, got \(nan, 1\.0\)"):
+        JointCandidate(float("nan"), 1.0)
+    with pytest.raises(ValueError, match=r"joint confidence must be in \[0, 1\], got 1\.5"):
+        replace(joint, confidence=1.5)
 
 
 def test_centroid():

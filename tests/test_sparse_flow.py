@@ -7,7 +7,7 @@ and its per-pair oracle, to agree bit for bit (``np.array_equal``).
 """
 
 import math
-import tracemalloc
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -34,7 +34,16 @@ from limbflow.scoring import (
 from limbflow.synth import SceneConfig, apply_corruption, generate_sequence
 from limbflow.tracker import SequenceFlowSource, TrackerConfig, _reference_pairing, track_sequence
 
-from helpers import TOPO, frame, stick_pose, translate_pose
+from helpers import (
+    TOPO,
+    frame,
+    oracle_lookup_cells,
+    oracle_unique_inverse,
+    random_strokes,
+    stick_pose,
+    traced_peak,
+    translate_pose,
+)
 
 SIZE = (40, 30)
 
@@ -162,9 +171,10 @@ def test_values_at_equals_rasterize_at_any_requested_cells(seed, enc, static_sha
 
 def test_association_matrix_memory_stays_per_channel():
     # The crowd-hd scene: 20 people crossing in 960x720, at seeds 0-3. One
-    # scoring call peaks at 5.6-8.1 MiB with chunks read one at a time (and
-    # 8.7-9.6 MiB with one read of every distinct cell of the call); running
-    # the kernel on every channel's cells at once peaked at 23.5 MiB on seed 0.
+    # scoring call peaks at 2.3-3.3 MiB with chunks read one at a time and
+    # their keys built in place. Earlier chunk loops measured 8.7-9.6 MiB
+    # with one read of every distinct cell of the call, and 23.5 MiB on seed
+    # 0 running the kernel on every channel's cells at once.
     for seed in range(4):
         scene = SceneConfig(
             people=20, frames=2, image_size=(960, 720), motion="crossing",
@@ -173,13 +183,24 @@ def test_association_matrix_memory_stays_per_channel():
         cand = apply_corruption(generate_sequence(scene), scene)
         earlier, later = cand.frames
         flow = limb_strokes(later, earlier, _reference_pairing(later, earlier), TOPO, EncoderConfig())
-        tracemalloc.start()
-        try:
-            build_association_matrix(later, earlier, flow, TOPO, ScoreConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(build_association_matrix, later, earlier, flow, TOPO, ScoreConfig())
         assert peak < 12 << 20, f"seed {seed}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_association_matrix_memory_stays_bounded_at_fifty_people():
+    # The crowd-assoc scene: 50 people crossing in 1280x720 at grid stride 4,
+    # seeds 0-3, with the strokes the tracker's default flow source builds.
+    # Its 220,000-230,000 samples fill three chunks and part of a fourth. One
+    # call peaks at 3.4 MiB with each chunk's keys built in place of its
+    # coordinate buffers, and at 9.2 MiB with the former lookup's stacked
+    # points, repeated channels and key temporaries.
+    for seed in range(4):
+        scene = SceneConfig(people=50, frames=2, image_size=(1280, 720), motion="crossing", seed=seed)
+        earlier, later = apply_corruption(generate_sequence(scene), scene).frames
+        pairing = _reference_pairing(later, earlier)
+        flow = limb_strokes(later, earlier, pairing, TOPO, EncoderConfig(grid_stride=4))
+        peak = traced_peak(build_association_matrix, later, earlier, flow, TOPO, ScoreConfig())
+        assert peak < 6 << 20, f"seed {seed}: traced peak {peak / 2**20:.2f} MiB"
 
 
 @given(
@@ -286,11 +307,70 @@ def test_unique_inverse_equals_np_unique(taps, n, spread, seed):
         keys = rng.integers(0, bound, shape)
     else:
         keys = bound - 1 - rng.integers(0, 3, shape)
-    values, inverse = scoring._unique_inverse(keys)
     want_values, want_inverse = np.unique(keys, return_inverse=True)
+    values, inverse = scoring._unique_inverse(keys)  # packs the keys in place
     assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
     assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
     assert np.array_equal(inverse, want_inverse)
+
+
+def _coordinates(stride: int, cells: int):
+    """Pixel coordinates along a grid side of ``cells`` cells: any float near
+    the grid, cell centers and exact half-cell ties, both sides of the far
+    edge, signed zeros and huge finite values."""
+    edge = float(cells * stride)
+    return st.one_of(
+        st.floats(-3.0 * stride, edge + 3.0 * stride),
+        st.integers(-4, 2 * cells + 4).map(lambda k: k * stride / 2),
+        st.sampled_from([-0.0, 0.0, edge, math.nextafter(edge, 0.0), -1e300, 1e300, sys.float_info.max]),
+    )
+
+
+@given(
+    data=st.data(),
+    stride=st.sampled_from([1, 4]),
+    joints=st.integers(0, 6),
+    samples=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_in_place_lookup_equals_the_frozen_lookup(data, stride, joints, samples, seed):
+    rng = np.random.default_rng(seed)
+    size = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    flow = random_strokes(rng, size, stride, 1.5, "individual")
+    n = joints * samples
+    xs = data.draw(st.lists(_coordinates(stride, flow.width), min_size=n, max_size=n))
+    ys = data.draw(st.lists(_coordinates(stride, flow.height), min_size=n, max_size=n))
+    pts = np.array([xs, ys], dtype=np.float64).T.reshape(n, 2)
+    channels = rng.integers(0, flow.channel_pairs, joints)
+    per_point = np.repeat(channels, samples)
+
+    # Huge coordinates overflow the int64 cast, then clip, as they always did.
+    with np.errstate(invalid="ignore"):
+        want_keys, want_valid = oracle_lookup_cells(flow, per_point, pts)
+        # The chunk loop's form: (joints, samples) buffers, a channel per row.
+        px, py = (pts[:, k].reshape(joints, samples).copy() for k in (0, 1))
+        keys, valid = scoring._lookup_cells(flow, channels[:, None], px, py)
+    assert keys.dtype == want_keys.dtype and keys.shape == valid.shape == (joints, samples)
+    assert np.array_equal(keys.ravel(), want_keys) and np.array_equal(valid.ravel(), want_valid)
+
+    want_cells, want_inverse = oracle_unique_inverse(want_keys)
+    cells, inverse = scoring._unique_inverse(keys)
+    assert cells.dtype == want_cells.dtype and np.array_equal(cells, want_cells)
+    assert inverse.dtype == want_inverse.dtype and np.array_equal(inverse.ravel(), want_inverse)
+
+    # sample_grid reads the same cells, one channel per point or one for all,
+    # and leaves the caller's points as they were, signed zeros included.
+    for channel in (per_point, int(channels[0]) if joints else 0):
+        before = pts.tobytes()
+        with np.errstate(invalid="ignore"):
+            want_keys, want_valid = oracle_lookup_cells(flow, channel, pts)
+            got = sample_grid(flow, channel, pts)
+        assert pts.tobytes() == before
+        want_cells, want_inverse = np.unique(want_keys, return_inverse=True)
+        want = flow.values_at(want_cells)[want_inverse]
+        want[~want_valid] = 0.0
+        assert np.array_equal(got, want)
 
 
 def test_association_matrix_rejects_a_key_space_too_large_to_pack():
