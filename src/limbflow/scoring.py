@@ -121,7 +121,7 @@ def sample_grid(flow: FlowMap, channel: "int | np.ndarray", pts: np.ndarray) -> 
     is read once, by one ``values_at`` call, so ``LimbStrokes`` pays only
     for the read cells that fall inside its strokes' own boxes.
     """
-    keys, valid = _lookup_cells(flow, channel, *np.array(pts, dtype=np.float64).T)
+    keys, valid = _lookup_cells(flow, channel, *np.array(pts, dtype=np.float64).T)  # on a copy
     cells, inverse = np.unique(keys, return_inverse=True)
     vals = flow.values_at(cells)[inverse]
     vals[~valid] = 0.0
