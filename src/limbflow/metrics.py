@@ -240,9 +240,10 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     ``gt_seq`` and ``pred_seq`` are sequences (tracked or plain) sharing
     one topology; frames are aligned by ``frame_index``. A prediction in
     another topology is rejected, as is ground truth with no frames at
-    all, or with a pose lacking a track id (MOTA's ID-switch term needs
-    ground-truth identities), a frame index that repeats in either
-    sequence, or a ``thresh_factor`` that is not finite and positive.
+    all, or with a pose lacking a track id or a track id that repeats in
+    one frame (MOTA's ID-switch term needs ground-truth identities), a
+    frame index that repeats in either sequence, or a ``thresh_factor``
+    that is not finite and positive.
     """
     if not (math.isfinite(thresh_factor) and thresh_factor > 0):
         raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
@@ -253,11 +254,11 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     if not gt_frames:
         raise ValueError("ground truth has no frames")
     for frame in gt_frames:
-        for pi, pose in enumerate(frame.poses):
-            if pose.track_id is None:
-                raise ValueError(
-                    f"ground truth frame {frame.frame_index} pose {pi} has no track id"
-                )
+        ids = [pose.track_id for pose in frame.poses]
+        if None in ids:
+            raise ValueError(f"ground truth frame {frame.frame_index} pose {ids.index(None)} has no track id")
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"ground truth frame {frame.frame_index} repeats a track id")
     for name, frames in (("ground truth", gt_frames), ("prediction", pred_seq.frames)):
         repeated = sorted(i for i, n in Counter(f.frame_index for f in frames).items() if n > 1)
         if repeated:

@@ -159,6 +159,8 @@ def validate_topology(topo: SkeletonTopology) -> list[str]:
     for j in topo.head_segment:
         if not (0 <= j < n):
             issues.append(f"head_segment joint {j} out of range")
+    if len(set(topo.head_segment)) == 1:
+        issues.append(f"head_segment joins joint {topo.head_segment[0]} to itself")
 
     return issues
 

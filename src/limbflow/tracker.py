@@ -8,12 +8,15 @@ a pose at t gets the average of those two poses inserted at t-1. Both
 link through the one association step, ``_associate``: score every pair,
 forbid the pairs the caller rules out and those scoring below
 ``score_threshold``, then solve: the threshold decides which links are
-feasible before the solve, as in DeepSORT. Both only label poses. The
-step's one bookkeeping pass is the only place where tracks change: a
-pose labelled at t renews its track, every other track gains a miss,
-each unlabelled pose starts a fresh id, and a track with two misses
-running retires for good: it lives just long enough for refinement to
-catch it.
+feasible before the solve, as in DeepSORT. Both only label poses; each
+pose still unlabelled then starts a fresh id.
+
+The live tracks are the tracker's output window, its last two labelled
+frames: a track lives while one of them holds its id, and its latest pose
+is the one in the later frame. A track missed in two frames running
+therefore drops out for good: it lives just long enough for refinement
+to catch it. Tracks are read in ascending id, which is the order they
+started in (ids only grow), and the solve breaks ties in that order.
 
 ``push`` returns the frames no later step can change: frame t at once
 with refinement off, frame t-1 with it on; ``finish`` returns the rest
@@ -71,13 +74,6 @@ class TrackerConfig:
             raise ValueError("nms_radius must be finite and >= 0")
         if not math.isfinite(self.score_threshold):
             raise ValueError("score_threshold must be finite")
-
-
-@dataclass
-class Track:
-    track_id: int
-    last_pose: Pose
-    misses: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,13 +143,17 @@ def suppress_duplicate_joints(frame: FramePoses, radius: float, joint_count: int
 def _reference_pairing(frame_a: FramePoses, frame_b: FramePoses) -> list[tuple[int, int]]:
     """Person correspondence used when drawing flow maps from a sequence.
 
-    Pairs by track id when every pose in both frames carries one;
+    Pairs by track id when every pose in both frames carries one, and
+    then raises ``ValueError`` for a frame that holds an id twice;
     otherwise falls back to a minimum-total-distance assignment
     (bootstrap pairing for unlabeled detections).
     """
     ids_a = [p.track_id for p in frame_a.poses]
     ids_b = [p.track_id for p in frame_b.poses]
     if all(i is not None for i in ids_a) and all(i is not None for i in ids_b):
+        for f, ids in ((frame_a, ids_a), (frame_b, ids_b)):
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"frame {f.frame_index} repeats a track id")
         by_id_b = {tid: j for j, tid in enumerate(ids_b)}
         return [(i, by_id_b[tid]) for i, tid in enumerate(ids_a) if tid in by_id_b]
     return hungarian(-distance_matrix(list(frame_a.poses), list(frame_b.poses)))
@@ -222,20 +222,21 @@ def _associate(
 
 def match_frames(
     frame: FramePoses,
-    tracks: list[Track],
+    tracks: list[Pose],
     grid: Optional[FlowMap],
     topo: SkeletonTopology,
     cfg: TrackerConfig,
 ) -> FramePoses:
     """Label one frame's poses with the ids of the tracks they link to.
 
-    The flow map must be drawn over (this frame, previous frame). A pose
-    the association step links to a track takes the track's id; every
-    other pose comes back unlabelled. The tracks are only read.
+    ``tracks`` holds the live tracks' latest poses, each labelled with its
+    track's id. The flow map must be drawn over (this frame, previous
+    frame). A pose the association step links to a track's pose takes
+    that pose's id; every other pose comes back unlabelled.
     """
     accepted: dict[int, int] = {}
     if grid is not None:
-        links = _associate(list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg)
+        links = _associate(list(frame.poses), tracks, grid, topo, cfg)
         accepted = {i: tracks[j].track_id for i, j in links}
     labeled = [pose.with_track_id(accepted.get(i)) for i, pose in enumerate(frame.poses)]
     return replace(frame, poses=tuple(labeled))
@@ -315,9 +316,10 @@ def refine_middle_frame(
 class Tracker:
     """Online tracker: ``push`` frames in order, then ``finish``.
 
-    ``tracks`` maps each live track's id to its ``Track``, oldest first;
-    ``refinement_log`` lists every insertion so far. A flow source in
-    another topology than ``topology`` raises ``ValueError``.
+    ``tracks`` maps each live track's id to its latest pose, in ascending
+    id, also after ``finish``; ``refinement_log`` lists every insertion so
+    far. A flow source in another topology than ``topology`` raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -333,12 +335,17 @@ class Tracker:
         if flow_source.topology != topology:
             raise ValueError("the flow source and the tracked frames have different topologies")
         self.flow_source = flow_source
-        self.tracks: dict[int, Track] = {}
         self.refinement_log: list[RefinementEntry] = []
         self._next_id = 0
         self._inputs: list[FramePoses] = []  # the last two NMS'd input frames
         self._outputs: list[FramePoses] = []  # the last two labelled frames
         self._finished = False
+
+    @property
+    def tracks(self) -> dict[int, Pose]:
+        """Each live track's id and latest pose, in ascending id."""
+        latest = {p.track_id: p for frame in self._outputs for p in frame.poses}
+        return dict(sorted(latest.items()))
 
     def push(self, frame: FramePoses) -> list[FramePoses]:
         """Run one step on ``frame``; return the frames that became final."""
@@ -363,34 +370,24 @@ class Tracker:
             self._outputs[1] = mid
             self.refinement_log.extend(entries)
         self._inputs = (earlier + [frame])[-2:]
-        self._outputs = (self._outputs + [self._update_tracks(labeled)])[-2:]
+        self._outputs = (self._outputs + [self._start_tracks(labeled)])[-2:]
         # With refinement on, the next step may still insert poses at t.
         return self._outputs[-2:-1] if cfg.refine else self._outputs[-1:]
 
     def finish(self) -> list[FramePoses]:
         """Return the frames that no ``push`` has returned yet; no ``push`` may follow."""
-        rest = self._outputs[-1:] if self.cfg.refine else []
-        self._inputs, self._outputs = [], []
+        self._inputs = []
         self._finished = True
-        return rest
+        return self._outputs[-1:] if self.cfg.refine else []
 
-    def _update_tracks(self, frame: FramePoses) -> FramePoses:
-        """The step's bookkeeping: the one place where tracks change."""
-        labeled = {p.track_id: p for p in frame.poses if p.track_id is not None}
-        for track in self.tracks.values():
-            if track.track_id in labeled:
-                track.last_pose = labeled[track.track_id]
-                track.misses = 0
-            else:
-                track.misses += 1
+    def _start_tracks(self, frame: FramePoses) -> FramePoses:
+        """``frame`` with each unlabelled pose starting a track of a fresh id."""
         poses = []
         for pose in frame.poses:
             if pose.track_id is None:
                 pose = pose.with_track_id(self._next_id)
-                self.tracks[self._next_id] = Track(self._next_id, pose)
                 self._next_id += 1
             poses.append(pose)
-        self.tracks = {tid: t for tid, t in self.tracks.items() if t.misses < 2}
         return replace(frame, poses=tuple(poses))
 
 

@@ -1118,6 +1118,32 @@ def _forbid_below(scores: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
+@dataclass
+class Track:
+    track_id: int
+    last_pose: Pose
+    misses: int = 0
+
+
+def miss_count_update(tracks: dict[int, Track], frame: FramePoses) -> dict[int, Track]:
+    """The tracker's former track store, kept as the oracle of its output
+    window: ``tracks`` after ``frame``, as labelled at its step. A track
+    that the frame holds renews, every other track gains a miss, each id
+    new to the store starts a track, and a track with two misses running
+    retires. Returns the live tracks in the order they started."""
+    labeled = {p.track_id: p for p in frame.poses if p.track_id is not None}
+    for track in tracks.values():
+        if track.track_id in labeled:
+            track.last_pose = labeled[track.track_id]
+            track.misses = 0
+        else:
+            track.misses += 1
+    for pose in frame.poses:
+        if pose.track_id not in tracks:
+            tracks[pose.track_id] = Track(pose.track_id, pose)
+    return {tid: t for tid, t in tracks.items() if t.misses < 2}
+
+
 def two_step_match_frames(frame, tracks, grid, topo, cfg):
     """Oracle for ``tracker.match_frames``: the matching step written out
     on its own, without the shared association step. Links below the
@@ -1125,7 +1151,7 @@ def two_step_match_frames(frame, tracks, grid, topo, cfg):
     accepted: dict[int, int] = {}
     if tracks and frame.poses and grid is not None:
         matrix = build_association_matrix(
-            list(frame.poses), [t.last_pose for t in tracks], grid, topo, cfg.score
+            list(frame.poses), list(tracks), grid, topo, cfg.score
         )
         for i, j in hungarian(_forbid_below(matrix.scores, cfg.score_threshold)):
             accepted[i] = tracks[j].track_id

@@ -291,6 +291,42 @@ def test_a_boolean_version_or_a_float_limb_index_exits_3(tmp_path):
     assert run(["eval", "--gt", gt, "--pred", gt, "--topology", topo_cfg]) == 3
 
 
+@pytest.mark.parametrize("command", ["eval", "track --flow-from", "encode", "eval --topology"])
+def test_a_frame_repeating_a_track_id_or_a_one_joint_head_exits_3(tmp_path, capsys, command):
+    # Each of these ran and exited 0 with a plausible result: the eval of
+    # a gt frame holding id 0 twice, the strokes of both poses of id 0 from
+    # the one earlier pose of id 0, and a head length of 0 everywhere.
+    ann = tmp_path / "c.json"
+    assert run(["synth", "--out", ann, "--preset", "wander", "--people", "3", "--frames", "3"]) == 0
+    gt = tmp_path / "c.json.gt.json"
+    doc = json.loads(gt.read_text())
+    doc["frames"][1]["poses"][1]["track_id"] = doc["frames"][1]["poses"][0]["track_id"]
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(doc))
+    topo = default_topology()
+    topo_cfg = tmp_path / "topo.cfg"
+    limbs = [list(limb) for limb in topo.limbs]
+    topo_cfg.write_text(f"joints = {list(topo.joint_names)}\nlimbs = {limbs}\nhead_segment = [2, 2]\n")
+    args, message = {
+        "eval": (["eval", "--gt", twice, "--pred", gt], "ground truth frame 1 repeats a track id"),
+        "track --flow-from": (
+            ["track", "--in", ann, "--flow-from", twice, "--out", tmp_path / "t.json"],
+            "frame 1 repeats a track id",
+        ),
+        "encode": (
+            ["encode", "--in", twice, "--t1", "0", "--t2", "1", "--out", tmp_path / "m.tmlf"],
+            "frame 1 repeats a track id",
+        ),
+        "eval --topology": (
+            ["eval", "--gt", gt, "--pred", gt, "--topology", topo_cfg],
+            "head_segment joins joint 2 to itself",
+        ),
+    }[command]
+    capsys.readouterr()
+    assert run(args) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--config", "--topology"])
 def test_a_repeated_config_key_exits_3(tmp_path, capsys, flag):
     # Keeping the last of a repeated key let a duplicated line change a run silently.

@@ -384,6 +384,15 @@ def test_repeated_frame_index_rejected():
         evaluate(once, TrackedSequence(twice, (), TOPO))
 
 
+def test_gt_repeating_a_track_id_in_a_frame_rejected():
+    # Unless rejected, two people of one identity are scored: a 3-person
+    # wander with one frame's pose 1 relabelled 0 scored MOTA 88.9.
+    frames = [frame([gt_person(80, 60, 0), gt_person(150, 90, 1)], t) for t in range(3)]
+    twice = frames[:1] + [frame([gt_person(80, 60, 0), gt_person(150, 90, 0)], 1)] + frames[2:]
+    with pytest.raises(ValueError, match="ground truth frame 1 repeats a track id"):
+        evaluate(seq_of(twice), seq_of(frames))
+
+
 # Joints on a coarse grid with three confidence levels, so coincident
 # joints and confidence ties are common; one in five is missing and one
 # in five of the rest is invisible.
@@ -407,18 +416,19 @@ def _eval_inputs(draw, factors=st.floats(0.05, 2.0)):
     pred_indices = [i for i in gt_indices if draw(st.integers(0, 3))]
     pred_indices += draw(st.lists(st.integers(7, 9), max_size=2, unique=True))
 
-    def seq(indices, track_ids):
+    def seq(indices, track_ids, unique_by=None):
         pose = st.builds(
             Pose,
             joints=st.lists(_joint, min_size=TOPO.joint_count, max_size=TOPO.joint_count).map(tuple),
             track_id=track_ids,
         )
         return seq_of(
-            FramePoses(i, tuple(draw(st.lists(pose, max_size=4))), (20, 20))
+            FramePoses(i, tuple(draw(st.lists(pose, max_size=4, unique_by=unique_by))), (20, 20))
             for i in sorted(indices)
         )
 
-    gt = seq(gt_indices, st.integers(0, 3))
+    # Ground truth holds each id at most once a frame, or evaluate rejects it.
+    gt = seq(gt_indices, st.integers(0, 3), unique_by=lambda p: p.track_id)
     pred = seq(pred_indices, st.none() | st.integers(0, 3))
     return gt, pred, draw(factors)
 

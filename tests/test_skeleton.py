@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from limbflow.skeleton import (
@@ -96,6 +98,14 @@ def test_validate_is_total_on_garbage():
     )
     issues = validate_topology(bad)  # must not raise
     assert issues
+
+
+def test_a_one_joint_head_segment_reported():
+    # Every head length is then 0 and every match threshold 1e-9: eval
+    # scored MOTA -100.0 and mAP 0.0, against 100.0 with default15.
+    assert validate_topology(replace(default_topology(), head_segment=(2, 2))) == [
+        "head_segment joins joint 2 to itself"
+    ]
 
 
 def test_bad_channel_incidence_reported():

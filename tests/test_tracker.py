@@ -28,6 +28,7 @@ from helpers import (
     crossing_benchmark_config,
     frame,
     greedy_nms,
+    miss_count_update,
     partial_pose,
     stick_pose,
     translate_pose,
@@ -237,7 +238,7 @@ def test_absent_person_track_retained_then_retired():
     tracker = Tracker(TOPO, CFG)
     tracker.push(frame([p], 0))
     tracker.push(frame([], 1))
-    assert [t.misses for t in tracker.tracks.values()] == [1]  # still active, one miss
+    assert list(tracker.tracks) == [0]  # still live after one miss
     tracker.push(frame([], 2))
     assert tracker.tracks == {}  # second miss retires
     *_, back = _push_all([frame([p], 0), frame([], 1), frame([], 2), frame([p], 3)])[1]
@@ -386,8 +387,7 @@ def test_refine_receives_unlabeled_next_pose():
     tracker, out = _push_all(frames, cfg)
     assert len(tracker.refinement_log) == 1
     assert _ids(out[2]) == [0]  # received the old id
-    assert tracker.tracks[0].last_pose == out[2].poses[0]
-    assert tracker.tracks[0].misses == 0
+    assert tracker.tracks[0] == out[2].poses[0]  # renewed at the last frame
 
 
 def test_refine_gives_no_unlabelled_pose_an_id_held_at_the_next_frame():
@@ -650,21 +650,37 @@ def test_a_flow_source_in_another_topology_is_rejected():
         track_sequence(cand, CFG, SequenceFlowSource(gt, CFG.encoder))
 
 
-@given(
-    scene=st.builds(
-        SceneConfig,
-        people=st.integers(1, 4),
-        frames=st.integers(2, 7),
-        image_size=st.just((192, 144)),
-        motion=st.sampled_from(["wander", "crossing", "occlusion-middle"]),
-        speed=st.sampled_from([4.0, 12.0]),
-        jitter_sigma=st.sampled_from([0.0, 1.5]),
-        dropout_prob=st.sampled_from([0.2, 0.5]),
-        seed=st.integers(0, 10_000),
-    ),
-    oracle=st.booleans(),
-    refine=st.booleans(),
+# Scenes whose candidates miss people, so tracks skip frames and retire.
+missing_scenes = st.builds(
+    SceneConfig,
+    people=st.integers(1, 4),
+    frames=st.integers(2, 7),
+    image_size=st.just((192, 144)),
+    motion=st.sampled_from(["wander", "crossing", "occlusion-middle"]),
+    speed=st.sampled_from([4.0, 12.0]),
+    jitter_sigma=st.sampled_from([0.0, 1.5]),
+    dropout_prob=st.sampled_from([0.2, 0.5]),
+    seed=st.integers(0, 10_000),
 )
+
+
+@given(scene=missing_scenes, oracle=st.booleans(), refine=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_live_tracks_are_the_miss_count_oracles(scene, oracle, refine):
+    gt = generate_sequence(scene)
+    cand = apply_corruption(gt, scene)
+    cfg = replace(CFG, refine=refine)
+    tracker = Tracker(cand.topology, cfg, SequenceFlowSource(gt, cfg.encoder) if oracle else None)
+    want: dict = {}
+    for f in cand.frames:
+        tracker.push(f)
+        want = miss_count_update(want, tracker._outputs[-1])  # frame t as labelled at step t
+        assert list(tracker.tracks.items()) == [(tid, t.last_pose) for tid, t in want.items()]
+    tracker.finish()
+    assert list(tracker.tracks.items()) == [(tid, t.last_pose) for tid, t in want.items()]
+
+
+@given(scene=missing_scenes, oracle=st.booleans(), refine=st.booleans())
 # A scene where a missed id is back at t+1 and an unlabelled pose there
 # could take it.
 @example(
@@ -745,6 +761,17 @@ def test_mismatched_flow_reference_rejected(edit, message):
     ref = Sequence(tuple(g for g in map(edit, gt.frames) if g is not None), gt.topology)
     with pytest.raises(ValueError, match=message):
         track_sequence(cand, CFG, SequenceFlowSource(ref, CFG.encoder))
+
+
+def test_a_flow_reference_repeating_a_track_id_rejected():
+    # Paired by id, both later poses of id 0 took the one earlier pose of
+    # id 0: [(0, 0), (1, 0), (2, 2)], and the strokes were drawn so.
+    people = [stick_pose(40 + 60 * i, 60) for i in range(3)]
+    earlier = frame([p.with_track_id(i) for i, p in enumerate(people)], 0)
+    later = frame([translate_pose(p, 2, 0).with_track_id(i) for i, p in zip((0, 0, 2), people)], 1)
+    seq = Sequence((earlier, later), TOPO)
+    with pytest.raises(ValueError, match="frame 1 repeats a track id"):
+        track_sequence(seq, CFG, SequenceFlowSource(seq, CFG.encoder))
 
 
 def test_flow_reference_is_read_by_frame_index():
