@@ -11,10 +11,11 @@ stored vector inside the unit disc.
 A frame pair's strokes are enumerated once, as a ``LimbStrokes`` value.
 One kernel, ``_covers``, decides which cell centers a stroke covers: it
 takes each stroke's segment terms once, gathers them per candidate cell
-and tests the candidates in place. One reduction, ``_group_means``, turns
-the covered (stroke, cell) pairs into means; the two paths differ only in
-the cells they hand the kernel. The same reduction takes the accumulated
-layout's mean over channels, in ``rasterize`` and in
+and tests the candidates in place. One reduction, ``_means_into``, turns
+the covered (stroke, cell) pairs into means, through ``_group_means``
+where the pairs must first be grouped by key; the two paths differ only
+in the cells they hand the kernel. The same reduction takes the
+accumulated layout's mean over channels, in ``rasterize`` and in
 ``accumulate_channels``. A stroke's box holds the
 cells whose centers lie inside the stroke's bounding box widened by the
 half width, clipped to the grid; no other cell can be covered. ``rasterize``
@@ -30,7 +31,12 @@ grid. ``LimbStrokes`` reads the keys in runs of consecutive stored
 channels, a few thousand keys each, with one kernel call per run, and
 takes only the requested cells that fall inside each stroke's box, so its
 cost follows those (stroke, requested cell) candidates, not the cells the
-strokes cover. The two agree bit for bit wherever both exist.
+strokes cover. A request reaches only the strokes whose box holds one of
+its cells: a run with fewer than half as many keys as strokes, as
+refinement's reads have (0.03-0.39 keys a stroke on 50 people, against
+0.57-10.4 for matching's), first drops the strokes whose box touches no
+16 x 16-cell tile holding one of its keys. The two agree bit for bit
+wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
 
@@ -296,13 +302,12 @@ def _subdivide(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 _BOX_MARGIN = 1e-6
 
 
-def _box_rows(
+def _boxes(
     a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the cell boxes that strokes (a[k], b[k]) can cover,
-    clipped to the grid: per row its stroke k and the flat keys
-    (iy * width + ix) of its first and last cell, stroke-major in
-    ascending rows. A box that misses the grid sideways has last < first.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cell boxes (ix0, iy0, ix1, iy1), inclusive and clipped to the
+    grid, that strokes (a[k], b[k]) can cover. A box that misses the grid
+    has ix1 < ix0 or iy1 < iy0.
 
     A box holds the cells whose centers lie inside the stroke's bounding
     box widened by ``half_width`` (up to ``_BOX_MARGIN`` cells beyond its
@@ -313,6 +318,17 @@ def _box_rows(
     last = np.array([width - 1, height - 1], dtype=np.float64)
     ix0, iy0 = np.minimum(np.maximum(lo, 0), last + 1).astype(np.int64).T
     ix1, iy1 = np.minimum(np.maximum(hi, -1), last).astype(np.int64).T
+    return ix0, iy0, ix1, iy1
+
+
+def _box_rows(
+    a: np.ndarray, b: np.ndarray, half_width: float, stride: float, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the ``_boxes`` of strokes (a[k], b[k]): per row its
+    stroke k and the flat keys (iy * width + ix) of its first and last
+    cell, stroke-major in ascending rows. A box that misses the grid
+    sideways has last < first."""
+    ix0, iy0, ix1, iy1 = _boxes(a, b, half_width, stride, width, height)
     stroke, row = _expand(iy0, iy1 - iy0 + 1)
     return stroke, row * width + ix0[stroke], row * width + ix1[stroke]
 
@@ -367,25 +383,38 @@ def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return owner, np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
+def _means_into(out: np.ndarray, at: np.ndarray, vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Write into each row i of the (m, 2) float64 ``out`` the mean of
+    ``vectors[rows[k]]`` over the k with ``at[k] == i``, and return each
+    row's count; a row with none reads 0.
+
+    The encoder's one summation rule: row i's sum starts at +0.0 and adds
+    its vectors in ascending k, since ``np.bincount`` adds its weights in
+    array order."""
+    counts = np.bincount(at, minlength=len(out))
+    for c in range(2):
+        out[:, c] = np.bincount(at, vectors[rows, c], len(out))
+    out /= np.maximum(counts, 1)[:, None]
+    return counts
+
+
 def _group_means(key: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ascending distinct values of ``key``, with the mean of each one's
     rows of the (n, 2) float64 ``vectors`` and its int32 row count.
 
-    A key's sum starts at +0.0 and adds its rows in array order: a stable
-    sort keeps each key's rows in turn, and ``np.bincount`` adds its
-    weights in turn. The sort also runs fast on keys that come in sorted
-    runs, as the (stroke, cell) pairs of the rasterizer do."""
+    A key's sum adds its rows in array order (``_means_into``): a stable
+    sort keeps each key's rows in turn. The sort also runs fast on keys
+    that come in sorted runs, as the (stroke, cell) pairs of the
+    rasterizer do."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.ones(len(key), dtype=bool)
     starts[1:] = key[1:] != key[:-1]
     per_key = np.cumsum(starts) - 1
     key = key[starts]
-    counts = np.bincount(per_key, minlength=len(key))
-    sums = np.empty((len(key), 2), dtype=np.float64)
-    for c in range(2):
-        sums[:, c] = np.bincount(per_key, vectors[order, c], len(key))
-    return key, sums / counts[:, None], counts.astype(np.int32)
+    means = np.empty((len(key), 2), dtype=np.float64)
+    counts = _means_into(means, per_key, vectors, order)
+    return key, means, counts.astype(np.int32)
 
 
 # ------------------------------------------------------------ strokes
@@ -398,6 +427,9 @@ def _group_means(key: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.n
 # and 35 ms at 8192 or 16384; 16384 raised the traced peak of a 20-person
 # 960x720 scoring call from 7.9 to 10.0 MiB, 8192 left it as it was.
 _RUN_KEYS = 8192
+
+# Cells per side of the tiles ``LimbStrokes._reachable`` bins a run's keys into.
+_TILE = 16
 
 @dataclass(frozen=True)
 class LimbStrokes:
@@ -490,6 +522,33 @@ class LimbStrokes:
         geometry = (self.limb_count, self.width, self.height)
         return FlowMapGrid.from_cells(self.layout, *geometry, table, self.grid_stride)
 
+    def _reachable(self, strokes: np.ndarray, keys: np.ndarray, channel: np.ndarray) -> np.ndarray:
+        """The ascending ``strokes`` whose box (``_boxes``) touches a tile
+        of ``_TILE`` x ``_TILE`` cells, in its stroke's stored channel
+        ``channel[k]``, that holds one of the sorted flat ``keys``.
+
+        The keys' tiles are their sorted distinct ids ``(channel * th +
+        iy // _TILE) * tw + ix // _TILE``; each tile row of a box finds its
+        tiles by binary search, so the memory follows the keys and the
+        strokes, not the grid. A stroke left out has no key in its box."""
+        tile = _TILE
+        tw, th = -(-self.width // tile), -(-self.height // tile)
+        c, cell = np.divmod(keys, self.width * self.height)
+        iy, ix = np.divmod(cell, self.width)
+        tiles = np.unique((c * th + iy // tile) * tw + ix // tile)
+        later = np.take(self.later, strokes, axis=0)
+        earlier = np.take(self.earlier, strokes, axis=0)
+        s = float(self.grid_stride)
+        ix0, iy0, ix1, iy1 = _boxes(later, earlier, self.half_width, s, self.width, self.height)
+        rows = np.where((ix0 <= ix1) & (iy0 <= iy1), iy1 // tile - iy0 // tile + 1, 0)
+        box, ty = _expand(iy0 // tile, rows)
+        row = (channel[box] * th + ty) * tw
+        lo = np.searchsorted(tiles, row + ix0[box] // tile)
+        hit = np.searchsorted(tiles, row + ix1[box] // tile, side="right") > lo
+        keep = np.zeros(len(strokes), dtype=bool)
+        keep[box[hit]] = True
+        return strokes[keep]
+
     def values_at(self, keys: np.ndarray) -> np.ndarray:
         """(m, 2) vectors at flat keys (see the module docstring), equal bit
         for bit to ``rasterize().values_at(keys)``.
@@ -500,9 +559,27 @@ class LimbStrokes:
         kernel runs once per run, on the strokes of the run's channels:
         each row of each box, offset to its stroke's channel, finds its
         requested cells by binary search among the run's keys, so the cost
-        follows the requested cells inside each stroke's own box. Within a
-        run, each (channel, cell) still adds its strokes in stroke order, so
-        the means do not depend on the runs."""
+        follows the requested cells inside each stroke's own box.
+
+        A request reaches only the strokes whose box holds one of its
+        cells. Where a run holds fewer than half as many keys as strokes
+        (2 * keys < strokes), ``_reachable`` first drops the strokes whose
+        box touches no 16 x 16-cell tile of the run's keys. Such a stroke's
+        box holds no requested cell, so it adds to no mean: that invariant
+        keeps the means bit-equal. Keys per stroke of a run measured
+        5.2-10.4 on 20-person 960x720 crowds, 0.57-4.1 on a 4-person
+        sequence, 0.89-1.34 on a 50-person association step and 2.2-4.6 on
+        50-person matching, but 0.03-0.39 on 50-person refinement, where
+        the cull pays; run on every read, it cost about 7 ms a pass on the
+        first two.
+
+        Within a run, each (channel, cell) still adds its strokes in stroke
+        order, so the means do not depend on the runs or the cull. In the
+        individual layout a run's covered pairs are (stroke, position of
+        the key in the run), in stroke order, so ``_means_into`` sums each
+        position's strokes straight into its row of the output; the
+        accumulated layout takes its means over channels by
+        ``_cell_means``."""
         cells = self.width * self.height
         _check_keys(keys, self.channel_pairs * cells)
         values = np.zeros((len(keys), 2), dtype=np.float64)
@@ -517,12 +594,18 @@ class LimbStrokes:
         runs.append(len(keys))
         stroke_channel = self.channel_for(self.channels)
         for lo, hi in zip(runs, runs[1:]):
+            run = keys[lo:hi]
             wanted = np.zeros(self.channel_pairs, dtype=bool)
             wanted[channel[lo:hi]] = True
             strokes = np.flatnonzero(wanted[stroke_channel])
-            covered = self._covered(strokes, keys[lo:hi], stroke_channel[strokes] * cells)
-            key, means, _ = self._cell_means(*covered, hi - lo)
-            values[lo + key % (hi - lo)] = means
+            if 2 * len(run) < len(strokes):
+                strokes = self._reachable(strokes, run, stroke_channel[strokes])
+            stroke, at = self._covered(strokes, run, stroke_channel[strokes] * cells)
+            if self.layout == LAYOUT_ACCUMULATED:
+                at, means, _ = self._cell_means(stroke, at, len(run))
+                values[lo + at] = means
+            else:
+                _means_into(values[lo:hi], at, self.vectors, stroke)
         return values
 
 
