@@ -32,10 +32,8 @@ channels, a few thousand keys each, with one kernel call per run, and
 takes only the requested cells that fall inside each stroke's box, so its
 cost follows those (stroke, requested cell) candidates, not the cells the
 strokes cover. A request reaches only the strokes whose box holds one of
-its cells: a run with fewer than half as many keys as strokes, as
-refinement's reads have (0.03-0.39 keys a stroke on 50 people, against
-0.57-10.4 for matching's), first drops the strokes whose box touches no
-16 x 16-cell tile holding one of its keys. The two agree bit for bit
+its cells, so a read may drop any stroke whose box holds none of them
+(``LimbStrokes.values_at`` says when it does). The two agree bit for bit
 wherever both exist.
 
 Conventions, fixed here and relied on by the scorer:
@@ -566,12 +564,12 @@ class LimbStrokes:
         (2 * keys < strokes), ``_reachable`` first drops the strokes whose
         box touches no 16 x 16-cell tile of the run's keys. Such a stroke's
         box holds no requested cell, so it adds to no mean: that invariant
-        keeps the means bit-equal. Keys per stroke of a run measured
-        5.2-10.4 on 20-person 960x720 crowds, 0.57-4.1 on a 4-person
-        sequence, 0.89-1.34 on a 50-person association step and 2.2-4.6 on
-        50-person matching, but 0.03-0.39 on 50-person refinement, where
-        the cull pays; run on every read, it cost about 7 ms a pass on the
-        first two.
+        keeps the means bit-equal, whichever side of the rule a run falls
+        on. Keys per stroke of a run measured 5.2-10.4 on 20-person
+        960x720 crowds, 0.57-4.1 on a 4-person sequence, 0.89-1.34 on a
+        50-person association step and 2.2-4.6 on 50-person matching, but
+        0.03-0.39 on 50-person refinement, where the cull pays; run on
+        every read, it cost about 7 ms a pass on the first two.
 
         Within a run, each (channel, cell) still adds its strokes in stroke
         order, so the means do not depend on the runs or the cull. In the

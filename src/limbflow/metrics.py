@@ -242,10 +242,8 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
     another topology is rejected, as is ground truth with no frames at
     all, or with a pose lacking a track id or a track id that repeats in
     one frame (MOTA's ID-switch term needs ground-truth identities), a
-    prediction whose track id repeats in one frame (that term keys on the
-    predicted id, so one id for everyone would switch nothing), a frame
-    index that repeats in either sequence, or a ``thresh_factor`` that is
-    not finite and positive.
+    frame index that repeats in either sequence, or a ``thresh_factor``
+    that is not finite and positive.
     """
     if not (math.isfinite(thresh_factor) and thresh_factor > 0):
         raise ValueError(f"thresh_factor must be finite and > 0, got {thresh_factor}")
@@ -265,11 +263,6 @@ def evaluate(gt_seq, pred_seq, thresh_factor: float = 0.5) -> EvalReport:
         repeated = sorted(i for i, n in Counter(f.frame_index for f in frames).items() if n > 1)
         if repeated:
             raise ValueError(f"{name} repeats frame index {repeated[0]}")
-    for frame in pred_seq.frames:
-        ids = Counter(pose.track_id for pose in frame.poses if pose.track_id is not None)
-        repeated = sorted(i for i, n in ids.items() if n > 1)
-        if repeated:
-            raise ValueError(f"prediction frame {frame.frame_index} repeats track id {repeated[0]}")
     pred_poses_at = {f.frame_index: f.poses for f in pred_seq.frames}
     names, joint_count = topo.joint_names, topo.joint_count
     pred_poses = [pred_poses_at.get(f.frame_index, ()) for f in gt_frames]

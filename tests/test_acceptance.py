@@ -314,10 +314,9 @@ def test_criterion_7_metric_ledger():
         cases.append(("head only", gt8, gt8, 100.0, 100.0, 100.0))
 
         # 9: every joint predicted twice (strong exact + weak stray in range):
-        # the stray is an unmatched FP at every joint: MOTA 0. The stray has
-        # an id of its own, since a prediction may not repeat one in a frame.
+        # the stray is an unmatched FP at every joint: MOTA 0
         strong = _person(80, 60, 0, conf=0.9)
-        weak = translate_pose(_person(80, 60, 1, conf=0.8), thresh / 2, 0)
+        weak = translate_pose(_person(80, 60, 0, conf=0.8), thresh / 2, 0)
         pred9 = _seq([frame([strong, weak], t) for t in range(2)])
         cases.append(("doubled joints", gt5, pred9, 0.0, 100.0, 100.0))
 

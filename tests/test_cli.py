@@ -291,13 +291,11 @@ def test_a_boolean_version_or_a_float_limb_index_exits_3(tmp_path):
     assert run(["eval", "--gt", gt, "--pred", gt, "--topology", topo_cfg]) == 3
 
 
-@pytest.mark.parametrize("command", ["eval", "eval --pred", "track --flow-from", "encode", "eval --topology"])
+@pytest.mark.parametrize("command", ["eval", "track --flow-from", "encode", "eval --topology"])
 def test_a_frame_repeating_a_track_id_or_a_one_joint_head_exits_3(tmp_path, capsys, command):
     # Each of these ran and exited 0 with a plausible result: the eval of
-    # a gt frame holding id 0 twice, or of a prediction frame doing so (a
-    # tracker labelling everyone 0 scored as a perfect one), the strokes of
-    # both poses of id 0 from the one earlier pose of id 0, and a head
-    # length of 0 everywhere.
+    # a gt frame holding id 0 twice, the strokes of both poses of id 0 from
+    # the one earlier pose of id 0, and a head length of 0 everywhere.
     ann = tmp_path / "c.json"
     assert run(["synth", "--out", ann, "--preset", "wander", "--people", "3", "--frames", "3"]) == 0
     gt = tmp_path / "c.json.gt.json"
@@ -311,7 +309,6 @@ def test_a_frame_repeating_a_track_id_or_a_one_joint_head_exits_3(tmp_path, caps
     topo_cfg.write_text(f"joints = {list(topo.joint_names)}\nlimbs = {limbs}\nhead_segment = [2, 2]\n")
     args, message = {
         "eval": (["eval", "--gt", twice, "--pred", gt], "ground truth frame 1 repeats a track id"),
-        "eval --pred": (["eval", "--gt", gt, "--pred", twice], "prediction frame 1 repeats track id"),
         "track --flow-from": (
             ["track", "--in", ann, "--flow-from", twice, "--out", tmp_path / "t.json"],
             "frame 1 repeats a track id",
